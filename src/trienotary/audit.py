@@ -31,7 +31,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .crypto import HashAlg, SHA256, SHA512, label_at
+from .crypto import HashAlg, algorithm_by_wire_id, label_at
 from .errors import CannotConstructError, IntegrityError, KeyExhaustedError, NotFoundError
 from .merkle import (
     ConsistencyProof,
@@ -42,10 +42,6 @@ from .merkle import (
 )
 from .store import ObjectStore
 from .trie import InternalNode, LeafNode, MalformedNodeError, TrieParams, parse_node
-
-_ALG_IDS = {SHA256.name: 1, SHA512.name: 2}
-_ALGS_BY_ID = {1: SHA256, 2: SHA512}
-
 
 class Status(enum.Enum):
     PASS = "pass"
@@ -514,7 +510,7 @@ def encode_audit_proof(proof: AuditProof) -> bytes:
     """Bundle file: header / node list / proof list, 4-byte LE length framing."""
     params = proof.params
     header = (
-        bytes([_ALG_IDS[params.alg.name]])
+        bytes([params.alg.wire_id])
         + params.r.to_bytes(2, "little")
         + params.k.to_bytes(2, "little")
         + proof.up_to_round.to_bytes(8, "little")
@@ -552,10 +548,7 @@ class _Cursor:
 def decode_audit_proof(data: bytes) -> AuditProof:
     outer = _Cursor(data)
     header = _Cursor(outer.take(outer.u32()))
-    alg_id = header.take(1)[0]
-    alg = _ALGS_BY_ID.get(alg_id)
-    if alg is None:
-        raise ValueError(f"unknown hash algorithm id {alg_id}")
+    alg = algorithm_by_wire_id(header.take(1)[0])
     r = int.from_bytes(header.take(2), "little")
     k = int.from_bytes(header.take(2), "little")
     up_to_round = header.u64()

@@ -14,20 +14,31 @@ outgoing edge at a given trie depth.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 from .errors import KeyExhaustedError
 
 
 @dataclass(frozen=True)
 class HashAlg:
-    """A named cryptographic hash with a fixed output length in bytes."""
+    """A named cryptographic hash with a fixed output length in bytes.
+
+    ``wire_id`` is the one-byte algorithm id written into audit-proof
+    bundles. ``hash`` is the only hashing entry point of the library.
+    """
 
     name: str
     output_len: int
+    wire_id: int
+    _new: Callable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # Bound once: hashlib.new looks the name up on every call.
+        object.__setattr__(self, "_new", getattr(hashlib, self.name))
 
     def hash(self, data: bytes) -> bytes:
-        return hashlib.new(self.name, data).digest()
+        return self._new(data).digest()
 
     @property
     def zero(self) -> bytes:
@@ -39,10 +50,12 @@ class HashAlg:
         return 8 * self.output_len
 
 
-SHA256 = HashAlg("sha256", 32)
-SHA512 = HashAlg("sha512", 64)
+SHA256 = HashAlg("sha256", 32, 1)
+SHA512 = HashAlg("sha512", 64, 2)
 
-_BY_NAME = {alg.name: alg for alg in (SHA256, SHA512)}
+_REGISTRY = (SHA256, SHA512)
+_BY_NAME = {alg.name: alg for alg in _REGISTRY}
+_BY_WIRE_ID = {alg.wire_id: alg for alg in _REGISTRY}
 
 
 def algorithm(name: str) -> HashAlg:
@@ -51,6 +64,14 @@ def algorithm(name: str) -> HashAlg:
         return _BY_NAME[name.lower().replace("-", "")]
     except KeyError:
         raise ValueError(f"unsupported hash algorithm: {name!r}") from None
+
+
+def algorithm_by_wire_id(wire_id: int) -> HashAlg:
+    """Look up a supported algorithm by its audit-bundle id."""
+    try:
+        return _BY_WIRE_ID[wire_id]
+    except KeyError:
+        raise ValueError(f"unknown hash algorithm id {wire_id}") from None
 
 
 def label_width(r: int) -> int:

@@ -14,6 +14,17 @@ Two proof kinds are supported:
 * inclusion proofs: a specific block is present at a specific position
   under a given root (selective disclosure of single blocks).
 
+Cost model. Every head of a complete, aligned subtree (2**j leaves starting
+at a multiple of 2**j) is hashed once and kept, since appending never
+changes it (the stored subtree heads of RFC 9162 section 2.1 and of Crosby
+and Wallach's tamper-evident logs). The store is shared by the versions of
+one append chain, so appending a block costs amortized O(1) hashes,
+charged when the next root or proof is asked for. The head of any prefix
+folds the O(log n) complete heads that cover it, so ``root_at`` is O(log n)
+hashes, and proofs are O(log^2 n) worst case. The first use of a ledger
+built from a block tuple fills its store in O(n); so does a fork, a version
+appended to after its chain had already grown past it.
+
 Proof generation follows the recursive subproof/path definitions; proof
 verification is the independent iterative reconstruction, so a round-trip
 exercises two different formulations of the same tree.
@@ -37,7 +48,7 @@ def _block_bytes(index: int, payload: bytes) -> bytes:
     return index.to_bytes(8, "big") + payload
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block:
     """One ledger entry; ``block_hash`` covers both payload and position."""
 
@@ -64,15 +75,34 @@ class InclusionProof:
     path: tuple[bytes, ...]
 
 
+class _Heads:
+    """Complete, aligned subtree heads shared along one append chain.
+
+    ``levels[j - 1]`` concatenates, in leaf order, the heads of the
+    2**j-leaf subtrees filled so far. Leaf heads (level 0) are not kept: each
+    is one hash of its block hash. ``tip`` is the length of the newest
+    version holding the store. Only that version's ``append`` hands the
+    store on, so every holder's blocks are a prefix of the tip's, and any
+    holder may fill the store from its own blocks.
+    """
+
+    __slots__ = ("tip", "levels")
+
+    def __init__(self, tip: int):
+        self.tip = tip
+        self.levels = [bytearray()]
+
+
 class Ledger:
     """An immutable append-only block sequence; ``append`` returns a new version."""
 
-    __slots__ = ("id", "blocks", "alg")
+    __slots__ = ("id", "blocks", "alg", "_heads")
 
     def __init__(self, ledger_id: bytes, blocks: tuple[Block, ...] = (), alg: HashAlg = SHA256):
         self.id = ledger_id
         self.blocks = blocks
         self.alg = alg
+        self._heads: _Heads | None = None
 
     @classmethod
     def from_payloads(cls, ledger_id: bytes, payloads, alg: HashAlg = SHA256) -> "Ledger":
@@ -88,7 +118,12 @@ class Ledger:
     def append(self, payload: bytes) -> "Ledger":
         index = len(self.blocks)
         block = Block(index, payload, self.alg.hash(_block_bytes(index, payload)))
-        return Ledger(self.id, self.blocks + (block,), self.alg)
+        child = Ledger(self.id, self.blocks + (block,), self.alg)
+        heads = self._heads
+        if heads is not None and heads.tip == index:
+            heads.tip = index + 1
+            child._heads = heads
+        return child
 
     def leaf_hashes(self, size: int | None = None) -> list[bytes]:
         """Domain-separated leaf hashes for the first ``size`` blocks."""
@@ -102,36 +137,68 @@ def _split(n: int) -> int:
     return 1 << ((n - 1).bit_length() - 1)
 
 
-class _TreeHasher:
-    """Memoized subtree heads over a fixed leaf-hash list."""
+class _Tree:
+    """Subtree heads over a ledger's first ``size`` leaves, read from its store."""
 
-    def __init__(self, leaves: list[bytes], alg: HashAlg):
-        self._leaves = leaves
-        self._alg = alg
-        self._memo: dict[tuple[int, int], bytes] = {}
+    __slots__ = ("blocks", "alg", "levels")
+
+    def __init__(self, ledger: Ledger, size: int):
+        self.blocks = ledger.blocks
+        self.alg = ledger.alg
+        self.levels: list[bytearray] = []
+        if size < 2:
+            return
+        heads = ledger._heads
+        if heads is None:
+            heads = ledger._heads = _Heads(len(ledger))
+        self.levels = levels = heads.levels
+        step = self.alg.output_len
+        hash_ = self.alg.hash
+        # Each odd leaf t completes the pair (t - 1, t) and, through it,
+        # every subtree whose last leaf is t.
+        for t in range(len(levels[0]) // step * 2 + 1, size, 2):
+            head = hash_(NODE_PREFIX + self.leaf(t - 1) + self.leaf(t))
+            for level in levels:
+                level += head
+                if len(level) // step & 1:
+                    break
+                head = hash_(NODE_PREFIX + level[-2 * step:])
+            else:
+                levels.append(bytearray(head))
+
+    def leaf(self, index: int) -> bytes:
+        return self.alg.hash(LEAF_PREFIX + self.blocks[index].block_hash)
 
     def head(self, lo: int, hi: int) -> bytes:
-        n = hi - lo
-        if n == 0:
-            return self._alg.hash(b"")
-        if n == 1:
-            return self._leaves[lo]
-        key = (lo, hi)
-        cached = self._memo.get(key)
-        if cached is None:
-            k = _split(n)
-            cached = self._alg.hash(
-                NODE_PREFIX + self.head(lo, lo + k) + self.head(lo + k, hi)
-            )
-            self._memo[key] = cached
-        return cached
+        """Head of leaves [lo, hi), a subtree of the RFC 9162 decomposition.
+
+        Such a range starts at a multiple of every power of two not above
+        its length, so it splits into complete, aligned subtrees, largest
+        first, whose heads fold from the right.
+        """
+        if lo == hi:
+            return self.alg.hash(b"")
+        pieces = []
+        step = self.alg.output_len
+        while lo < hi:
+            j = (hi - lo).bit_length() - 1
+            if j == 0:
+                pieces.append(self.leaf(lo))
+            else:
+                at = (lo >> j) * step
+                pieces.append(bytes(self.levels[j - 1][at:at + step]))
+            lo += 1 << j
+        head = pieces.pop()
+        while pieces:
+            head = self.alg.hash(NODE_PREFIX + pieces.pop() + head)
+        return head
 
 
 def root_at(ledger: Ledger, size: int) -> bytes:
     """Merkle head over the first ``size`` blocks."""
     if size < 0 or size > len(ledger):
         raise InvalidRangeError(f"size {size} out of range for ledger of {len(ledger)} blocks")
-    return _TreeHasher(ledger.leaf_hashes(size), ledger.alg).head(0, size)
+    return _Tree(ledger, size).head(0, size)
 
 
 def ledger_root(ledger: Ledger) -> bytes:
@@ -145,15 +212,15 @@ def prove_consistency(ledger: Ledger, old_size: int, new_size: int) -> Consisten
         raise InvalidRangeError(
             f"need 0 < m <= n <= {len(ledger)}, got m={old_size} n={new_size}"
         )
-    hasher = _TreeHasher(ledger.leaf_hashes(new_size), ledger.alg)
+    tree = _Tree(ledger, new_size)
 
     def subproof(m: int, lo: int, hi: int, complete: bool) -> list[bytes]:
         if m == hi - lo:
-            return [] if complete else [hasher.head(lo, hi)]
+            return [] if complete else [tree.head(lo, hi)]
         k = _split(hi - lo)
         if m <= k:
-            return subproof(m, lo, lo + k, complete) + [hasher.head(lo + k, hi)]
-        return subproof(m - k, lo + k, hi, False) + [hasher.head(lo, lo + k)]
+            return subproof(m, lo, lo + k, complete) + [tree.head(lo + k, hi)]
+        return subproof(m - k, lo + k, hi, False) + [tree.head(lo, lo + k)]
 
     return ConsistencyProof(old_size, new_size, tuple(subproof(old_size, 0, new_size, True)))
 
@@ -204,15 +271,15 @@ def prove_inclusion(ledger: Ledger, index: int) -> InclusionProof:
     n = len(ledger)
     if index < 0 or index >= n:
         raise InvalidRangeError(f"index {index} out of range for {n} blocks")
-    hasher = _TreeHasher(ledger.leaf_hashes(n), ledger.alg)
+    tree = _Tree(ledger, n)
 
     def path(i: int, lo: int, hi: int) -> list[bytes]:
         if hi - lo == 1:
             return []
         k = _split(hi - lo)
         if i - lo < k:
-            return path(i, lo, lo + k) + [hasher.head(lo + k, hi)]
-        return path(i, lo + k, hi) + [hasher.head(lo, lo + k)]
+            return path(i, lo, lo + k) + [tree.head(lo + k, hi)]
+        return path(i, lo + k, hi) + [tree.head(lo, lo + k)]
 
     return InclusionProof(index, n, tuple(path(index, 0, n)))
 

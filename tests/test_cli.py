@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 from contextlib import redirect_stdout
@@ -132,6 +133,29 @@ def test_simulate_determinism_bitwise(tmp_path):
         )
     assert outputs[0] == outputs[1]
     assert outputs[0][1] != b""  # appends happened, so proofs were indexed
+
+
+def test_simulate_wire_format_golden(tmp_path):
+    """Journal, proof index and object set of a fixed run, byte for byte.
+
+    The digests were recorded before ledgers cached their subtree heads;
+    they change only if a wire format or the simulated history does.
+    """
+    workdir = tmp_path / "golden"
+    assert run("simulate", "--workdir", workdir, "--seed", 42, "--ledgers", 50,
+               "--rounds", 6, "--append-rate", 0.7) == 0
+    addresses = sorted(p.parent.name + p.name for p in (workdir / "objects").glob("*/*"))
+    digests = {
+        "chain.log": hashlib.sha256((workdir / "chain.log").read_bytes()).hexdigest(),
+        "proofs.idx": hashlib.sha256((workdir / "proofs.idx").read_bytes()).hexdigest(),
+        "objects": hashlib.sha256("\n".join(addresses).encode()).hexdigest(),
+    }
+    assert len(addresses) == 818
+    assert digests == {
+        "chain.log": "633d735aa52368df4cd55619b679cc1765c8417183fe74b08ae92ea5cb20d798",
+        "proofs.idx": "1aa2c75312d7507bd320da6f46536ef67f9eacebe401581668f7017fdd415c1c",
+        "objects": "aeaaada8f41f0a848b296df166bf89b79f411ad26eb3678d604569e073a7636f",
+    }
 
 
 def test_bench_csv_schema_and_determinism(tmp_path):

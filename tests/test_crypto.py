@@ -6,7 +6,15 @@ import random
 
 import pytest
 
-from trienotary.crypto import SHA256, SHA512, algorithm, label_at, label_width, max_depth
+from trienotary.crypto import (
+    SHA256,
+    SHA512,
+    algorithm,
+    algorithm_by_wire_id,
+    label_at,
+    label_width,
+    max_depth,
+)
 from trienotary.errors import KeyExhaustedError
 
 # FIPS 180 empty-string vectors.
@@ -37,6 +45,11 @@ def test_algorithm_lookup():
     assert algorithm("SHA-512") is SHA512
     with pytest.raises(ValueError):
         algorithm("md5")
+    # Audit-proof bundles carry these ids; they are part of the wire format.
+    assert algorithm_by_wire_id(1) is SHA256
+    assert algorithm_by_wire_id(2) is SHA512
+    with pytest.raises(ValueError):
+        algorithm_by_wire_id(0)
 
 
 def test_zero_sentinel():

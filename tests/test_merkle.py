@@ -10,10 +10,15 @@ from __future__ import annotations
 
 import math
 import random
+import sys
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from trienotary.crypto import SHA256, SHA512
+from trienotary.chain import Chain
+from trienotary.crypto import SHA256, SHA512, HashAlg
 from trienotary.errors import InvalidRangeError
 from trienotary.merkle import (
     ConsistencyProof,
@@ -30,35 +35,65 @@ from trienotary.merkle import (
     verify_inclusion,
     write_ledger,
 )
+from trienotary.notary import NotaryState, notarize_round
+from trienotary.store import MemoryStore
+from trienotary.trie import TrieParams
 
 ALG = SHA256
 
 
 # ---------------------------------------------------------------- reference
 
-def ref_head(leaves: list[bytes], lo: int, hi: int) -> bytes:
-    """Subtree head straight from the definition; leaves are leaf hashes."""
+def ref_head(leaves: list[bytes], lo: int, hi: int, memo: dict | None = None) -> bytes:
+    """Subtree head straight from the definition; leaves are leaf hashes.
+
+    ``memo``, kept per leaf list, caches heads by range, so checking every
+    prefix and proof of a ledger hashes each subtree once.
+    """
     if hi == lo:
         return ALG.hash(b"")
     if hi - lo == 1:
         return leaves[lo]
+    if memo is not None and (lo, hi) in memo:
+        return memo[lo, hi]
     k = 1
     while 2 * k < hi - lo:
         k *= 2
-    left = ref_head(leaves, lo, lo + k)
-    right = ref_head(leaves, lo + k, hi)
-    return ALG.hash(b"\x01" + left + right)
+    left = ref_head(leaves, lo, lo + k, memo)
+    right = ref_head(leaves, lo + k, hi, memo)
+    head = ALG.hash(b"\x01" + left + right)
+    if memo is not None:
+        memo[lo, hi] = head
+    return head
 
 
-def ref_subproof(leaves: list[bytes], m: int, lo: int, hi: int, complete: bool) -> list[bytes]:
+def ref_subproof(
+    leaves: list[bytes], m: int, lo: int, hi: int, complete: bool, memo: dict | None = None
+) -> list[bytes]:
     if m == hi - lo:
-        return [] if complete else [ref_head(leaves, lo, hi)]
+        return [] if complete else [ref_head(leaves, lo, hi, memo)]
     k = 1
     while 2 * k < hi - lo:
         k *= 2
     if m <= k:
-        return ref_subproof(leaves, m, lo, lo + k, complete) + [ref_head(leaves, lo + k, hi)]
-    return ref_subproof(leaves, m - k, lo + k, hi, False) + [ref_head(leaves, lo, lo + k)]
+        return ref_subproof(leaves, m, lo, lo + k, complete, memo) + [
+            ref_head(leaves, lo + k, hi, memo)
+        ]
+    return ref_subproof(leaves, m - k, lo + k, hi, False, memo) + [
+        ref_head(leaves, lo, lo + k, memo)
+    ]
+
+
+def ref_path(leaves: list[bytes], i: int, lo: int, hi: int, memo: dict | None = None) -> list[bytes]:
+    """Inclusion path of leaf ``i`` within [lo, hi), leaf to root."""
+    if hi - lo == 1:
+        return []
+    k = 1
+    while 2 * k < hi - lo:
+        k *= 2
+    if i - lo < k:
+        return ref_path(leaves, i, lo, lo + k, memo) + [ref_head(leaves, lo + k, hi, memo)]
+    return ref_path(leaves, i, lo + k, hi, memo) + [ref_head(leaves, lo, lo + k, memo)]
 
 
 def make_ledger(n: int, tag: bytes = b"") -> Ledger:
@@ -289,6 +324,126 @@ def test_inclusion_wrong_position_or_hash_fails():
 def test_inclusion_index_out_of_range():
     with pytest.raises(InvalidRangeError):
         prove_inclusion(make_ledger(3), 3)
+
+
+# ------------------------------------------------ stored heads vs oracle
+
+def check_against_reference(ledger: Ledger) -> None:
+    """Every prefix root and every proof of ``ledger`` matches the definition."""
+    n = len(ledger)
+    leaves = [ALG.hash(b"\x00" + block.block_hash) for block in ledger.blocks]
+    memo: dict = {}
+    roots = [root_at(ledger, m) for m in range(n + 1)]
+    assert roots == [ref_head(leaves, 0, m, memo) for m in range(n + 1)]
+    for new_size in range(1, n + 1):
+        for old_size in range(1, new_size + 1):
+            proof = prove_consistency(ledger, old_size, new_size)
+            assert list(proof.path) == ref_subproof(leaves, old_size, 0, new_size, True, memo)
+            assert verify_consistency(roots[old_size], roots[new_size], proof, ALG)
+    for index in range(n):
+        proof = prove_inclusion(ledger, index)
+        assert list(proof.path) == ref_path(leaves, index, 0, n, memo)
+        assert verify_inclusion(roots[n], ledger.blocks[index].block_hash, proof, ALG)
+
+
+# An op picks a version by index (clamped, so large picks mean the newest)
+# and either appends to it, asks for its root (filling its head store at
+# that point), or rebuilds a prefix of it as a fresh Ledger(id, blocks).
+# Appending to a version that is no longer the newest forks its history.
+_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["append", "root", "rebuild"]),
+        st.integers(0, 60),
+        st.binary(max_size=3),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(initial=st.lists(st.binary(max_size=3), max_size=6), ops=_OPS, data=st.data())
+def test_stored_heads_match_reference_across_forks(initial, ops, data):
+    versions = [Ledger.from_payloads(b"hyp", initial, ALG)]
+    for op, pick, payload in ops:
+        base = versions[min(pick, len(versions) - 1)]
+        if op == "append":
+            versions.append(base.append(payload))
+        elif op == "root":
+            ledger_root(base)
+        else:
+            versions.append(Ledger(b"hyp", base.blocks[:pick % (len(base) + 1)], ALG))
+    for i in data.draw(st.permutations(range(len(versions)))):
+        check_against_reference(versions[i])
+
+
+def test_fork_of_filled_version_keeps_both_children_correct():
+    # Both children complete the pair (6, 7), so a shared store would
+    # hand the second child the first one's head.
+    parent = make_ledger(7)
+    ledger_root(parent)
+    first = parent.append(b"first")
+    second = parent.append(b"second")
+    ledger_root(first)
+    assert ledger_root(second) != ledger_root(first)
+    for ledger in (second, first, parent):
+        check_against_reference(ledger)
+
+
+# -------------------------------------------------------------- hash counts
+
+@pytest.fixture
+def merkle_hashes(monkeypatch):
+    """Counts HashAlg.hash calls made from the merkle module."""
+    counts = Counter()
+    original = HashAlg.hash
+
+    def counted(alg, data):
+        counts[sys._getframe(1).f_globals["__name__"]] += 1
+        return original(alg, data)
+
+    monkeypatch.setattr(HashAlg, "hash", counted)
+
+    def taken() -> int:
+        count = counts["trienotary.merkle"]
+        counts.clear()
+        return count
+
+    return taken
+
+
+# (n, first fill, root_at(n), prove_consistency(n // 2, n), prove_inclusion(0))
+@pytest.mark.parametrize(
+    "n, fill, root, consistency, inclusion",
+    [(10, 19, 1, 2, 1), (1000, 1999, 5, 4, 5)],
+)
+def test_hashes_on_a_filled_ledger_are_logarithmic(
+    merkle_hashes, n, fill, root, consistency, inclusion
+):
+    ledger = Ledger.from_payloads(b"count", [i.to_bytes(4, "big") for i in range(n)], ALG)
+    merkle_hashes()
+    ledger_root(ledger)
+    assert merkle_hashes() == fill
+    root_at(ledger, n)
+    assert merkle_hashes() == root
+    prove_consistency(ledger, n // 2, n)
+    assert merkle_hashes() == consistency
+    prove_inclusion(ledger, 0)
+    assert merkle_hashes() == inclusion
+    assert max(root, consistency, inclusion) <= math.log2(n) ** 2
+
+
+# Per ledger: the appended block's hash, then the round's ledger_root,
+# root_at(old size) and prove_consistency(old size, new size).
+@pytest.mark.parametrize("n, per_ledger", [(10, 6), (1000, 14)])
+def test_round_hashes_per_changed_ledger(merkle_hashes, n, per_ledger):
+    payloads = [i.to_bytes(4, "big") for i in range(n)]
+    ledgers = {lid: Ledger.from_payloads(lid, payloads, ALG) for lid in (b"a", b"b", b"c")}
+    state, store, chain = NotaryState(TrieParams(2, 1, ALG)), MemoryStore(ALG), Chain()
+    state, _ = notarize_round(state, ledgers, store, chain)
+    merkle_hashes()
+    grown = {lid: ledger.append(b"next") for lid, ledger in ledgers.items()}
+    notarize_round(state, grown, store, chain)
+    assert merkle_hashes() == per_ledger * len(grown)
 
 
 # ------------------------------------------------------------ export files

@@ -86,6 +86,18 @@ def test_rewritten_history_rejected():
         notarize_round(state, {b"a": rewritten}, store, chain)
 
 
+def test_rewrite_by_forking_a_superseded_version_rejected():
+    state, store, chain = fresh()
+    base = Ledger.from_payloads(b"a", [b"1", b"2", b"3"], ALG)
+    state, _ = notarize_round(state, {b"a": base}, store, chain)
+    state, _ = notarize_round(state, {b"a": base.append(b"4")}, store, chain)
+    # ``base`` no longer ends its append chain, so this version must not
+    # reuse the subtree heads cached for the notarized one.
+    rewritten = base.append(b"TAMPERED")
+    with pytest.raises(LedgerTamperError):
+        notarize_round(state, {b"a": rewritten}, store, chain)
+
+
 def test_three_rounds_replay_oracle():
     """Every (ledger, changed round) pair gets a verifiable stored proof and
     every round's root lands on chain, reproducible from raw ledgers alone."""
