@@ -24,6 +24,19 @@ The same checks run offline from an audit proof: a self-contained bundle
 of every node and proof the storage-backed audit would have fetched,
 valid up to the notarization round current when it was built. Rounds
 published after that are reported as not covered rather than verified.
+
+Cost model: one run (an audit, a bundle build or a bundle check) fetches
+and validates each distinct node once, except that a version root is
+checked twice: the root walk parses it for its prev-root link, and the
+key's path is then read from it by ``trie.KeyPath``. A per-run memo maps
+(child digest, depth) to what the walk below that child found: the
+value, absence, or unresolved with any malformation detail. A later
+round that reaches a memoized child stops there, and a memoized
+malformation is charged to that round too, so the verdicts are those of
+a memo-free walk. Skipped nodes were fetched earlier in the same run, so
+a bundle holds the same nodes in the same order. The memo lives in the
+run, not in ``ObjectStore``: stored bytes can be corrupted after the
+fact, and a store-level cache would hide that from every later audit.
 """
 
 from __future__ import annotations
@@ -31,8 +44,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .crypto import HashAlg, algorithm_by_wire_id, label_at
-from .errors import CannotConstructError, IntegrityError, KeyExhaustedError, NotFoundError
+from .crypto import HashAlg, algorithm_by_wire_id
+from .errors import CannotConstructError, IntegrityError, NotFoundError
 from .merkle import (
     ConsistencyProof,
     Ledger,
@@ -41,7 +54,8 @@ from .merkle import (
     verify_consistency,
 )
 from .store import ObjectStore
-from .trie import InternalNode, LeafNode, MalformedNodeError, TrieParams, parse_node
+from .trie import UNRESOLVED, KeyPath, MalformedNodeError, TrieParams, parse_node
+
 
 class Status(enum.Enum):
     PASS = "pass"
@@ -116,29 +130,27 @@ class AuditProof:
     proofs: tuple[tuple[int, bytes], ...]
 
 
-_UNRESOLVED = object()  # round value marker: storage could not answer
-
-
 class _Engine:
     """One audit run; resolve/fetch callables abstract the storage."""
 
     def __init__(self, params, ledger_key, chain_roots, resolve, fetch_proof):
         self.params = params
-        self.key = ledger_key
         self.chain_roots = list(chain_roots)
         self.resolve = resolve
         self.fetch_proof = fetch_proof
+        self.path = KeyPath(params, ledger_key)
+        self.memo: dict = {}  # (child digest, depth) -> (outcome, detail)
         self.malformed: list[tuple[int, str]] = []
 
     def walk_roots(self):
         """Follow prev-root links from the latest chain digest.
 
-        Returns (chain_match CheckResult, {round: root node}). Root nodes
-        are aligned newest-first against the chain sequence.
+        Returns (chain_match CheckResult, {round: root node bytes}). Root
+        nodes are aligned newest-first against the chain sequence.
         """
         height = len(self.chain_roots)
         sentinel = self.params.alg.zero
-        nodes_by_round: dict[int, LeafNode | InternalNode] = {}
+        roots_by_round: dict[int, bytes] = {}
         current = self.chain_roots[-1]
         walked: list[bytes] = []
         ended = False
@@ -153,22 +165,22 @@ class _Engine:
                         round_seq,
                         f"version root {current.hex()[:16]}… unresolved in storage",
                     ),
-                    nodes_by_round,
+                    roots_by_round,
                 )
             try:
                 node = parse_node(data, self.params)
             except MalformedNodeError as exc:
                 return (
                     CheckResult(Status.FAIL, round_seq, f"malformed version root: {exc}"),
-                    nodes_by_round,
+                    roots_by_round,
                 )
             if node.prev_root is None:
                 return (
                     CheckResult(Status.FAIL, round_seq, "version root is not a root node"),
-                    nodes_by_round,
+                    roots_by_round,
                 )
             walked.append(current)
-            nodes_by_round[round_seq] = node
+            roots_by_round[round_seq] = data
             current = node.prev_root
             if current == sentinel:
                 ended = step == height - 1
@@ -179,13 +191,13 @@ class _Engine:
                             round_seq,
                             f"lineage ends after {step + 1} versions, chain has {height}",
                         ),
-                        nodes_by_round,
+                        roots_by_round,
                     )
                 break
         else:
             return (
                 CheckResult(Status.FAIL, 0, "lineage has more versions than chain records"),
-                nodes_by_round,
+                roots_by_round,
             )
         for step, digest in enumerate(walked):
             round_seq = height - 1 - step
@@ -196,48 +208,29 @@ class _Engine:
                         round_seq,
                         "traversed root does not match the published digest",
                     ),
-                    nodes_by_round,
+                    roots_by_round,
                 )
-        return CheckResult(Status.PASS), nodes_by_round
+        return CheckResult(Status.PASS), roots_by_round
 
-    def search(self, round_seq: int, root_node):
-        """Value for the key in one version; hash references verify implicitly
-        because nodes are resolved by the very digest the parent stored."""
-        node = root_node
-        depth = 0
-        while True:
-            if depth > 0 and node.prev_root is not None:
-                self.malformed.append((round_seq, "root-tagged node below the root"))
-                return _UNRESOLVED
-            if isinstance(node, LeafNode):
-                return node.value_of(self.key)
-            try:
-                label = label_at(self.key, depth, self.params.r)
-            except KeyExhaustedError:
-                self.malformed.append((round_seq, "trie deeper than the key has bits"))
-                return _UNRESOLVED
-            child = node.child(label)
-            if child is None:
-                return None
-            try:
-                data = self.resolve(child)
-            except (NotFoundError, IntegrityError):
-                return _UNRESOLVED
-            try:
-                node = parse_node(data, self.params)
-            except MalformedNodeError as exc:
-                self.malformed.append((round_seq, str(exc)))
-                return _UNRESOLVED
-            depth += 1
+    def fetch_node(self, digest: bytes) -> bytes | None:
+        try:
+            return self.resolve(digest)
+        except (NotFoundError, IntegrityError):
+            return None
 
     def run(self, claimed: bytes | None, extra_proofs) -> dict:
-        chain_match, nodes_by_round = self.walk_roots()
+        chain_match, roots_by_round = self.walk_roots()
         height = len(self.chain_roots)
 
-        values: list = [_UNRESOLVED] * height
-        for round_seq, root_node in nodes_by_round.items():
-            values[round_seq] = self.search(round_seq, root_node)
-        unresolved = tuple(i for i, v in enumerate(values) if v is _UNRESOLVED)
+        # Hash references verify implicitly: each node is resolved by the very
+        # digest its parent stored. A subtree already walked this run answers
+        # from the memo, and its malformation is charged to this round too.
+        values: list = [UNRESOLVED] * height
+        for round_seq, root_data in roots_by_round.items():
+            values[round_seq], detail = self.path.walk(root_data, self.fetch_node, self.memo)
+            if detail:
+                self.malformed.append((round_seq, detail))
+        unresolved = tuple(i for i, v in enumerate(values) if v is UNRESOLVED)
 
         if self.malformed:
             round_seq, detail = min(self.malformed)
@@ -259,14 +252,14 @@ class _Engine:
             "no_removal": no_removal,
             "no_forks": no_forks,
             "disclosed_data_match": disclosed,
-            "history": tuple(None if v is _UNRESOLVED else v for v in values),
+            "history": tuple(None if v is UNRESOLVED else v for v in values),
             "unresolved_rounds": unresolved,
         }
 
     def _check_no_removal(self, values, unresolved) -> CheckResult:
         seen_value = False
         for round_seq, value in enumerate(values):
-            if value is _UNRESOLVED:
+            if value is UNRESOLVED:
                 continue
             if value is None and seen_value:
                 return CheckResult(
@@ -282,7 +275,7 @@ class _Engine:
         inconclusive: CheckResult | None = None
         for round_seq in range(1, len(values)):
             old, new = values[round_seq - 1], values[round_seq]
-            if old is _UNRESOLVED or new is _UNRESOLVED:
+            if old is UNRESOLVED or new is UNRESOLVED:
                 continue
             if old is None or new is None or old == new:
                 continue
@@ -314,14 +307,14 @@ class _Engine:
     def _check_disclosed(self, claimed, values, unresolved, extra_proofs) -> CheckResult:
         if claimed is None:
             return CheckResult(Status.NOT_CHECKED)
-        definite = [v for v in values if v is not _UNRESOLVED and v is not None]
+        definite = [v for v in values if v is not UNRESOLVED and v is not None]
         if claimed in definite:
             return CheckResult(Status.PASS)
         alg = self.params.alg
         proofs = list(extra_proofs)
         for round_seq in range(1, len(values)):
             old, new = values[round_seq - 1], values[round_seq]
-            if old is _UNRESOLVED or new is _UNRESOLVED or old is None or new is None:
+            if old is UNRESOLVED or new is UNRESOLVED or old is None or new is None:
                 continue
             if old == new:
                 continue

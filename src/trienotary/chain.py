@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import NonContiguousSeqError, OversizeNoteError
+from .errors import MalformedArtifactError, NonContiguousSeqError, OversizeNoteError
 
 NOTE_CAPACITY = 1024
 
@@ -37,13 +37,8 @@ class Chain:
         if path is not None:
             self._path = Path(path)
             if self._path.exists():
-                for line in self._path.read_text(encoding="ascii").splitlines():
-                    seq_str, root_hex, note_hex = line.split(" ")
-                    self._records.append(
-                        NotarizationRecord(
-                            int(seq_str), bytes.fromhex(root_hex), bytes.fromhex(note_hex)
-                        )
-                    )
+                for number, line in enumerate(self._path.read_bytes().splitlines(), 1):
+                    self._records.append(_parse_record(self._path, number, line))
 
     def __len__(self) -> int:
         return len(self._records)
@@ -78,6 +73,19 @@ class Chain:
 
     def record(self, seq: int) -> NotarizationRecord:
         return self._records[seq]
+
+
+def _parse_record(path: Path, number: int, line: bytes) -> NotarizationRecord:
+    try:
+        seq_str, root_hex, note_hex = line.decode("ascii").split(" ")
+        record = NotarizationRecord(int(seq_str), bytes.fromhex(root_hex), bytes.fromhex(note_hex))
+    except ValueError:
+        raise MalformedArtifactError(f"{path}:{number}: malformed chain record") from None
+    if record.seq != number - 1:
+        raise MalformedArtifactError(
+            f"{path}:{number}: record seq {record.seq} is not its line index {number - 1}"
+        )
+    return record
 
 
 def format_record(record: NotarizationRecord) -> str:

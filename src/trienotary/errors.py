@@ -31,6 +31,11 @@ class CanonicalizationError(TrienotaryError):
     """A node violates its structural invariants and cannot be serialized."""
 
 
+class MalformedArtifactError(TrienotaryError):
+    """A line of a public text artifact (chain journal, proof index) does not
+    decode; the message names the file and the 1-based line number."""
+
+
 class NotFoundError(TrienotaryError):
     """No content stored under the requested address."""
 

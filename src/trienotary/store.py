@@ -20,7 +20,7 @@ import os
 from pathlib import Path
 
 from .crypto import HashAlg, SHA256
-from .errors import IntegrityError, NotFoundError, ProofIndexConflictError
+from .errors import IntegrityError, MalformedArtifactError, NotFoundError, ProofIndexConflictError
 
 PROOF_INDEX_NAME = "proofs.idx"
 OBJECTS_DIR_NAME = "objects"
@@ -116,9 +116,16 @@ class DirectoryStore(ObjectStore):
         self._objects_dir.mkdir(parents=True, exist_ok=True)
         self._proofs: dict[tuple[bytes, int], bytes] = {}
         if self._index_path.exists():
-            for line in self._index_path.read_text(encoding="ascii").splitlines():
-                key_hex, round_str, addr_hex = line.split(" ")
-                self._proofs[(bytes.fromhex(key_hex), int(round_str))] = bytes.fromhex(addr_hex)
+            for number, line in enumerate(self._index_path.read_bytes().splitlines(), 1):
+                try:
+                    key_hex, round_str, addr_hex = line.decode("ascii").split(" ")
+                    slot = (bytes.fromhex(key_hex), int(round_str))
+                    address = bytes.fromhex(addr_hex)
+                except ValueError:
+                    raise MalformedArtifactError(
+                        f"{self._index_path}:{number}: malformed proof index entry"
+                    ) from None
+                self._proofs[slot] = address
 
     def _path_for(self, address: bytes) -> Path:
         hex_addr = address.hex()

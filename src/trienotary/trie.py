@@ -24,13 +24,18 @@ Wire format (one byte-aligned canonical layout per node)::
 
 Bitmap bit i (label i) lives at byte i//8, mask 0x80 >> (i % 8). The
 all-zero prev-root digest marks the first version of a lineage.
+
+``KeyPath`` is the single key-path walk: ``lookup``, ``search_path`` and
+the audit all descend through it. It reads node bytes in place, checked
+by the same framing rules as ``parse_node``, without building node objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
-from .crypto import HashAlg, label_at, label_width
+from .crypto import HashAlg, key_labels, label_at, label_width
 from .errors import (
     CanonicalizationError,
     DeletionNotSupportedError,
@@ -45,6 +50,10 @@ TAG_INTERNAL = 0x01
 TAG_LEAF = 0x02
 TAG_ROOT_INTERNAL = 0x03
 TAG_ROOT_LEAF = 0x04
+
+_LEAF_TAGS = (TAG_LEAF, TAG_ROOT_LEAF)
+_INTERNAL_TAGS = (TAG_INTERNAL, TAG_ROOT_INTERNAL)
+_ROOT_TAGS = (TAG_ROOT_INTERNAL, TAG_ROOT_LEAF)
 
 
 @dataclass(frozen=True)
@@ -176,59 +185,75 @@ def serialize_node(node: Node, params: TrieParams) -> bytes:
     return b"".join(parts)
 
 
-def parse_node(data: bytes, params: TrieParams) -> Node:
-    """Inverse of serialize_node; raises MalformedNodeError on any deviation."""
-    digest_len = params.alg.output_len
+def _frame(data: bytes, params: TrieParams) -> tuple[int, int, int]:
+    """Check everything that makes ``data`` a canonical node.
+
+    Returns ``(tag, body_end, shape)``: ``body_end`` is where the prev-root
+    field starts (the length of a non-root node), and ``shape`` is the
+    tuple count of a leaf or, for an internal node, its bitmap as a
+    big-endian integer (label i is bit ``8 * bitmap_len - 1 - i``). Raises
+    MalformedNodeError on any deviation. This is the one definition of node
+    validity; ``parse_node`` and ``KeyPath`` both rely on it.
+    """
     if not data:
         raise MalformedNodeError("empty node")
+    digest_len = params.alg.output_len
     tag = data[0]
-    is_root = tag in (TAG_ROOT_INTERNAL, TAG_ROOT_LEAF)
-    body_end = len(data) - digest_len if is_root else len(data)
-    prev_root = data[body_end:] or None
-    if is_root and body_end <= 0:
-        raise MalformedNodeError("root node shorter than its prev-root field")
-    if tag in (TAG_LEAF, TAG_ROOT_LEAF):
+    body_end = len(data)
+    if tag in _ROOT_TAGS:
+        body_end -= digest_len
+        if body_end <= 0:
+            raise MalformedNodeError("root node shorter than its prev-root field")
+    if tag in _LEAF_TAGS:
         if body_end < 2:
             raise MalformedNodeError("leaf too short")
         count = data[1] + 1
         if count > params.k:
             raise MalformedNodeError(f"leaf holds {count} tuples, limit {params.k}")
-        if body_end != 2 + count * 2 * digest_len:
+        stride = 2 * digest_len
+        if body_end != 2 + count * stride:
             raise MalformedNodeError("leaf length does not match its tuple count")
-        entries = []
-        prev_key = None
-        for i in range(count):
-            offset = 2 + i * 2 * digest_len
-            key = data[offset:offset + digest_len]
-            value = data[offset + digest_len:offset + 2 * digest_len]
-            if prev_key is not None and key <= prev_key:
+        for offset in range(2 + stride, body_end, stride):
+            if data[offset:offset + digest_len] <= data[offset - stride:offset - digest_len]:
                 raise MalformedNodeError("leaf tuples not strictly ascending")
-            prev_key = key
-            entries.append((key, value))
-        return LeafNode(tuple(entries), prev_root)
-    if tag in (TAG_INTERNAL, TAG_ROOT_INTERNAL):
-        bitmap_end = 1 + params.bitmap_len
+        return tag, body_end, count
+    if tag in _INTERNAL_TAGS:
+        bitmap_len = params.bitmap_len
+        bitmap_end = 1 + bitmap_len
         if body_end < bitmap_end:
             raise MalformedNodeError("internal node shorter than its bitmap")
-        bitmap = data[1:bitmap_end]
-        labels = [
-            (byte_index << 3) | bit
-            for byte_index, byte in enumerate(bitmap)
-            for bit in range(8)
-            if byte & (0x80 >> bit)
-        ]
-        if not labels:
+        bitmap = int.from_bytes(data[1:bitmap_end], "big")
+        if not bitmap:
             raise MalformedNodeError("internal node has no children")
-        if labels[-1] >= params.r:
+        # labels >= r are the low 8 * bitmap_len - r bits
+        if bitmap & ((1 << (8 * bitmap_len - params.r)) - 1):
             raise MalformedNodeError("bitmap marks a label outside [0, r)")
-        if body_end != bitmap_end + len(labels) * digest_len:
+        if body_end != bitmap_end + bitmap.bit_count() * digest_len:
             raise MalformedNodeError("internal length does not match its bitmap")
-        children = tuple(
-            (label, data[bitmap_end + i * digest_len:bitmap_end + (i + 1) * digest_len])
-            for i, label in enumerate(labels)
-        )
-        return InternalNode(children, prev_root)
+        return tag, body_end, bitmap
     raise MalformedNodeError(f"unknown node tag 0x{tag:02x}")
+
+
+def parse_node(data: bytes, params: TrieParams) -> Node:
+    """Inverse of serialize_node; raises MalformedNodeError on any deviation."""
+    tag, body_end, shape = _frame(data, params)
+    prev_root = data[body_end:] or None
+    digest_len = params.alg.output_len
+    if tag in _LEAF_TAGS:
+        entries = []
+        for offset in range(2, body_end, 2 * digest_len):
+            value_at = offset + digest_len
+            entries.append((data[offset:value_at], data[value_at:value_at + digest_len]))
+        return LeafNode(tuple(entries), prev_root)
+    offset = 1 + params.bitmap_len
+    last = 8 * params.bitmap_len - 1
+    children = []
+    while shape:
+        high = shape.bit_length() - 1  # the highest set bit holds the lowest label
+        shape ^= 1 << high
+        children.append((last - high, data[offset:offset + digest_len]))
+        offset += digest_len
+    return InternalNode(tuple(children), prev_root)
 
 
 def node_digest(node: Node, params: TrieParams) -> bytes:
@@ -291,11 +316,7 @@ class _Builder:
         return self.emit(InternalNode(tuple(children), prev_root))
 
     def resolve(self, digest: bytes) -> Node:
-        try:
-            data = self.store.get(digest)
-        except NotFoundError:
-            raise MissingNodeError(f"node {digest.hex()} not resolvable") from None
-        return parse_node(data, self.params)
+        return parse_node(_load(self.store, digest), self.params)
 
     def update_node(
         self,
@@ -383,20 +404,114 @@ def rechain(prev: TrieVersion) -> TrieVersion:
 
 # ------------------------------------------------------------------ queries
 
+UNRESOLVED = object()  # walk outcome: storage could not answer, or a node is malformed
+_ABSENT = (None, "")
+
+
+class KeyPath:
+    """The single walk down one search key's path, over node bytes.
+
+    ``lookup``, ``search_path`` and the audit all descend through this
+    class. The key's edge labels are computed once, when it is created,
+    so one instance serves every version walked for that key. Each node is
+    checked by the same framing rules as ``parse_node``; an internal node
+    yields only the child the key needs (found by popcount over the
+    bitmap) and a leaf is scanned in place, so no node objects are built.
+    """
+
+    def __init__(self, params: TrieParams, key: bytes):
+        self.params = params
+        self.key = key
+        self.labels = key_labels(key, params.r)
+
+    def walk(self, data: bytes, fetch, memo: dict | None = None, path: list | None = None):
+        """Decide the key from the root node ``data`` downwards.
+
+        ``fetch(digest)`` returns a child's bytes, or None when storage
+        cannot provide them. Returns ``(outcome, detail)``: the outcome is
+        the key's value, None when the key is absent, or UNRESOLVED; detail
+        names the malformation behind an UNRESOLVED outcome, else "".
+
+        ``memo`` maps (child digest, depth) to the result of a walk that
+        already passed through that child. The walk stops at such a child
+        and returns that result; otherwise it records its own result for
+        every child it fetched. ``path``, when given, collects (node bytes,
+        label taken) per node visited, the label None for the deciding node.
+        """
+        params = self.params
+        labels = self.labels
+        digest_len = params.alg.output_len
+        bitmap_end = 1 + params.bitmap_len
+        top = 8 * params.bitmap_len - 1
+        trail = []
+        depth = 0
+        while True:
+            try:
+                tag, body_end, shape = _frame(data, params)
+                if depth and tag in _ROOT_TAGS:
+                    raise MalformedNodeError("root-tagged node below the root")
+            except MalformedNodeError as exc:
+                result = (UNRESOLVED, str(exc))
+                break
+            if tag in _LEAF_TAGS:
+                result = _ABSENT
+                for value_at in range(2 + digest_len, body_end, 2 * digest_len):
+                    if data.startswith(self.key, value_at - digest_len):
+                        result = (data[value_at:value_at + digest_len], "")
+                        break
+                label = None  # the deciding node
+            elif depth >= len(labels):
+                result = (UNRESOLVED, "trie deeper than the key has bits")
+                break
+            else:
+                label = labels[depth]
+                bit = top - label
+                if not shape >> bit & 1:
+                    result = _ABSENT
+                    label = None  # the bitmap proves absence
+            if path is not None:
+                path.append((data, label))
+            if label is None:
+                break
+            offset = bitmap_end + (shape >> bit >> 1).bit_count() * digest_len
+            child = data[offset:offset + digest_len]
+            depth += 1
+            step = (child, depth)
+            if memo is not None:
+                result = memo.get(step)
+                if result is not None:
+                    break
+            data = fetch(child)
+            if data is None:
+                result = (UNRESOLVED, "")
+                break
+            trail.append(step)
+        if memo is not None:
+            for step in trail:
+                memo[step] = result
+        return result
+
+
+def _load(store: ObjectStore, digest: bytes) -> bytes:
+    try:
+        return store.get(digest)
+    except NotFoundError:
+        raise MissingNodeError(f"node {digest.hex()} not resolvable") from None
+
+
+def _walk_version(version: TrieVersion, key: bytes, path: list | None = None) -> bytes | None:
+    store = version.store
+    outcome, detail = KeyPath(version.params, key).walk(
+        _load(store, version.root_digest), partial(_load, store), path=path
+    )
+    if detail:
+        raise MalformedNodeError(detail)
+    return outcome
+
+
 def lookup(version: TrieVersion, key: bytes) -> bytes | None:
     """Value digest associated with ``key`` in this version, or None."""
-    builder = _Builder(version.params, version.store)
-    digest = version.root_digest
-    depth = 0
-    while True:
-        node = builder.resolve(digest)
-        if isinstance(node, LeafNode):
-            return node.value_of(key)
-        child = node.child(label_at(key, depth, version.params.r))
-        if child is None:
-            return None
-        digest = child
-        depth += 1
+    return _walk_version(version, key)
 
 
 def search_path(version: TrieVersion, key: bytes) -> list[tuple[bytes, int | None]]:
@@ -407,27 +522,9 @@ def search_path(version: TrieVersion, key: bytes) -> list[tuple[bytes, int | Non
     proves absence) carries None. Hashing element i+1 reproduces the child
     digest stored in element i at the taken label.
     """
-    params = version.params
     path: list[tuple[bytes, int | None]] = []
-    digest = version.root_digest
-    depth = 0
-    while True:
-        try:
-            data = version.store.get(digest)
-        except NotFoundError:
-            raise MissingNodeError(f"node {digest.hex()} not resolvable") from None
-        node = parse_node(data, params)
-        if isinstance(node, LeafNode):
-            path.append((data, None))
-            return path
-        label = label_at(key, depth, params.r)
-        child = node.child(label)
-        if child is None:
-            path.append((data, None))
-            return path
-        path.append((data, label))
-        digest = child
-        depth += 1
+    _walk_version(version, key, path)
+    return path
 
 
 def associations(version: TrieVersion) -> dict[bytes, bytes]:
@@ -467,10 +564,7 @@ def stats(version: TrieVersion) -> Measurements:
     stack: list[tuple[bytes, int, int]] = [(version.root_digest, 0, 0)]
     while stack:
         digest, depth, prefix_bytes = stack.pop()
-        try:
-            data = version.store.get(digest)
-        except NotFoundError:
-            raise MissingNodeError(f"node {digest.hex()} not resolvable") from None
+        data = _load(version.store, digest)
         node = parse_node(data, params)
         nodes += 1
         total_bytes += len(data)

@@ -382,3 +382,52 @@ def test_single_byte_corruption_of_bundle_never_passes_cleanly():
             and report.covered_rounds == baseline.covered_rounds
         )
         assert not clean_pass, position
+
+
+# ------------------------------------------------------------- fetch counts
+
+class _CountingStore(MemoryStore):
+    def __init__(self, alg):
+        super().__init__(alg)
+        self.gets: list[bytes] = []
+
+    def get(self, address: bytes) -> bytes:
+        self.gets.append(address)
+        return super().get(address)
+
+
+def test_audit_and_prove_fetch_each_distinct_object_once(monkeypatch):
+    """200 ledgers x 50 rounds (r=4, k=2): one get per distinct address.
+
+    Before the key-path walker and its per-run memo, auditing ledger-17
+    made 268 gets for 225 distinct addresses and parsed 250 nodes.
+    """
+    from trienotary import audit as audit_module
+    from trienotary import trie as trie_module
+
+    history = run_history(7, n_ledgers=200, rounds=50, params=TrieParams(4, 2, ALG),
+                          p_append=0.3)
+    store = _CountingStore(ALG)
+    store._objects, store._proofs = history.store._objects, history.store._proofs
+    roots = history.chain.read_roots()
+    parsed = []
+    real_parse = trie_module.parse_node
+
+    def counting_parse(data, params):
+        parsed.append(data)
+        return real_parse(data, params)
+
+    for module in (audit_module, trie_module):
+        monkeypatch.setattr(module, "parse_node", counting_parse)
+
+    report = audit_ledger(b"ledger-17", None, roots, store, history.params)
+    assert report.verdict is Status.PASS
+    audit_gets, store.gets = store.gets, []
+    proof = make_audit_proof(b"ledger-17", len(roots) - 1, roots, store, history.params)
+
+    assert len(audit_gets) == 225
+    assert len(set(audit_gets)) == 225
+    assert len(audit_gets) == len(proof.nodes) + len(proof.proofs)
+    assert store.gets == audit_gets
+    assert len(parsed) == 2 * len(roots)  # each version root, once per run
+    assert {ALG.hash(data) for data in parsed} == set(roots)

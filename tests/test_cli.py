@@ -5,10 +5,15 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import trienotary
 from trienotary.cli import main, run_bench
 from trienotary.crypto import SHA256
 
@@ -156,6 +161,73 @@ def test_simulate_wire_format_golden(tmp_path):
         "proofs.idx": "1aa2c75312d7507bd320da6f46536ef67f9eacebe401581668f7017fdd415c1c",
         "objects": "aeaaada8f41f0a848b296df166bf89b79f411ad26eb3678d604569e073a7636f",
     }
+
+
+def test_audit_bundle_golden(tmp_path):
+    """``prove`` bundle bytes and ``audit`` output for ledger-7 of the golden run.
+
+    Recorded before audits walked node bytes through a per-run memo; the
+    memo only skips nodes already fetched, so neither may change.
+    """
+    workdir = tmp_path / "golden"
+    assert run("simulate", "--workdir", workdir, "--seed", 42, "--ledgers", 50,
+               "--rounds", 6, "--append-rate", 0.7) == 0
+    bundle = tmp_path / "ledger-7.proof"
+    assert run("prove", "ledger-7", "--workdir", workdir, "--out", bundle) == 0
+    assert hashlib.sha256(bundle.read_bytes()).hexdigest() == (
+        "72558c1c083d48ed64beb0f2b161e6ee7fdd61d63fd7832e992295434e105d69"
+    )
+    assert run_captured("audit", "ledger-7", "--workdir", workdir) == (0, (
+        "chain_match: pass\n"
+        "no_alternative_histories: pass\n"
+        "no_removal: pass\n"
+        "no_forks: pass\n"
+        "disclosed_data_match: pass\n"
+        "verdict: pass\n"
+    ))
+
+
+def _tear_last_chain_line(workdir: Path) -> str:
+    path = workdir / "chain.log"
+    path.write_bytes(path.read_bytes()[:-20])
+    return "chain.log:3: malformed chain record"
+
+
+def _garbage_index_line(workdir: Path) -> str:
+    path = workdir / "proofs.idx"
+    lines = len(path.read_text().splitlines())
+    path.write_bytes(path.read_bytes() + b"not an index entry\n")
+    return f"proofs.idx:{lines + 1}: malformed proof index entry"
+
+
+def _renumber_chain_record(workdir: Path) -> str:
+    path = workdir / "chain.log"
+    lines = path.read_text().splitlines()
+    lines[1] = "7" + lines[1][1:]
+    path.write_text("\n".join(lines) + "\n")
+    return "chain.log:2: record seq 7 is not its line index 1"
+
+
+@pytest.mark.parametrize("command", ["audit", "prove"])
+@pytest.mark.parametrize(
+    "damage", [_tear_last_chain_line, _garbage_index_line, _renumber_chain_record]
+)
+def test_malformed_artifact_is_one_error_line(simulated, tmp_path, command, damage):
+    expected = damage(simulated)
+    argv = [command, "ledger-1", "--workdir", simulated]
+    if command == "prove":
+        argv += ["--out", tmp_path / "l1.proof"]
+    src = str(Path(trienotary.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "trienotary.cli", *map(str, argv)],
+        capture_output=True, text=True, env=env, timeout=120, check=False,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert proc.stderr.rstrip().endswith(expected)
 
 
 def test_bench_csv_schema_and_determinism(tmp_path):

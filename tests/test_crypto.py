@@ -11,6 +11,7 @@ from trienotary.crypto import (
     SHA512,
     algorithm,
     algorithm_by_wire_id,
+    key_labels,
     label_at,
     label_width,
     max_depth,
@@ -105,6 +106,16 @@ def test_label_at_total_over_valid_range_then_exhausts():
             assert 0 <= label_at(key, d, r) < r
         with pytest.raises(KeyExhaustedError):
             label_at(key, depths, r)
+
+
+def test_key_labels_are_label_at_for_every_depth():
+    rng = random.Random(7)
+    for r in (2, 4, 8, 16, 32, 64, 128, 256):
+        for length in (32, 64, 3):
+            key = rng.randbytes(length)
+            assert key_labels(key, r) == tuple(
+                label_at(key, d, r) for d in range(max_depth(length, r))
+            )
 
 
 def test_label_width_validation():
