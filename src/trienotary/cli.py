@@ -202,8 +202,12 @@ def _cmd_audit(args) -> int:
     if not ledger_file.exists():
         print(f"inconclusive: no disclosed data for ledger id {args.id!r}", file=sys.stderr)
         return 2
+    roots = chain.read_roots()
+    if not roots:
+        print(f"inconclusive: {CHAIN_NAME} is empty; nothing to audit", file=sys.stderr)
+        return 2
     claimed = read_ledger(ledger_file)
-    report = audit_ledger(ledger_id, claimed, chain.read_roots(), store, params)
+    report = audit_ledger(ledger_id, claimed, roots, store, params)
     _print_report(report)
     return report.exit_code
 

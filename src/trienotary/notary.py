@@ -12,6 +12,15 @@ Once registered, a ledger must appear in every later round; a snapshot
 missing a registered ledger, or presenting a state that is not an
 append-only extension of the last notarized one, aborts the round.
 
+Cost model. A round over N ledgers of which c changed does O(N)
+dictionary work: ledgers are immutable, so one presented as the very
+object notarized last round keeps its digest and size without hashing.
+Hashing is proportional to the c changed or new ledgers (the digest, the
+append-only check and the consistency proof, each O(log n) over the
+ledger's stored subtree heads), and trie work to the nodes on the paths
+their keys take: ``trie.update`` reads those nodes and re-emits them, and
+shares every other node with the previous version.
+
 Single-ledger mode is the degenerate procedure with the ledger's own
 Merkle root as the published digest and the consistency proof carried in
 the record note.
@@ -40,7 +49,8 @@ class NotaryState:
 
     ``registry`` maps every ledger id ever notarized to its search key
     (the hash of the id); ``last_digests`` and ``last_sizes`` record each
-    ledger's digest and block count as of the previous round, keyed by
+    ledger's digest and block count as of the previous round, and
+    ``last_ledgers`` the ledger object it was computed from, keyed by
     search key. ``last_root`` is the all-zero sentinel before round 0.
     """
 
@@ -48,6 +58,7 @@ class NotaryState:
     registry: dict[bytes, bytes] = field(default_factory=dict)
     last_digests: dict[bytes, bytes] = field(default_factory=dict)
     last_sizes: dict[bytes, int] = field(default_factory=dict)
+    last_ledgers: dict[bytes, Ledger] = field(default_factory=dict)
     last_root: bytes = b""
     round: int = 0
 
@@ -77,11 +88,21 @@ def notarize_round(
         )
 
     registry = dict(state.registry)
-    digests: dict[bytes, bytes] = {}
-    sizes: dict[bytes, int] = {}
+    digests = dict(state.last_digests)
+    sizes = dict(state.last_sizes)
+    objects = dict(state.last_ledgers)
     changes: dict[bytes, bytes] = {}
 
-    for ledger_id in sorted(ledgers):
+    # Ledgers are immutable, so one presented as the very object notarized
+    # last round keeps its digest and size. The others are hashed and
+    # proved in id order, which fixes the order of proof writes.
+    last = state.last_ledgers
+    pending = sorted(
+        ledger_id
+        for ledger_id, ledger in ledgers.items()
+        if ledger_id not in registry or last.get(registry[ledger_id]) is not ledger
+    )
+    for ledger_id in pending:
         ledger = ledgers[ledger_id]
         key = registry.get(ledger_id)
         if key is None:
@@ -90,6 +111,7 @@ def notarize_round(
         digest = ledger_root(ledger)
         digests[key] = digest
         sizes[key] = len(ledger)
+        objects[key] = ledger
         previous = state.last_digests.get(key)
         if previous is None:
             changes[key] = digest
@@ -123,6 +145,7 @@ def notarize_round(
         registry=registry,
         last_digests=digests,
         last_sizes=sizes,
+        last_ledgers=objects,
         last_root=version.root_digest,
         round=state.round + 1,
     )

@@ -135,9 +135,12 @@ class DirectoryStore(ObjectStore):
         address = self.alg.hash(content)
         path = self._path_for(address)
         if not path.exists():
-            path.parent.mkdir(exist_ok=True)
             tmp = path.with_name(path.name + ".tmp")
-            tmp.write_bytes(content)
+            try:
+                tmp.write_bytes(content)
+            except FileNotFoundError:  # first object under this fan-out directory
+                path.parent.mkdir(exist_ok=True)
+                tmp.write_bytes(content)
             os.replace(tmp, path)
         return address
 

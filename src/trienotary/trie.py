@@ -28,18 +28,28 @@ all-zero prev-root digest marks the first version of a lineage.
 ``KeyPath`` is the single key-path walk: ``lookup``, ``search_path`` and
 the audit all descend through it. It reads node bytes in place, checked
 by the same framing rules as ``parse_node``, without building node objects.
+
+The writer (``build``, ``update``, ``rechain``) reads the nodes it patches
+through ``_frame`` too, taking children out of the bitmap and tuples out of
+the leaf bytes, and emits every new node through ``serialize_node``, the
+one encoder. Each key is read as an integer once per call, so a label is
+a shift and a mask. ``update`` reads only the nodes on the changed keys'
+paths, and rejects a stored node that breaks the wire format or could not
+sit where it was found with MalformedNodeError.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
 
-from .crypto import HashAlg, key_labels, label_at, label_width
+from .crypto import HashAlg, key_labels, label_width
 from .errors import (
     CanonicalizationError,
     DeletionNotSupportedError,
     DuplicateKeyError,
+    KeyExhaustedError,
     MalformedNodeError,
     MissingNodeError,
     NotFoundError,
@@ -234,26 +244,36 @@ def _frame(data: bytes, params: TrieParams) -> tuple[int, int, int]:
     raise MalformedNodeError(f"unknown node tag 0x{tag:02x}")
 
 
+def _leaf_entries(data: bytes, body_end: int, params: TrieParams) -> list[tuple[bytes, bytes]]:
+    """The (key, value) tuples of a leaf framed by ``_frame``, in stored order."""
+    digest_len = params.alg.output_len
+    return [
+        (data[at:at + digest_len], data[at + digest_len:at + 2 * digest_len])
+        for at in range(2, body_end, 2 * digest_len)
+    ]
+
+
+def _children(data: bytes, bitmap: int, params: TrieParams) -> list[tuple[int, bytes]]:
+    """The (label, child digest) pairs of an internal node framed by ``_frame``."""
+    digest_len = params.alg.output_len
+    offset = 1 + params.bitmap_len
+    last = 8 * params.bitmap_len - 1
+    children = []
+    while bitmap:
+        high = bitmap.bit_length() - 1  # the highest set bit holds the lowest label
+        bitmap ^= 1 << high
+        children.append((last - high, data[offset:offset + digest_len]))
+        offset += digest_len
+    return children
+
+
 def parse_node(data: bytes, params: TrieParams) -> Node:
     """Inverse of serialize_node; raises MalformedNodeError on any deviation."""
     tag, body_end, shape = _frame(data, params)
     prev_root = data[body_end:] or None
-    digest_len = params.alg.output_len
     if tag in _LEAF_TAGS:
-        entries = []
-        for offset in range(2, body_end, 2 * digest_len):
-            value_at = offset + digest_len
-            entries.append((data[offset:value_at], data[value_at:value_at + digest_len]))
-        return LeafNode(tuple(entries), prev_root)
-    offset = 1 + params.bitmap_len
-    last = 8 * params.bitmap_len - 1
-    children = []
-    while shape:
-        high = shape.bit_length() - 1  # the highest set bit holds the lowest label
-        shape ^= 1 << high
-        children.append((last - high, data[offset:offset + digest_len]))
-        offset += digest_len
-    return InternalNode(tuple(children), prev_root)
+        return LeafNode(tuple(_leaf_entries(data, body_end, params)), prev_root)
+    return InternalNode(tuple(_children(data, shape, params)), prev_root)
 
 
 def node_digest(node: Node, params: TrieParams) -> bytes:
@@ -284,17 +304,38 @@ def _sorted_pairs(
     return items
 
 
+def _key_ints(pairs: list[tuple[bytes, bytes]]) -> list[int]:
+    return [int.from_bytes(key, "big") for key, _ in pairs]
+
+
 class _Builder:
+    """Emits the nodes of one build or update, each through ``serialize_node``.
+
+    ``ints`` holds the search keys of the pairs being placed, read as
+    big-endian integers, so the label at a depth is a shift and a mask.
+    The pairs under one node share the labels above it and are sorted, so
+    each child's run of pairs ends where the integers reach the next
+    label, found by bisection.
+    """
+
     def __init__(self, params: TrieParams, store: ObjectStore):
         self.params = params
         self.store = store
+        self.width = label_width(params.r)
+        self.bits = params.alg.bit_length
 
     def emit(self, node: Node) -> bytes:
         return self.store.put(serialize_node(node, self.params))
 
+    def shift(self, depth: int) -> int:
+        """Right shift that brings a key's label at ``depth`` to its low bits;
+        negative when the key has no full label left at that depth."""
+        return self.bits - (depth + 1) * self.width
+
     def build_range(
         self,
         pairs: list[tuple[bytes, bytes]],
+        ints: list[int],
         lo: int,
         hi: int,
         depth: int,
@@ -304,51 +345,70 @@ class _Builder:
         params = self.params
         if hi - lo <= params.k:
             return self.emit(LeafNode(tuple(pairs[lo:hi]), prev_root))
+        shift = self.shift(depth)
+        if shift < 0:
+            raise KeyExhaustedError(
+                f"{hi - lo} keys share all {depth * self.width} label bits at depth {depth}"
+            )
         children = []
         i = lo
         while i < hi:
-            label = label_at(pairs[i][0], depth, params.r)
-            j = i + 1
-            while j < hi and label_at(pairs[j][0], depth, params.r) == label:
-                j += 1
-            children.append((label, self.build_range(pairs, i, j, depth + 1, None)))
+            prefix = ints[i] >> shift
+            j = bisect_left(ints, (prefix + 1) << shift, i + 1, hi)
+            children.append(
+                (prefix & (params.r - 1), self.build_range(pairs, ints, i, j, depth + 1, None))
+            )
             i = j
         return self.emit(InternalNode(tuple(children), prev_root))
-
-    def resolve(self, digest: bytes) -> Node:
-        return parse_node(_load(self.store, digest), self.params)
 
     def update_node(
         self,
         digest: bytes,
         changes: list[tuple[bytes, bytes]],
+        ints: list[int],
         lo: int,
         hi: int,
         depth: int,
         prev_root: bytes | None,
     ) -> bytes:
-        """Re-emit the subtree at ``digest`` with changes[lo:hi] applied."""
-        node = self.resolve(digest)
-        if isinstance(node, LeafNode):
-            merged = dict(node.entries)
+        """Re-emit the subtree at ``digest`` with changes[lo:hi] applied.
+
+        The stored node is read through ``_frame``; a node that breaks the
+        wire format, or could not sit at this depth of the changed keys'
+        path, raises MalformedNodeError.
+        """
+        params = self.params
+        data = _load(self.store, digest)
+        tag, body_end, shape = _frame(data, params)
+        if depth and tag in _ROOT_TAGS:
+            raise MalformedNodeError("root-tagged node below the root")
+        if tag in _LEAF_TAGS:
+            entries = _leaf_entries(data, body_end, params)
+            above = self.bits - depth * self.width  # key bits below this node's labels
+            prefix = ints[lo] >> above
+            for key, _ in entries:
+                if int.from_bytes(key, "big") >> above != prefix:
+                    raise MalformedNodeError("leaf key off the path to its node")
+            merged = dict(entries)
             merged.update(changes[lo:hi])
             pairs = sorted(merged.items())
-            return self.build_range(pairs, 0, len(pairs), depth, prev_root)
-        params = self.params
-        patched = dict(node.children)
+            return self.build_range(pairs, _key_ints(pairs), 0, len(pairs), depth, prev_root)
+        shift = self.shift(depth)
+        if shift < 0:
+            raise MalformedNodeError("trie deeper than the key has bits")
+        children = dict(_children(data, shape, params))
         i = lo
         while i < hi:
-            label = label_at(changes[i][0], depth, params.r)
-            j = i + 1
-            while j < hi and label_at(changes[j][0], depth, params.r) == label:
-                j += 1
-            existing = node.child(label)
+            prefix = ints[i] >> shift
+            j = bisect_left(ints, (prefix + 1) << shift, i + 1, hi)
+            label = prefix & (params.r - 1)
+            existing = children.get(label)
             if existing is None:
-                patched[label] = self.build_range(changes, i, j, depth + 1, None)
+                children[label] = self.build_range(changes, ints, i, j, depth + 1, None)
             else:
-                patched[label] = self.update_node(existing, changes, i, j, depth + 1, None)
+                children[label] = self.update_node(existing, changes, ints, i, j, depth + 1, None)
             i = j
-        return self.emit(InternalNode(tuple(sorted(patched.items())), prev_root))
+        return self.emit(InternalNode(tuple(sorted(children.items())), prev_root))
 
 
 def build(params: TrieParams, assoc, prev_root: bytes | None, store: ObjectStore) -> TrieVersion:
@@ -365,7 +425,7 @@ def build(params: TrieParams, assoc, prev_root: bytes | None, store: ObjectStore
     if prev_root is None:
         prev_root = params.alg.zero
     builder = _Builder(params, store)
-    root = builder.build_range(pairs, 0, len(pairs), 0, prev_root)
+    root = builder.build_range(pairs, _key_ints(pairs), 0, len(pairs), 0, prev_root)
     return TrieVersion(params, root, store)
 
 
@@ -383,7 +443,9 @@ def update(prev: TrieVersion, changes) -> TrieVersion:
     if not pairs:
         raise ValueError("update requires at least one change")
     builder = _Builder(prev.params, prev.store)
-    root = builder.update_node(prev.root_digest, pairs, 0, len(pairs), 0, prev.root_digest)
+    root = builder.update_node(
+        prev.root_digest, pairs, _key_ints(pairs), 0, len(pairs), 0, prev.root_digest
+    )
     return TrieVersion(prev.params, root, prev.store)
 
 
@@ -391,14 +453,13 @@ def rechain(prev: TrieVersion) -> TrieVersion:
     """New version with identical content whose root chains to ``prev``.
 
     Covers notarization rounds in which no ledger digest changed: only the
-    root node is re-emitted, with its prev-root field moved forward.
+    root node is re-emitted, its body kept byte for byte and its prev-root
+    field replaced by ``prev``'s root digest.
     """
-    builder = _Builder(prev.params, prev.store)
-    node = builder.resolve(prev.root_digest)
-    if isinstance(node, LeafNode):
-        root = builder.emit(LeafNode(node.entries, prev.root_digest))
-    else:
-        root = builder.emit(InternalNode(node.children, prev.root_digest))
+    data = _load(prev.store, prev.root_digest)
+    tag, body_end, _ = _frame(data, prev.params)
+    root_tag = tag if tag in _ROOT_TAGS else tag + 2  # 0x01 -> 0x03, 0x02 -> 0x04
+    root = prev.store.put(bytes([root_tag]) + data[1:body_end] + prev.root_digest)
     return TrieVersion(prev.params, root, prev.store)
 
 
@@ -529,15 +590,16 @@ def search_path(version: TrieVersion, key: bytes) -> list[tuple[bytes, int | Non
 
 def associations(version: TrieVersion) -> dict[bytes, bytes]:
     """The full (key, value) set of one version, by walking every leaf."""
-    builder = _Builder(version.params, version.store)
+    params = version.params
     out: dict[bytes, bytes] = {}
     stack = [version.root_digest]
     while stack:
-        node = builder.resolve(stack.pop())
-        if isinstance(node, LeafNode):
-            out.update(node.entries)
+        data = _load(version.store, stack.pop())
+        tag, body_end, shape = _frame(data, params)
+        if tag in _LEAF_TAGS:
+            out.update(_leaf_entries(data, body_end, params))
         else:
-            stack.extend(digest for _, digest in node.children)
+            stack.extend(digest for _, digest in _children(data, shape, params))
     return out
 
 
@@ -548,7 +610,6 @@ def _paper_leaf_header_bits(k: int) -> int:
 def stats(version: TrieVersion) -> Measurements:
     """Walk every reachable node once and measure the version's shape."""
     params = version.params
-    builder = _Builder(params, version.store)
     digest_bits = 8 * params.alg.output_len
     header_bits = _paper_leaf_header_bits(params.k)
 

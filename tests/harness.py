@@ -20,6 +20,18 @@ from trienotary.store import MemoryStore
 from trienotary.trie import TrieParams, build
 
 
+class CountingStore(MemoryStore):
+    """MemoryStore that records the address of every get, in order."""
+
+    def __init__(self, alg):
+        super().__init__(alg)
+        self.gets: list[bytes] = []
+
+    def get(self, address: bytes) -> bytes:
+        self.gets.append(address)
+        return super().get(address)
+
+
 @dataclass
 class History:
     params: TrieParams

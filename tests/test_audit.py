@@ -7,6 +7,7 @@ import random
 import pytest
 
 from harness import (
+    CountingStore,
     History,
     inject_chain_mismatch,
     inject_fork,
@@ -386,16 +387,6 @@ def test_single_byte_corruption_of_bundle_never_passes_cleanly():
 
 # ------------------------------------------------------------- fetch counts
 
-class _CountingStore(MemoryStore):
-    def __init__(self, alg):
-        super().__init__(alg)
-        self.gets: list[bytes] = []
-
-    def get(self, address: bytes) -> bytes:
-        self.gets.append(address)
-        return super().get(address)
-
-
 def test_audit_and_prove_fetch_each_distinct_object_once(monkeypatch):
     """200 ledgers x 50 rounds (r=4, k=2): one get per distinct address.
 
@@ -407,7 +398,7 @@ def test_audit_and_prove_fetch_each_distinct_object_once(monkeypatch):
 
     history = run_history(7, n_ledgers=200, rounds=50, params=TrieParams(4, 2, ALG),
                           p_append=0.3)
-    store = _CountingStore(ALG)
+    store = CountingStore(ALG)
     store._objects, store._proofs = history.store._objects, history.store._proofs
     roots = history.chain.read_roots()
     parsed = []

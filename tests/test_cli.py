@@ -208,6 +208,17 @@ def _renumber_chain_record(workdir: Path) -> str:
     return "chain.log:2: record seq 7 is not its line index 1"
 
 
+def run_subprocess(*argv) -> subprocess.CompletedProcess:
+    """The CLI in a child process, so an uncaught exception shows as a traceback."""
+    src = str(Path(trienotary.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    return subprocess.run(
+        [sys.executable, "-m", "trienotary.cli", *map(str, argv)],
+        capture_output=True, text=True, env=env, timeout=120, check=False,
+    )
+
+
 @pytest.mark.parametrize("command", ["audit", "prove"])
 @pytest.mark.parametrize(
     "damage", [_tear_last_chain_line, _garbage_index_line, _renumber_chain_record]
@@ -217,17 +228,19 @@ def test_malformed_artifact_is_one_error_line(simulated, tmp_path, command, dama
     argv = [command, "ledger-1", "--workdir", simulated]
     if command == "prove":
         argv += ["--out", tmp_path / "l1.proof"]
-    src = str(Path(trienotary.__file__).resolve().parents[1])
-    paths = [src, os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    proc = subprocess.run(
-        [sys.executable, "-m", "trienotary.cli", *map(str, argv)],
-        capture_output=True, text=True, env=env, timeout=120, check=False,
-    )
+    proc = run_subprocess(*argv)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert proc.stderr.rstrip().endswith(expected)
+
+
+def test_audit_of_empty_chain_is_one_inconclusive_line(simulated):
+    (simulated / "chain.log").write_bytes(b"")
+    proc = run_subprocess("audit", "ledger-1", "--workdir", simulated)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "inconclusive: chain.log is empty; nothing to audit\n"
 
 
 def test_bench_csv_schema_and_determinism(tmp_path):

@@ -38,6 +38,7 @@ from trienotary.trie import (
     parse_node,
     rechain,
     serialize_node,
+    update,
 )
 
 ALG = SHA256
@@ -215,3 +216,47 @@ def test_walker_lookup_and_audit_agree_with_reference(r, k, seed, mutation, data
     resolved = None if value is UNRESOLVED else value
     assert report.history == (resolved, resolved)
     assert report.unresolved_rounds == ((0, 1) if value is UNRESOLVED else ())
+
+
+def _foreign_leaf(orig, params, key, draw):
+    # canonical, but its key leaves the path at the first label
+    other = (int.from_bytes(key, "big") ^ 1 << 255).to_bytes(32, "big")
+    return serialize_node(LeafNode(((other, draw(st.binary(min_size=32, max_size=32))),)), params)
+
+
+# Replacements that no canonical trie holds at that place on the key's path.
+MALFORMING = [
+    _truncate, _extend, _bad_tag, _swap_kind, _root_tagged, _bitmap_past_r,
+    _count_over_k, _not_ascending, _foreign_leaf,
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    r=st.sampled_from([2, 4, 16, 256]),
+    k=st.integers(1, 3),
+    seed=st.integers(0, 2**32),
+    mutation=st.sampled_from(MALFORMING),
+    data=st.data(),
+)
+def test_update_through_a_hostile_node_raises_malformed(r, k, seed, mutation, data):
+    params = TrieParams(r, k, ALG)
+    rng = random.Random(seed)
+    ids = [b"id-%d" % i for i in range(rng.randint(k + 1, 24))]
+    store = MemoryStore(ALG)
+    honest = build(params, {ALG.hash(lid): rng.randbytes(32) for lid in ids}, None, store)
+    key = ALG.hash(data.draw(st.sampled_from(ids + [b"absent"])))
+
+    root_data = store.get(honest.root_digest)
+    path_nodes = [root_data]
+    ref_search(params, key, parse_node(root_data, params), store.get, path_nodes)
+    assume(len(path_nodes) >= 2)
+    index = data.draw(st.integers(1, len(path_nodes) - 1))
+    replacement = mutation(path_nodes[index], params, key, data.draw)
+    assume(replacement != path_nodes[index])
+    root = _repoint(store, params, key, path_nodes, index, replacement)
+
+    changes = {key: rng.randbytes(32)}
+    changes.update((ALG.hash(lid), rng.randbytes(32)) for lid in rng.sample(ids, 2))
+    with pytest.raises(MalformedNodeError):
+        update(TrieVersion(params, root, store), changes)

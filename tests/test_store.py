@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -101,3 +103,31 @@ def test_directory_store_reload(tmp_path):
     reopened = DirectoryStore(root, SHA256)
     assert reopened.get(address) == b"persisted"
     assert reopened.find_proof(key, 1) == address
+
+
+def test_directory_put_creates_a_missing_fan_out_directory(tmp_path, monkeypatch):
+    store = DirectoryStore(tmp_path / "s", SHA256)
+    first = store.put(b"first")
+    fan_out = store._path_for(first).parent
+    shutil.rmtree(fan_out)  # missing at put time, as before the first object under it
+    made = []
+    real_mkdir = Path.mkdir
+
+    def counting_mkdir(path, *args, **kwargs):
+        made.append(path)
+        return real_mkdir(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "mkdir", counting_mkdir)
+    assert store.put(b"first") == first
+    assert made == [fan_out]
+    assert store.get(first) == b"first"
+    assert list(fan_out.iterdir()) == [store._path_for(first)]  # no temp file left
+    made.clear()
+    # a second object under the same fan-out directory needs no mkdir
+    content = next(
+        c for c in (b"%d" % i for i in range(10_000))
+        if SHA256.hash(c)[:1] == first[:1] and c != b"first"
+    )
+    assert store.put(content) == SHA256.hash(content)
+    assert made == []
+    assert store.get(SHA256.hash(content)) == content

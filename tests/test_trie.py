@@ -7,15 +7,21 @@ with the package; builds are compared node-for-node against it.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from harness import CountingStore
+from trienotary import trie as trie_module
 from trienotary.crypto import SHA256, SHA512, label_at
 from trienotary.errors import (
     CanonicalizationError,
     DeletionNotSupportedError,
     DuplicateKeyError,
+    KeyExhaustedError,
     MalformedNodeError,
     MissingNodeError,
 )
@@ -275,6 +281,13 @@ def test_build_rejects_bad_input():
         build(params(), {b"short": digest_of(b"v")}, None, store)
 
 
+def test_build_rejects_keys_that_share_every_label():
+    # r=8 reads 85 three-bit labels; keys differing only in bit 255 never split
+    keys = [key_from_bits("0" * 255 + bit) for bit in "01"]
+    with pytest.raises(KeyExhaustedError):
+        build(params(8, 1), {key: digest_of(key) for key in keys}, None, MemoryStore(ALG))
+
+
 def test_build_sha512_digest_lengths():
     store = MemoryStore(SHA512)
     p = TrieParams(2, 1, SHA512)
@@ -369,6 +382,82 @@ def test_update_equals_fresh_build_on_merged_set():
         assert set(fresh_store._objects.items()) <= set(store._objects.items())
 
 
+def reachable(store: MemoryStore, root: bytes, p: TrieParams) -> dict[bytes, bytes]:
+    """Every node reachable from ``root``, by digest."""
+    nodes = {}
+    stack = [root]
+    while stack:
+        digest = stack.pop()
+        nodes[digest] = data = store.get(digest)
+        node = parse_node(data, p)
+        if isinstance(node, InternalNode):
+            stack.extend(child for _, child in node.children)
+    return nodes
+
+
+@st.composite
+def key_batches(draw):
+    """Batches of keys that share one drawn prefix of up to 252 bits."""
+    shared = draw(st.sampled_from([0, 8, 64, 200, 244, 252]))
+    free = 256 - shared
+    base = draw(st.integers(0, 2**256 - 1)) >> free << free
+    key = st.integers(0, 2**free - 1).map(lambda low: (base | low).to_bytes(32, "big"))
+    return draw(st.lists(st.lists(key, min_size=1, max_size=8), min_size=2, max_size=5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    r=st.sampled_from([2, 4, 16, 256]),
+    k=st.integers(1, 3),
+    batches=key_batches(),
+    data=st.data(),
+)
+def test_update_matches_a_rebuild_node_for_node(r, k, batches, data):
+    p = TrieParams(r, k, ALG)
+    value = st.binary(min_size=32, max_size=32)
+    state = {key: data.draw(value) for key in batches[0]}
+    store = MemoryStore(ALG)
+    version = build(p, state, None, store)
+    for inserts in batches[1:]:
+        changes = {key: data.draw(value) for key in inserts}
+        for key in data.draw(st.lists(st.sampled_from(sorted(state)), max_size=4)):
+            changes[key] = data.draw(value)  # a value-only change
+        previous = version.root_digest
+        version = update(version, changes)
+        state.update(changes)
+        fresh_store = MemoryStore(ALG)
+        fresh = build(p, state, previous, fresh_store)
+        assert version.root_digest == fresh.root_digest
+        assert reachable(store, version.root_digest, p) == reachable(
+            fresh_store, fresh.root_digest, p
+        )
+
+
+@pytest.mark.parametrize("r,k", [(2, 1), (4, 2), (16, 3)])
+def test_update_reads_only_the_nodes_on_changed_paths(monkeypatch, r, k):
+    rng = random.Random(31 * r + k)
+    p = params(r, k)
+    assoc = rand_assoc(rng, 300)
+    store = CountingStore(ALG)
+    v0 = build(p, assoc, None, store)
+    changes = rand_assoc(rng, 12)  # inserts
+    for key in rng.sample(list(assoc), 12):
+        changes[key] = rng.randbytes(32)  # value updates
+    on_paths = {
+        ALG.hash(data) for key in changes for data, _ in search_path(v0, key)
+    }
+    parsed = []
+    real_parse = trie_module.parse_node
+    monkeypatch.setattr(
+        trie_module, "parse_node", lambda data, p: parsed.append(data) or real_parse(data, p)
+    )
+    store.gets.clear()
+    update(v0, changes)
+    assert parsed == []
+    assert len(store.gets) == len(on_paths)
+    assert set(store.gets) == on_paths
+
+
 def test_update_reuses_unchanged_branches():
     rng = random.Random(42)
     assoc = rand_assoc(rng, 128)
@@ -406,6 +495,19 @@ def test_rechain_re_emits_only_the_root():
     v1 = rechain(v0)
     assert len(store) == before + 1
     assert parse_node(store.get(v1.root_digest), v1.params).prev_root == v0.root_digest
+
+
+@pytest.mark.parametrize("r,k", [(2, 1), (16, 3)])
+def test_rechain_splice_equals_re_encoding_the_node(r, k):
+    # version roots and, for a version handed a subtree, non-root nodes
+    rng = random.Random(r + k)
+    store = MemoryStore(ALG)
+    p = params(r, k)
+    v0 = build(p, rand_assoc(rng, 40), None, store)
+    for digest in reachable(store, v0.root_digest, p):
+        node = parse_node(store.get(digest), p)
+        expected = node_digest(dataclasses.replace(node, prev_root=digest), p)
+        assert rechain(TrieVersion(p, digest, store)).root_digest == expected
 
 
 def test_update_rejects_deletion():
