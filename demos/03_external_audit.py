@@ -10,16 +10,16 @@ establishes that every round associated exactly one value with the id
 (no forks). Disclosed ledger data can then be matched against the
 notarized history.
 
-The second half plays the adversary: the public artifacts are tampered
-with in the two classic ways and the audit flags each one.
+The second half plays the adversary with ``trienotary.faults``: the public
+artifacts are tampered with in the two classic ways and the audit flags
+each one.
 """
 
 import random
 
-from trienotary import Ledger, MemoryStore, NotaryState, TrieParams, audit_ledger, notarize_round
-from trienotary.chain import Chain, NotarizationRecord
+from trienotary import Ledger, MemoryStore, NotaryState, TrieParams, audit_ledger, faults, notarize_round
+from trienotary.chain import Chain
 from trienotary.crypto import SHA256
-from trienotary.trie import TrieVersion, associations, build
 
 rng = random.Random(3)
 params = TrieParams(2, 1, SHA256)
@@ -44,22 +44,13 @@ for name, check in report.checks().items():
     print(f"  {name}: {check}")
 print(f"  verdict: {report.verdict.value}\n")
 
-# --- adversary 1: rewrite a middle chain record ---------------------------
-tampered = Chain()
-for record in chain.records():
-    root = rng.randbytes(32) if record.seq == 1 else record.trie_root
-    tampered.publish(NotarizationRecord(record.seq, root, record.note))
-report = audit_ledger(target, None, tampered.read_roots(), store, params)
-print(f"after rewriting chain record 1: chain_match = {report.chain_match}")
+# --- adversary 1: rewrite a chain record ---------------------------------
+records = faults.inject("chain-mismatch", params, store, chain.records(), rng=rng)
+report = audit_ledger(target, None, [record.trie_root for record in records], store, params)
+print(f"after rewriting a chain record: chain_match = {report.chain_match}")
 
 # --- adversary 2: publish a final trie that drops the ledger --------------
-assoc = associations(TrieVersion(params, chain.read_roots()[-1], store))
-del assoc[SHA256.hash(target)]
-malicious = build(params, assoc, chain.read_roots()[-2], store)
-tampered = Chain()
-for record in chain.records():
-    root = malicious.root_digest if record.seq == chain.height - 1 else record.trie_root
-    tampered.publish(NotarizationRecord(record.seq, root, record.note))
-report = audit_ledger(target, None, tampered.read_roots(), store, params)
+records = faults.inject("remove-key", params, store, chain.records(), target)
+report = audit_ledger(target, None, [record.trie_root for record in records], store, params)
 print(f"after dropping the key in the final round: no_removal = {report.no_removal}")
 print(f"  verdict: {report.verdict.value} (exit code {report.exit_code})")

@@ -11,7 +11,8 @@ A working directory holds one deployment's public artifacts:
 ``audit`` and ``verify`` exit 0 when every check passes, 1 when a check
 proves a violation, and 2 when storage gaps leave the audit inconclusive.
 ``tamper`` is a test hook simulating an attacker who edits the public
-artifacts after the fact.
+artifacts after the fact; ``trienotary.faults`` is the one implementation
+of its five fault kinds, shared with the test harness and the demos.
 """
 
 from __future__ import annotations
@@ -31,14 +32,15 @@ from .audit import (
     make_audit_proof,
     verify_audit_proof,
 )
-from .chain import Chain, NotarizationRecord, format_record
+from .chain import Chain, format_record
 from .crypto import HashAlg, algorithm
 from .errors import CannotConstructError, TrienotaryError
-from .merkle import ConsistencyProof, Ledger, encode_consistency_proof, read_ledger, write_ledger
+from .faults import KINDS, inject
+from .merkle import Ledger, read_ledger, write_ledger
 from .notary import NotaryState, notarize_round
 from .store import DirectoryStore, ObjectStore
 from .structure import keys_to_array, measure_keys
-from .trie import TrieParams, TrieVersion, associations, build, search_path
+from .trie import TrieParams
 
 CSV_HEADER = "r,k,ledgers,nodes,path_min,path_max,path_avg,total_bytes,total_paper_bits,path_avg_bytes"
 
@@ -248,74 +250,14 @@ def _cmd_print_chain(args) -> int:
 
 # ------------------------------------------------------------------ tamper
 
-def _rewrite_chain(workdir: Path, records: list[NotarizationRecord]) -> None:
-    lines = [format_record(record) for record in records]
-    (workdir / CHAIN_NAME).write_text("\n".join(lines) + "\n", encoding="ascii")
-
-
-def _flip_stored_byte(store: DirectoryStore, address: bytes) -> None:
-    path = store._path_for(address)
-    raw = bytearray(path.read_bytes())
-    raw[0] ^= 0xFF
-    path.write_bytes(bytes(raw))
-
-
 def _cmd_tamper(args) -> int:
     workdir, params, store, chain = _open_workdir(args)
-    rng = random.Random(args.seed)
+    ledger_id = args.id.encode() if args.id else None
     records = chain.records()
-    roots = chain.read_roots()
-    last = chain.height - 1
-    key = params.alg.hash(args.id.encode()) if args.id else None
-    version = TrieVersion(params, roots[last], store)
-
-    if args.kind in ("remove-key", "fork-value"):
-        if key is None:
-            print("error: --id is required for this tamper kind", file=sys.stderr)
-            return 1
-        assoc = associations(version)
-        if key not in assoc:
-            print("error: ledger id is not in the latest trie", file=sys.stderr)
-            return 1
-        if args.kind == "remove-key":
-            if len(assoc) == 1:
-                print("error: cannot drop the only key in the trie", file=sys.stderr)
-                return 1
-            del assoc[key]
-        else:
-            forged = rng.randbytes(params.alg.output_len)
-            assoc[key] = forged
-            if store.find_proof(key, last) is None:
-                bogus = encode_consistency_proof(ConsistencyProof(1, 2, (forged,)))
-                store.index_proof(key, last, store.put(bogus))
-        prev_root = roots[last - 1] if last > 0 else params.alg.zero
-        malicious = build(params, assoc, prev_root, store)
-        records[last] = NotarizationRecord(last, malicious.root_digest, records[last].note)
-        _rewrite_chain(workdir, records)
-    elif args.kind == "chain-mismatch":
-        target = rng.randrange(max(last, 1))
-        records[target] = NotarizationRecord(
-            target, rng.randbytes(params.alg.output_len), records[target].note
-        )
-        _rewrite_chain(workdir, records)
-    elif args.kind == "corrupt-node":
-        if key is None:
-            print("error: --id is required for this tamper kind", file=sys.stderr)
-            return 1
-        path = search_path(version, key)
-        _flip_stored_byte(store, params.alg.hash(path[-1][0]))
-    elif args.kind == "corrupt-proof":
-        if key is None:
-            print("error: --id is required for this tamper kind", file=sys.stderr)
-            return 1
-        for round_seq in range(1, chain.height):
-            address = store.find_proof(key, round_seq)
-            if address is not None:
-                _flip_stored_byte(store, address)
-                break
-        else:
-            print("error: no stored proof for this ledger", file=sys.stderr)
-            return 1
+    tampered = inject(args.kind, params, store, records, ledger_id, random.Random(args.seed))
+    if tampered != records:
+        lines = [format_record(record) for record in tampered]
+        (workdir / CHAIN_NAME).write_text("\n".join(lines) + "\n", encoding="ascii")
     print(f"injected fault: {args.kind}")
     return 0
 
@@ -388,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--kind",
         required=True,
-        choices=["remove-key", "fork-value", "chain-mismatch", "corrupt-node", "corrupt-proof"],
+        choices=KINDS,
     )
     p.add_argument("--id", default=None)
     p.add_argument("--seed", type=int, default=0)

@@ -54,6 +54,11 @@ class ObjectStore:
         """Address of the proof for (ledger, round), or None."""
         raise NotImplementedError
 
+    def corrupt(self, address: bytes) -> None:
+        """Test hook: damage the object at ``address`` so ``get`` fails its
+        check. Damaged bytes are left alone, so a second call cannot undo it."""
+        raise NotImplementedError
+
 
 class MemoryStore(ObjectStore):
     """Dict-backed store; ``puts`` counts write calls for sharing assertions."""
@@ -94,11 +99,10 @@ class MemoryStore(ObjectStore):
     def find_proof(self, ledger_key: bytes, round_seq: int) -> bytes | None:
         return self._proofs.get((ledger_key, round_seq))
 
-    # test hook: direct mutation to simulate storage tampering
-    def corrupt(self, address: bytes, position: int = 0) -> None:
-        content = bytearray(self._objects[address])
-        content[position] ^= 0xFF
-        self._objects[address] = bytes(content)
+    def corrupt(self, address: bytes) -> None:
+        content = self._objects[address]
+        if self.alg.hash(content) == address:
+            self._objects[address] = bytes([content[0] ^ 0xFF]) + content[1:]
 
 
 class DirectoryStore(ObjectStore):
@@ -169,3 +173,9 @@ class DirectoryStore(ObjectStore):
 
     def find_proof(self, ledger_key: bytes, round_seq: int) -> bytes | None:
         return self._proofs.get((ledger_key, round_seq))
+
+    def corrupt(self, address: bytes) -> None:
+        path = self._path_for(address)
+        content = path.read_bytes()
+        if self.alg.hash(content) == address:
+            path.write_bytes(bytes([content[0] ^ 0xFF]) + content[1:])

@@ -1,23 +1,20 @@
-"""Shared simulation harness: honest notarization histories and fault injectors.
+"""Shared simulation harness: honest notarization histories.
 
-Fault injectors model an adversary who controls the notary or the public
-storage after the fact: they rewrite chain records, publish malicious trie
-versions, or corrupt stored bytes, then hand the (tampered) public
-artifacts to the auditor.
+Faults are injected with ``trienotary.faults.inject`` on a history's store
+and chain records; ``as_chain`` wraps the records it returns.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from trienotary.chain import Chain, NotarizationRecord
 from trienotary.crypto import SHA256
-from trienotary.merkle import Ledger, encode_consistency_proof, ledger_root
-from trienotary.merkle import ConsistencyProof
+from trienotary.merkle import Ledger
 from trienotary.notary import NotaryState, notarize_round
 from trienotary.store import MemoryStore
-from trienotary.trie import TrieParams, build
+from trienotary.trie import TrieParams
 
 
 class CountingStore(MemoryStore):
@@ -38,9 +35,6 @@ class History:
     store: MemoryStore
     chain: Chain
     ledgers: dict[bytes, Ledger]
-    # per round: ledger snapshots and (search key -> digest) associations
-    snapshots: list[dict[bytes, Ledger]] = field(default_factory=list)
-    assocs: list[dict[bytes, bytes]] = field(default_factory=list)
 
     def key_of(self, ledger_id: bytes) -> bytes:
         return self.params.alg.hash(ledger_id)
@@ -80,84 +74,14 @@ def run_history(
             lid = join_rounds.get(round_seq)
             if lid is not None:
                 ledgers[lid] = Ledger.from_payloads(lid, [rng.randbytes(8)], alg)
-        snapshot = dict(ledgers)
-        state, _ = notarize_round(state, snapshot, store, chain)
-        history.snapshots.append(snapshot)
-        history.assocs.append(
-            {alg.hash(lid): ledger_root(ledger) for lid, ledger in snapshot.items()}
-        )
+        state, _ = notarize_round(state, dict(ledgers), store, chain)
     history.ledgers = ledgers
     return history
 
 
-def _replace_chain_root(chain: Chain, round_seq: int, new_root: bytes) -> Chain:
-    tampered = Chain()
-    for record in chain.records():
-        root = new_root if record.seq == round_seq else record.trie_root
-        tampered.publish(NotarizationRecord(record.seq, root, record.note))
-    return tampered
-
-
-def _rebuild_last_round(history: History, assoc: dict[bytes, bytes]) -> Chain:
-    """Publish a malicious trie for the final round and splice its root in."""
-    last = history.chain.height - 1
-    roots = history.chain.read_roots()
-    prev_root = roots[last - 1] if last > 0 else history.params.alg.zero
-    malicious = build(history.params, assoc, prev_root, history.store)
-    return _replace_chain_root(history.chain, last, malicious.root_digest)
-
-
-def inject_removal(history: History, ledger_id: bytes) -> Chain:
-    """Final round's trie silently drops the ledger's key."""
-    key = history.key_of(ledger_id)
-    assoc = dict(history.assocs[-1])
-    assert key in assoc and len(assoc) > 1
-    del assoc[key]
-    return _rebuild_last_round(history, assoc)
-
-
-def inject_fork(history: History, ledger_id: bytes, rng: random.Random) -> Chain:
-    """Final round associates a digest that extends no notarized history."""
-    key = history.key_of(ledger_id)
-    assoc = dict(history.assocs[-1])
-    assert key in assoc
-    forged = rng.randbytes(history.params.alg.output_len)
-    assoc[key] = forged
-    last = history.chain.height - 1
-    if history.store.find_proof(key, last) is None:
-        # a proof slot exists so the check reaches verification and fails
-        bogus = encode_consistency_proof(ConsistencyProof(1, 2, (forged,)))
-        history.store.index_proof(key, last, history.store.put(bogus))
-    return _rebuild_last_round(history, assoc)
-
-
-def inject_chain_mismatch(history: History, rng: random.Random) -> Chain:
-    """A middle chain record's digest is rewritten."""
-    assert history.chain.height >= 2
-    round_seq = rng.randrange(history.chain.height - 1)
-    return _replace_chain_root(
-        history.chain, round_seq, rng.randbytes(history.params.alg.output_len)
-    )
-
-
-def inject_node_corruption(history: History, ledger_id: bytes) -> Chain:
-    """A stored node on the ledger's final search path is corrupted in place."""
-    from trienotary.trie import TrieVersion, search_path
-
-    version = TrieVersion(history.params, history.chain.read_roots()[-1], history.store)
-    path = search_path(version, history.key_of(ledger_id))
-    target = history.params.alg.hash(path[-1][0])  # the terminal (non-root) node
-    assert len(path) > 1
-    history.store.corrupt(target)
-    return history.chain
-
-
-def inject_proof_corruption(history: History, ledger_id: bytes) -> Chain:
-    """A stored consistency proof for the ledger is corrupted in place."""
-    key = history.key_of(ledger_id)
-    for round_seq in range(1, history.chain.height):
-        address = history.store.find_proof(key, round_seq)
-        if address is not None:
-            history.store.corrupt(address)
-            return history.chain
-    raise AssertionError("history has no stored proof for this ledger")
+def as_chain(records: list[NotarizationRecord]) -> Chain:
+    """A memory chain publishing ``records``, e.g. as returned by ``faults.inject``."""
+    chain = Chain()
+    for record in records:
+        chain.publish(record)
+    return chain

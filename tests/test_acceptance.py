@@ -15,18 +15,12 @@ import random
 import numpy as np
 import pytest
 
-from harness import (
-    inject_chain_mismatch,
-    inject_fork,
-    inject_node_corruption,
-    inject_proof_corruption,
-    inject_removal,
-    run_history,
-)
+from harness import run_history
 from trienotary.audit import Status, audit_ledger, make_audit_proof, verify_audit_proof
 from trienotary.chain import Chain
 from trienotary.cli import main, run_simulation
 from trienotary.crypto import SHA256
+from trienotary.faults import inject
 from trienotary.merkle import (
     ConsistencyProof,
     Ledger,
@@ -209,13 +203,13 @@ def test_07_audit_soundness_and_completeness():
             assert report.exit_code == 0, (seed, lid, report.checks())
 
     faults = {
-        "removal": (inject_removal, "no_removal", (1,)),
-        "fork": (inject_fork, "no_forks", (1,)),
-        "chain-mismatch": (inject_chain_mismatch, "chain_match", (1,)),
-        "corrupt-node": (inject_node_corruption, None, (1, 2)),
-        "corrupt-proof": (inject_proof_corruption, None, (1, 2)),
+        "remove-key": ("no_removal", (1,)),
+        "fork-value": ("no_forks", (1,)),
+        "chain-mismatch": ("chain_match", (1,)),
+        "corrupt-node": (None, (1, 2)),
+        "corrupt-proof": (None, (1, 2)),
     }
-    for fault_name, (inject, property_name, allowed_codes) in faults.items():
+    for kind, (property_name, allowed_codes) in faults.items():
         for seed in range(50):
             rng = random.Random(10_000 + seed)
             history = run_history(
@@ -226,19 +220,15 @@ def test_07_audit_soundness_and_completeness():
                 p_append=1.0,
             )
             target = b"ledger-1"
-            if inject is inject_chain_mismatch:
-                chain = inject(history, rng)
-            elif inject is inject_fork:
-                chain = inject(history, target, rng)
-            else:
-                chain = inject(history, target)
-            report = audit_ledger(
-                target, None, chain.read_roots(), history.store, history.params
+            records = inject(
+                kind, history.params, history.store, history.chain.records(), target, rng
             )
-            assert report.exit_code in allowed_codes, (fault_name, seed, report.checks())
+            roots = [record.trie_root for record in records]
+            report = audit_ledger(target, None, roots, history.store, history.params)
+            assert report.exit_code in allowed_codes, (kind, seed, report.checks())
             if property_name is not None:
                 assert report.checks()[property_name].status is Status.FAIL, (
-                    fault_name, seed, report.checks(),
+                    kind, seed, report.checks(),
                 )
     _report(7, "audit soundness and completeness (500 honest + 5x50 faulted runs)")
 

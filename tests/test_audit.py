@@ -6,16 +6,7 @@ import random
 
 import pytest
 
-from harness import (
-    CountingStore,
-    History,
-    inject_chain_mismatch,
-    inject_fork,
-    inject_node_corruption,
-    inject_proof_corruption,
-    inject_removal,
-    run_history,
-)
+from harness import CountingStore, History, as_chain, run_history
 from trienotary.audit import (
     Status,
     audit_ledger,
@@ -27,7 +18,8 @@ from trienotary.audit import (
 from trienotary.chain import Chain
 from trienotary.crypto import SHA256
 from trienotary.errors import CannotConstructError
-from trienotary.merkle import Ledger, ledger_root, prove_consistency, root_at
+from trienotary.faults import inject
+from trienotary.merkle import Ledger, prove_consistency, root_at
 from trienotary.store import MemoryStore
 from trienotary.trie import TrieParams
 
@@ -102,16 +94,7 @@ def _two_round_history_with_gap() -> tuple[History, bytes, int, int]:
     for i in range(2, 6):
         ledger = ledger.append(b"b%d" % i)
     state, _ = notarize_round(state, {lid: ledger}, store, chain)
-    history = History(params, store, chain, {lid: ledger})
-    history.snapshots = [
-        {lid: Ledger.from_payloads(lid, [b"b0", b"b1"], ALG)},
-        {lid: ledger},
-    ]
-    history.assocs = [
-        {ALG.hash(lid): root_at(ledger, 2)},
-        {ALG.hash(lid): ledger_root(ledger)},
-    ]
-    return history, lid, 2, 6
+    return History(params, store, chain, {lid: ledger}), lid, 2, 6
 
 
 def test_stale_claimed_digest_fails_without_bridge():
@@ -153,7 +136,9 @@ def test_claimed_digest_bridged_by_shared_proofs():
 
 def test_removed_key_flags_no_removal():
     history = run_history(10, n_ledgers=3, rounds=3)
-    tampered = inject_removal(history, b"ledger-1")
+    tampered = as_chain(inject(
+        "remove-key", history.params, history.store, history.chain.records(), b"ledger-1"
+    ))
     report = audit(history, b"ledger-1", chain=tampered, claimed=None)
     assert report.no_removal.status is Status.FAIL
     assert report.no_removal.round == 2
@@ -163,7 +148,9 @@ def test_removed_key_flags_no_removal():
 def test_forked_value_flags_no_forks():
     rng = random.Random(11)
     history = run_history(11, n_ledgers=3, rounds=3, p_append=1.0)
-    tampered = inject_fork(history, b"ledger-2", rng)
+    tampered = as_chain(inject(
+        "fork-value", history.params, history.store, history.chain.records(), b"ledger-2", rng
+    ))
     report = audit(history, b"ledger-2", chain=tampered, claimed=None)
     assert report.no_forks.status is Status.FAIL
     assert report.exit_code == 1
@@ -172,7 +159,9 @@ def test_forked_value_flags_no_forks():
 def test_chain_mismatch_flags_chain_match():
     rng = random.Random(12)
     history = run_history(12, n_ledgers=2, rounds=4)
-    tampered = inject_chain_mismatch(history, rng)
+    tampered = as_chain(inject(
+        "chain-mismatch", history.params, history.store, history.chain.records(), rng=rng
+    ))
     report = audit(history, b"ledger-0", chain=tampered, claimed=None)
     assert report.chain_match.status is Status.FAIL
     assert report.exit_code == 1
@@ -180,7 +169,7 @@ def test_chain_mismatch_flags_chain_match():
 
 def test_corrupted_node_is_inconclusive_never_pass():
     history = run_history(13, n_ledgers=3, rounds=3)
-    inject_node_corruption(history, b"ledger-0")
+    inject("corrupt-node", history.params, history.store, history.chain.records(), b"ledger-0")
     report = audit(history, b"ledger-0", claimed=None)
     assert report.verdict is Status.INCONCLUSIVE
     assert report.exit_code == 2
@@ -189,7 +178,7 @@ def test_corrupted_node_is_inconclusive_never_pass():
 
 def test_corrupted_proof_is_inconclusive_never_pass():
     history = run_history(14, n_ledgers=2, rounds=4, p_append=1.0)
-    inject_proof_corruption(history, b"ledger-1")
+    inject("corrupt-proof", history.params, history.store, history.chain.records(), b"ledger-1")
     report = audit(history, b"ledger-1", claimed=None)
     assert report.verdict is Status.INCONCLUSIVE
     assert report.no_forks.status is Status.INCONCLUSIVE
@@ -324,7 +313,7 @@ def test_proof_for_wrong_ledger_fails():
 
 def test_cannot_construct_from_incomplete_storage():
     history = run_history(23, n_ledgers=3, rounds=3)
-    inject_node_corruption(history, b"ledger-0")
+    inject("corrupt-node", history.params, history.store, history.chain.records(), b"ledger-0")
     with pytest.raises(CannotConstructError):
         make_audit_proof(
             b"ledger-0", 2, history.chain.read_roots(), history.store, history.params

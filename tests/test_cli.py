@@ -83,6 +83,61 @@ def test_audit_after_each_tamper_kind_never_passes(tmp_path):
         assert code in (1, 2), kind
 
 
+TAMPER_GOLDEN = {
+    "remove-key": (
+        "fed4845b7beb73730d4be8ed904dcd28fca0252303a002d0121006cbada088b5",
+        "b20fd51daa3b24b65068c1c337707c4d8aa36fcf0c62d51ba8a7d70dcc78e256",
+        "e5510b61db904545d477ccfac03a2a67019ad8961028c3ee7d5068716cdce5ec",
+    ),
+    "fork-value": (
+        "ea5998805ec001723bd04d4fef6480f5b12d8d96cf56bc32cd3adc25009b89c5",
+        "b20fd51daa3b24b65068c1c337707c4d8aa36fcf0c62d51ba8a7d70dcc78e256",
+        "0486f7c41e50ab501ce36453c97231d6c8a7f98756ee2c9a1f6227647e15b0b2",
+    ),
+    "chain-mismatch": (
+        "ee280c25bc24538de2fd43fb2963873ff568f8e50628854950dfc9d95eb6206a",
+        "b20fd51daa3b24b65068c1c337707c4d8aa36fcf0c62d51ba8a7d70dcc78e256",
+        "33067ffff4116485bd65ba6b8111640c1e16287d86f28c32f901c4cf6b22015e",
+    ),
+    "corrupt-node": (
+        "796510031ad65e7c0e0983d578591a606e818c9d86761d26307f928a962acbb2",
+        "b20fd51daa3b24b65068c1c337707c4d8aa36fcf0c62d51ba8a7d70dcc78e256",
+        "fb0f8fb64e93319cba43692a4c92c37d48f3c6603be77c944408425dfc90eb6e",
+    ),
+    "corrupt-proof": (
+        "796510031ad65e7c0e0983d578591a606e818c9d86761d26307f928a962acbb2",
+        "b20fd51daa3b24b65068c1c337707c4d8aa36fcf0c62d51ba8a7d70dcc78e256",
+        "97847b71ff68f5a11db4f21f800817304548bdd9b737fba07e731cb7f2a0b4e0",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TAMPER_GOLDEN))
+def test_tamper_output_golden(tmp_path, kind):
+    """sha256 of ``chain.log``, ``proofs.idx`` and every (address, content)
+    object after one ``tamper`` of the seed-7 run, recorded before the
+    faults moved into ``trienotary.faults``."""
+    workdir = tmp_path / "run"
+    assert run("simulate", "--workdir", workdir, "--ledgers", 5, "--rounds", 3,
+               "--append-rate", 1.0, "--seed", 7) == 0
+    assert run("tamper", "--workdir", workdir, "--kind", kind, "--id", "ledger-1") == 0
+    objects = hashlib.sha256()
+    for path in sorted((workdir / "objects").glob("*/*")):
+        objects.update(bytes.fromhex(path.parent.name + path.name) + path.read_bytes())
+    assert (
+        hashlib.sha256((workdir / "chain.log").read_bytes()).hexdigest(),
+        hashlib.sha256((workdir / "proofs.idx").read_bytes()).hexdigest(),
+        objects.hexdigest(),
+    ) == TAMPER_GOLDEN[kind]
+
+
+def test_corrupt_proof_twice_stays_inconclusive(simulated):
+    for _ in range(2):
+        assert run("tamper", "--workdir", simulated, "--kind", "corrupt-proof",
+                   "--id", "ledger-1") == 0
+    assert run("audit", "ledger-1", "--workdir", simulated) == 2
+
+
 def test_prove_verify_round_trip(simulated, tmp_path):
     proof_file = tmp_path / "l2.proof"
     assert run("prove", "ledger-2", "--workdir", simulated, "--out", proof_file) == 0
@@ -241,6 +296,14 @@ def test_audit_of_empty_chain_is_one_inconclusive_line(simulated):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr == "inconclusive: chain.log is empty; nothing to audit\n"
+
+
+def test_tamper_of_empty_chain_is_one_error_line(simulated):
+    (simulated / "chain.log").write_bytes(b"")
+    proc = run_subprocess("tamper", "--workdir", simulated, "--kind", "chain-mismatch")
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "error: chain.log is empty; nothing to tamper\n"
 
 
 def test_bench_csv_schema_and_determinism(tmp_path):

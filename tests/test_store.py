@@ -61,23 +61,13 @@ def test_proof_index_round_trip(store):
         store.index_proof(key, 3, store.put(b"different proof"))
 
 
-def test_memory_corruption_detected():
-    store = MemoryStore(SHA256)
-    address = store.put(b"precious")
-    store.corrupt(address)
-    with pytest.raises(IntegrityError):
-        store.get(address)
-
-
-def test_directory_corruption_detected(tmp_path):
-    store = DirectoryStore(tmp_path / "s", SHA256)
-    address = store.put(b"precious bytes on disk")
-    path = store._path_for(address)
-    raw = bytearray(path.read_bytes())
-    raw[0] ^= 0xFF
-    path.write_bytes(bytes(raw))
-    with pytest.raises(IntegrityError):
-        store.get(address)
+def test_corruption_detected_and_never_undone(store):
+    address = store.put(b"precious bytes")
+    for _ in range(3):  # a second flip of the same byte would restore the object
+        store.corrupt(address)
+        with pytest.raises(IntegrityError):
+            store.get(address)
+        assert address not in store
 
 
 def test_directory_layout_and_index_format(tmp_path):
