@@ -3,10 +3,14 @@
 A working directory holds one deployment's public artifacts:
 
     chain.log     append-only journal of notarization records
-    objects/      content-addressed storage (trie nodes, proofs)
+    objects.pack  content-addressed storage (trie nodes, proofs), one
+                  append-only record file
     proofs.idx    (ledger key, round) -> proof address index
     ledgers/      ledger exports (the data a producer would disclose)
     config.json   hash algorithm and trie parameters
+
+One process writes a workdir at a time (``simulate``, ``tamper``); see
+``trienotary.store`` for the pack format and its torn-tail rule.
 
 ``audit`` and ``verify`` exit 0 when every check passes, 1 when a check
 proves a violation, and 2 when storage gaps leave the audit inconclusive.
@@ -38,7 +42,7 @@ from .errors import CannotConstructError, TrienotaryError
 from .faults import KINDS, inject
 from .merkle import Ledger, read_ledger, write_ledger
 from .notary import NotaryState, notarize_round
-from .store import DirectoryStore, ObjectStore
+from .store import PACK_NAME, PROOF_INDEX_NAME, DirectoryStore, ObjectStore
 from .structure import keys_to_array, measure_keys
 from .trie import TrieParams
 
@@ -71,14 +75,11 @@ def _ledger_path(workdir: Path, ledger_id: bytes) -> Path:
     return workdir / LEDGER_DIR_NAME / f"{ledger_id.hex()}.ledger"
 
 
-def _open_workdir(args) -> tuple[Path, TrieParams, DirectoryStore, Chain]:
+def _open_workdir(args) -> tuple[Path, TrieParams, Chain]:
     workdir = Path(args.workdir)
     if not (workdir / CHAIN_NAME).exists():
         raise FileNotFoundError(f"no {CHAIN_NAME} under {workdir}")
-    params = _load_params(workdir, args)
-    store = DirectoryStore(workdir, params.alg)
-    chain = Chain(workdir / CHAIN_NAME)
-    return workdir, params, store, chain
+    return workdir, _load_params(workdir, args), Chain(workdir / CHAIN_NAME)
 
 
 # ---------------------------------------------------------------- simulate
@@ -126,18 +127,17 @@ def _cmd_simulate(args) -> int:
             return 1
         import shutil
 
-        for name in (CHAIN_NAME, "proofs.idx", CONFIG_NAME):
+        for name in (CHAIN_NAME, PACK_NAME, PROOF_INDEX_NAME, CONFIG_NAME):
             (workdir / name).unlink(missing_ok=True)
-        for name in ("objects", LEDGER_DIR_NAME):
-            shutil.rmtree(workdir / name, ignore_errors=True)
+        shutil.rmtree(workdir / LEDGER_DIR_NAME, ignore_errors=True)
     workdir.mkdir(parents=True, exist_ok=True)
     params = TrieParams(args.r or 2, args.k or 1, algorithm(args.hash or "sha256"))
     _write_config(workdir, params)
-    store = DirectoryStore(workdir, params.alg)
     chain = Chain(workdir / CHAIN_NAME)
-    _, ledgers = run_simulation(
-        args.ledgers, args.rounds, args.append_rate, args.seed, params, store, chain
-    )
+    with DirectoryStore(workdir, params.alg) as store:
+        _, ledgers = run_simulation(
+            args.ledgers, args.rounds, args.append_rate, args.seed, params, store, chain
+        )
     (workdir / LEDGER_DIR_NAME).mkdir(exist_ok=True)
     for lid, ledger in ledgers.items():
         write_ledger(ledger, _ledger_path(workdir, lid), args.enc)
@@ -198,7 +198,7 @@ def _print_report(report: AuditReport) -> None:
 
 
 def _cmd_audit(args) -> int:
-    workdir, params, store, chain = _open_workdir(args)
+    workdir, params, chain = _open_workdir(args)
     ledger_id = args.id.encode()
     ledger_file = _ledger_path(workdir, ledger_id)
     if not ledger_file.exists():
@@ -209,17 +209,19 @@ def _cmd_audit(args) -> int:
         print(f"inconclusive: {CHAIN_NAME} is empty; nothing to audit", file=sys.stderr)
         return 2
     claimed = read_ledger(ledger_file)
-    report = audit_ledger(ledger_id, claimed, roots, store, params)
+    with DirectoryStore(workdir, params.alg) as store:
+        report = audit_ledger(ledger_id, claimed, roots, store, params)
     _print_report(report)
     return report.exit_code
 
 
 def _cmd_prove(args) -> int:
-    workdir, params, store, chain = _open_workdir(args)
+    workdir, params, chain = _open_workdir(args)
     ledger_id = args.id.encode()
     up_to = chain.height - 1 if args.round is None else args.round
     try:
-        proof = make_audit_proof(ledger_id, up_to, chain.read_roots(), store, params)
+        with DirectoryStore(workdir, params.alg) as store:
+            proof = make_audit_proof(ledger_id, up_to, chain.read_roots(), store, params)
     except (CannotConstructError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -251,10 +253,11 @@ def _cmd_print_chain(args) -> int:
 # ------------------------------------------------------------------ tamper
 
 def _cmd_tamper(args) -> int:
-    workdir, params, store, chain = _open_workdir(args)
+    workdir, params, chain = _open_workdir(args)
     ledger_id = args.id.encode() if args.id else None
     records = chain.records()
-    tampered = inject(args.kind, params, store, records, ledger_id, random.Random(args.seed))
+    with DirectoryStore(workdir, params.alg) as store:
+        tampered = inject(args.kind, params, store, records, ledger_id, random.Random(args.seed))
     if tampered != records:
         lines = [format_record(record) for record in tampered]
         (workdir / CHAIN_NAME).write_text("\n".join(lines) + "\n", encoding="ascii")

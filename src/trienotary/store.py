@@ -10,20 +10,28 @@ Proofs are discovered through a (ledger key, round) index mapping to the
 address of the proof published for that notarization round.
 
 Two backends share the interface: an in-memory map for tests and
-simulation, and a directory layout ``objects/<first-2-hex>/<remaining-hex>``
-with a newline-delimited ``proofs.idx`` for on-disk deployments.
+simulation, and a directory holding one append-only pack file
+``objects.pack`` plus a newline-delimited ``proofs.idx`` for on-disk
+deployments. A pack record is ``address || u32 big-endian length ||
+content``; the first record for an address wins, and a record that runs
+past the end of the file is a torn tail, ignored by readers and cut off by
+the next write. One process writes a directory at a time, and no other
+process reads it while it does.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Iterator
 from pathlib import Path
 
 from .crypto import HashAlg, SHA256
 from .errors import IntegrityError, MalformedArtifactError, NotFoundError, ProofIndexConflictError
 
+PACK_NAME = "objects.pack"
 PROOF_INDEX_NAME = "proofs.idx"
-OBJECTS_DIR_NAME = "objects"
+_LENGTH_BYTES = 4  # u32 big-endian content length after each record's address
+_LENGTH_MASK = (1 << 32) - 1
 
 
 class ObjectStore:
@@ -46,6 +54,13 @@ class ObjectStore:
             return False
         return True
 
+    def items(self) -> Iterator[tuple[bytes, bytes]]:
+        """Every stored (address, content) pair in ascending address order.
+
+        Contents are yielded as stored, without verification, so corrupted
+        objects are included."""
+        raise NotImplementedError
+
     def index_proof(self, ledger_key: bytes, round_seq: int, address: bytes) -> None:
         """Register the proof published for (ledger, round)."""
         raise NotImplementedError
@@ -56,7 +71,8 @@ class ObjectStore:
 
     def corrupt(self, address: bytes) -> None:
         """Test hook: damage the object at ``address`` so ``get`` fails its
-        check. Damaged bytes are left alone, so a second call cannot undo it."""
+        check; raises NotFoundError if nothing is stored there. Damaged bytes
+        are left alone, so a second call cannot undo it."""
         raise NotImplementedError
 
 
@@ -87,6 +103,9 @@ class MemoryStore(ObjectStore):
             raise IntegrityError(f"object at {address.hex()} fails verification")
         return content
 
+    def items(self) -> Iterator[tuple[bytes, bytes]]:
+        return iter(sorted(self._objects.items()))
+
     def index_proof(self, ledger_key: bytes, round_seq: int, address: bytes) -> None:
         slot = (ledger_key, round_seq)
         existing = self._proofs.get(slot)
@@ -100,24 +119,32 @@ class MemoryStore(ObjectStore):
         return self._proofs.get((ledger_key, round_seq))
 
     def corrupt(self, address: bytes) -> None:
-        content = self._objects[address]
+        content = self._objects.get(address)
+        if content is None:
+            raise NotFoundError(f"no object at {address.hex()}")
         if self.alg.hash(content) == address:
             self._objects[address] = bytes([content[0] ^ 0xFF]) + content[1:]
 
 
 class DirectoryStore(ObjectStore):
-    """Filesystem store: ``objects/ab/cdef...`` files plus ``proofs.idx``.
+    """Filesystem store: the ``objects.pack`` record file plus ``proofs.idx``.
 
-    Index lines are ``<hex ledger key> <decimal round> <hex address>`` with
-    LF endings, appended in registration order.
+    Opening reads every record header of the pack into an address ->
+    ``offset << 32 | length`` map; a ``get`` is one ``pread`` at the offset.
+    Both files are opened for appending on the first write, not before, so
+    a read-only use such as an audit never edits them. Index lines are
+    ``<hex ledger key> <decimal round> <hex address>`` with LF endings,
+    appended in registration order. Nothing is fsynced.
     """
 
     def __init__(self, root, alg: HashAlg = SHA256):
         self.alg = alg
         self.root = Path(root)
-        self._objects_dir = self.root / OBJECTS_DIR_NAME
+        self._pack_path = self.root / PACK_NAME
         self._index_path = self.root / PROOF_INDEX_NAME
-        self._objects_dir.mkdir(parents=True, exist_ok=True)
+        self._offsets: dict[bytes, int] = {}
+        self._end = 0  # end of the last complete record
+        self._reader = self._pack_writer = self._index_writer = None
         self._proofs: dict[tuple[bytes, int], bytes] = {}
         if self._index_path.exists():
             for number, line in enumerate(self._index_path.read_bytes().splitlines(), 1):
@@ -130,33 +157,66 @@ class DirectoryStore(ObjectStore):
                         f"{self._index_path}:{number}: malformed proof index entry"
                     ) from None
                 self._proofs[slot] = address
+        if self._pack_path.exists():
+            self._reader = open(self._pack_path, "rb")
+            self._scan()
 
-    def _path_for(self, address: bytes) -> Path:
-        hex_addr = address.hex()
-        return self._objects_dir / hex_addr[:2] / hex_addr[2:]
+    def _scan(self) -> None:
+        """Index every complete record; stop at a torn tail."""
+        address_len = self.alg.output_len
+        header_len = address_len + _LENGTH_BYTES
+        size = os.fstat(self._reader.fileno()).st_size
+        while self._end + header_len <= size:
+            header = self._reader.read(header_len)
+            length = int.from_bytes(header[address_len:], "big")
+            body = self._end + header_len
+            if body + length > size:
+                break
+            self._offsets.setdefault(header[:address_len], body << 32 | length)
+            self._end = body + length
+            self._reader.seek(self._end)
+
+    def _open_writers(self) -> None:
+        """Open both files for appending, cutting off a torn pack tail first."""
+        self.root.mkdir(parents=True, exist_ok=True)
+        self._pack_writer = open(self._pack_path, "ab", buffering=0)
+        self._index_writer = open(self._index_path, "ab", buffering=0)
+        fd = self._pack_writer.fileno()
+        if os.fstat(fd).st_size > self._end:
+            os.ftruncate(fd, self._end)
+        if self._reader is None:
+            self._reader = open(self._pack_path, "rb")
 
     def put(self, content: bytes) -> bytes:
         address = self.alg.hash(content)
-        path = self._path_for(address)
-        if not path.exists():
-            tmp = path.with_name(path.name + ".tmp")
-            try:
-                tmp.write_bytes(content)
-            except FileNotFoundError:  # first object under this fan-out directory
-                path.parent.mkdir(exist_ok=True)
-                tmp.write_bytes(content)
-            os.replace(tmp, path)
+        if address not in self._offsets:
+            if self._pack_writer is None:
+                self._open_writers()
+            length = len(content)
+            record = address + length.to_bytes(_LENGTH_BYTES, "big") + content
+            if self._pack_writer.write(record) != len(record):  # a full disk
+                os.ftruncate(self._pack_writer.fileno(), self._end)
+                raise OSError(f"short write to {self._pack_path}")
+            body = self._end + len(record) - length
+            self._offsets[address] = body << 32 | length
+            self._end += len(record)
         return address
 
+    def _read(self, address: bytes) -> bytes:
+        entry = self._offsets.get(address)
+        if entry is None:
+            raise NotFoundError(f"no object at {address.hex()}")
+        return os.pread(self._reader.fileno(), entry & _LENGTH_MASK, entry >> 32)
+
     def get(self, address: bytes) -> bytes:
-        path = self._path_for(address)
-        try:
-            content = path.read_bytes()
-        except FileNotFoundError:
-            raise NotFoundError(f"no object at {address.hex()}") from None
+        content = self._read(address)
         if self.alg.hash(content) != address:
             raise IntegrityError(f"object at {address.hex()} fails verification")
         return content
+
+    def items(self) -> Iterator[tuple[bytes, bytes]]:
+        for address in sorted(self._offsets):
+            yield address, self._read(address)
 
     def index_proof(self, ledger_key: bytes, round_seq: int, address: bytes) -> None:
         slot = (ledger_key, round_seq)
@@ -167,15 +227,37 @@ class DirectoryStore(ObjectStore):
                     f"proof for ({ledger_key.hex()}, {round_seq}) already registered"
                 )
             return
-        with open(self._index_path, "a", encoding="ascii", newline="\n") as fh:
-            fh.write(f"{ledger_key.hex()} {round_seq} {address.hex()}\n")
+        if self._index_writer is None:
+            self._open_writers()
+        line = f"{ledger_key.hex()} {round_seq} {address.hex()}\n".encode("ascii")
+        if self._index_writer.write(line) != len(line):  # a full disk
+            # The torn line makes the next open raise MalformedArtifactError.
+            raise OSError(f"short write to {self._index_path}")
         self._proofs[slot] = address
 
     def find_proof(self, ledger_key: bytes, round_seq: int) -> bytes | None:
         return self._proofs.get((ledger_key, round_seq))
 
     def corrupt(self, address: bytes) -> None:
-        path = self._path_for(address)
-        content = path.read_bytes()
+        content = self._read(address)
         if self.alg.hash(content) == address:
-            path.write_bytes(bytes([content[0] ^ 0xFF]) + content[1:])
+            # pwrite on an O_APPEND descriptor appends on Linux, so the flip
+            # goes through a descriptor of its own.
+            fd = os.open(self._pack_path, os.O_WRONLY)
+            try:
+                os.pwrite(fd, bytes([content[0] ^ 0xFF]), self._offsets[address] >> 32)
+            finally:
+                os.close(fd)
+
+    def close(self) -> None:
+        """Close the pack and index files; the store is not used afterwards."""
+        for handle in (self._reader, self._pack_writer, self._index_writer):
+            if handle is not None:
+                handle.close()
+        self._reader = self._pack_writer = self._index_writer = None
+
+    def __enter__(self) -> DirectoryStore:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()

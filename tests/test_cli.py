@@ -16,10 +16,16 @@ import pytest
 import trienotary
 from trienotary.cli import main, run_bench
 from trienotary.crypto import SHA256
+from trienotary.store import DirectoryStore
 
 
 def run(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+def stored_items(workdir) -> list[tuple[bytes, bytes]]:
+    with DirectoryStore(workdir, SHA256) as store:
+        return list(store.items())
 
 
 def run_captured(*argv) -> tuple[int, str]:
@@ -40,23 +46,34 @@ def simulated(tmp_path):
     return workdir
 
 
-def test_simulate_creates_the_documented_layout(simulated):
-    assert (simulated / "chain.log").is_file()
-    assert (simulated / "proofs.idx").is_file()
-    assert (simulated / "objects").is_dir()
-    assert (simulated / "config.json").is_file()
-    assert json.loads((simulated / "config.json").read_text()) == {
-        "hash": "sha256", "k": 1, "r": 2,
-    }
-    ledger_files = list((simulated / "ledgers").glob("*.ledger"))
-    assert len(ledger_files) == 6
-    assert len((simulated / "chain.log").read_text().splitlines()) == 3
+def test_simulate_creates_the_documented_layout(tmp_path):
+    for rounds in (1, 3, 8):  # the entries do not grow with the rounds
+        workdir = tmp_path / f"run-{rounds}"
+        assert run("simulate", "--workdir", workdir, "--ledgers", 6, "--rounds", rounds,
+                   "--append-rate", 1.0, "--seed", 11) == 0
+        assert sorted(p.name for p in workdir.iterdir()) == [
+            "chain.log", "config.json", "ledgers", "objects.pack", "proofs.idx",
+        ]
+        assert json.loads((workdir / "config.json").read_text()) == {
+            "hash": "sha256", "k": 1, "r": 2,
+        }
+        assert len(list((workdir / "ledgers").glob("*.ledger"))) == 6
+        assert len((workdir / "chain.log").read_text().splitlines()) == rounds
 
 
 def test_simulate_refuses_overwrite_without_force(simulated):
     assert run("simulate", "--workdir", simulated) == 1
     assert run("simulate", "--workdir", simulated, "--force", "--ledgers", 2) == 0
     assert len(list((simulated / "ledgers").glob("*.ledger"))) == 2
+
+
+def test_forced_rerun_keeps_no_stale_objects(simulated, tmp_path):
+    rerun = ["--ledgers", 3, "--rounds", 2, "--seed", 5]
+    assert run("simulate", "--workdir", simulated, "--force", *rerun) == 0
+    assert run("simulate", "--workdir", tmp_path / "fresh", *rerun) == 0
+    for name in ("chain.log", "proofs.idx", "objects.pack"):
+        assert (simulated / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+    assert stored_items(simulated) == stored_items(tmp_path / "fresh")
 
 
 def test_audit_honest_run_exits_zero(simulated):
@@ -116,14 +133,15 @@ TAMPER_GOLDEN = {
 def test_tamper_output_golden(tmp_path, kind):
     """sha256 of ``chain.log``, ``proofs.idx`` and every (address, content)
     object after one ``tamper`` of the seed-7 run, recorded before the
-    faults moved into ``trienotary.faults``."""
+    faults moved into ``trienotary.faults``. The objects were then one file
+    each; ``items()`` yields the same pairs in the same order."""
     workdir = tmp_path / "run"
     assert run("simulate", "--workdir", workdir, "--ledgers", 5, "--rounds", 3,
                "--append-rate", 1.0, "--seed", 7) == 0
     assert run("tamper", "--workdir", workdir, "--kind", kind, "--id", "ledger-1") == 0
     objects = hashlib.sha256()
-    for path in sorted((workdir / "objects").glob("*/*")):
-        objects.update(bytes.fromhex(path.parent.name + path.name) + path.read_bytes())
+    for address, content in stored_items(workdir):
+        objects.update(address + content)
     assert (
         hashlib.sha256((workdir / "chain.log").read_bytes()).hexdigest(),
         hashlib.sha256((workdir / "proofs.idx").read_bytes()).hexdigest(),
@@ -188,7 +206,7 @@ def test_simulate_determinism_bitwise(tmp_path):
             (
                 (workdir / "chain.log").read_bytes(),
                 (workdir / "proofs.idx").read_bytes(),
-                sorted(p.name for p in (workdir / "objects").rglob("*") if p.is_file()),
+                stored_items(workdir),
             )
         )
     assert outputs[0] == outputs[1]
@@ -198,13 +216,14 @@ def test_simulate_determinism_bitwise(tmp_path):
 def test_simulate_wire_format_golden(tmp_path):
     """Journal, proof index and object set of a fixed run, byte for byte.
 
-    The digests were recorded before ledgers cached their subtree heads;
-    they change only if a wire format or the simulated history does.
+    The digests were recorded before ledgers cached their subtree heads,
+    with one file per object; they change only if a wire format or the
+    simulated history does, not with the store's file layout.
     """
     workdir = tmp_path / "golden"
     assert run("simulate", "--workdir", workdir, "--seed", 42, "--ledgers", 50,
                "--rounds", 6, "--append-rate", 0.7) == 0
-    addresses = sorted(p.parent.name + p.name for p in (workdir / "objects").glob("*/*"))
+    addresses = [address.hex() for address, _ in stored_items(workdir)]
     digests = {
         "chain.log": hashlib.sha256((workdir / "chain.log").read_bytes()).hexdigest(),
         "proofs.idx": hashlib.sha256((workdir / "proofs.idx").read_bytes()).hexdigest(),
@@ -288,6 +307,47 @@ def test_malformed_artifact_is_one_error_line(simulated, tmp_path, command, dama
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert proc.stderr.rstrip().endswith(expected)
+
+
+def _newest_root_record(workdir: Path) -> tuple[int, int]:
+    """(start, end) of the pack record holding the newest trie root."""
+    root = bytes.fromhex((workdir / "chain.log").read_text().splitlines()[-1].split()[1])
+    pack = (workdir / "objects.pack").read_bytes()
+    start = 0
+    while pack[start:start + 32] != root:
+        start += 36 + int.from_bytes(pack[start + 32:start + 36], "big")
+    return start, start + 36 + int.from_bytes(pack[start + 32:start + 36], "big")
+
+
+def _cut_newest_root(workdir: Path) -> None:
+    start, end = _newest_root_record(workdir)
+    os.truncate(workdir / "objects.pack", (start + end) // 2)
+
+
+def _flip_newest_root(workdir: Path) -> None:
+    _, end = _newest_root_record(workdir)
+    path = workdir / "objects.pack"
+    pack = bytearray(path.read_bytes())
+    pack[end - 1] ^= 0x01
+    path.write_bytes(pack)
+
+
+def _flip_first_length(workdir: Path) -> None:
+    path = workdir / "objects.pack"
+    pack = bytearray(path.read_bytes())
+    pack[33] ^= 0x40  # the first record now claims to run past the end
+    path.write_bytes(pack)
+
+
+@pytest.mark.parametrize("damage", [_cut_newest_root, _flip_newest_root, _flip_first_length])
+def test_audit_of_damaged_pack_is_one_classified_line(simulated, damage):
+    damage(simulated)
+    pack = (simulated / "objects.pack").read_bytes()
+    proc = run_subprocess("audit", "ledger-1", "--workdir", simulated)
+    assert proc.returncode in (1, 2)
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) + proc.stdout.count("verdict: ") == 1
+    assert (simulated / "objects.pack").read_bytes() == pack  # an audit never edits
 
 
 def test_audit_of_empty_chain_is_one_inconclusive_line(simulated):
