@@ -13,13 +13,16 @@ missing a registered ledger, or presenting a state that is not an
 append-only extension of the last notarized one, aborts the round.
 
 Cost model. A round over N ledgers of which c changed does O(N)
-dictionary work: ledgers are immutable, so one presented as the very
-object notarized last round keeps its digest and size without hashing.
-Hashing is proportional to the c changed or new ledgers (the digest, the
-append-only check and the consistency proof, each O(log n) over the
-ledger's stored subtree heads), and trie work to the nodes on the paths
-their keys take: ``trie.update`` reads those nodes and re-emits them, and
-shares every other node with the previous version.
+dictionary work, one lookup per unchanged ledger: ledgers are immutable,
+so one presented as the very object notarized last round, found by id,
+keeps its digest and size without hashing. Hashing is proportional to the
+c changed or new ledgers (the digest, the append-only check and the
+consistency proof, each O(log n) over the ledger's stored subtree heads),
+and trie work to the nodes on the paths their keys take: ``trie.update``
+reads each of those nodes once and writes one copy of it. An internal
+node's copy is its stored bytes with the changed child digests spliced in
+and new ones inserted; only leaves are encoded afresh. Every other node
+is shared with the previous version.
 
 Single-ledger mode is the degenerate procedure with the ledger's own
 Merkle root as the published digest and the consistency proof carried in
@@ -49,9 +52,10 @@ class NotaryState:
 
     ``registry`` maps every ledger id ever notarized to its search key
     (the hash of the id); ``last_digests`` and ``last_sizes`` record each
-    ledger's digest and block count as of the previous round, and
-    ``last_ledgers`` the ledger object it was computed from, keyed by
-    search key. ``last_root`` is the all-zero sentinel before round 0.
+    ledger's digest and block count as of the previous round, keyed by
+    search key. ``last_ledgers`` maps each ledger id to the ledger object
+    notarized last, so an unchanged ledger is recognized with one lookup.
+    ``last_root`` is the all-zero sentinel before round 0.
     """
 
     params: TrieParams
@@ -80,8 +84,8 @@ def notarize_round(
     """
     params = state.params
     alg = params.alg
-    missing = [lid for lid in state.registry if lid not in ledgers]
-    if missing:
+    if not state.registry.keys() <= ledgers.keys():
+        missing = [lid for lid in state.registry if lid not in ledgers]
         raise NoRemovalViolationError(
             f"registered ledger(s) absent from snapshot: {missing[0].hex()}"
             + (f" and {len(missing) - 1} more" if len(missing) > 1 else "")
@@ -98,9 +102,7 @@ def notarize_round(
     # proved in id order, which fixes the order of proof writes.
     last = state.last_ledgers
     pending = sorted(
-        ledger_id
-        for ledger_id, ledger in ledgers.items()
-        if ledger_id not in registry or last.get(registry[ledger_id]) is not ledger
+        ledger_id for ledger_id, ledger in ledgers.items() if last.get(ledger_id) is not ledger
     )
     for ledger_id in pending:
         ledger = ledgers[ledger_id]
@@ -111,7 +113,7 @@ def notarize_round(
         digest = ledger_root(ledger)
         digests[key] = digest
         sizes[key] = len(ledger)
-        objects[key] = ledger
+        objects[ledger_id] = ledger
         previous = state.last_digests.get(key)
         if previous is None:
             changes[key] = digest

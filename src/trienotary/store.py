@@ -71,9 +71,15 @@ class ObjectStore:
 
     def corrupt(self, address: bytes) -> None:
         """Test hook: damage the object at ``address`` so ``get`` fails its
-        check; raises NotFoundError if nothing is stored there. Damaged bytes
-        are left alone, so a second call cannot undo it."""
+        check; raises NotFoundError if nothing is stored there and
+        ValueError if the object is empty, having no byte to damage. Damaged
+        bytes are left alone, so a second call cannot undo it."""
         raise NotImplementedError
+
+
+def _check_damageable(address: bytes, content: bytes) -> None:
+    if not content:
+        raise ValueError(f"object at {address.hex()} is empty; nothing to corrupt")
 
 
 class MemoryStore(ObjectStore):
@@ -122,6 +128,7 @@ class MemoryStore(ObjectStore):
         content = self._objects.get(address)
         if content is None:
             raise NotFoundError(f"no object at {address.hex()}")
+        _check_damageable(address, content)
         if self.alg.hash(content) == address:
             self._objects[address] = bytes([content[0] ^ 0xFF]) + content[1:]
 
@@ -240,6 +247,7 @@ class DirectoryStore(ObjectStore):
 
     def corrupt(self, address: bytes) -> None:
         content = self._read(address)
+        _check_damageable(address, content)
         if self.alg.hash(content) == address:
             # pwrite on an O_APPEND descriptor appends on Linux, so the flip
             # goes through a descriptor of its own.

@@ -30,12 +30,18 @@ the audit all descend through it. It reads node bytes in place, checked
 by the same framing rules as ``parse_node``, without building node objects.
 
 The writer (``build``, ``update``, ``rechain``) reads the nodes it patches
-through ``_frame`` too, taking children out of the bitmap and tuples out of
-the leaf bytes, and emits every new node through ``serialize_node``, the
-one encoder. Each key is read as an integer once per call, so a label is
-a shift and a mask. ``update`` reads only the nodes on the changed keys'
-paths, and rejects a stored node that breaks the wire format or could not
-sit where it was found with MalformedNodeError.
+through ``_frame`` too. ``build`` encodes every node with
+``serialize_node``. ``update`` copies the nodes on the changed keys' paths
+and splices rather than re-encodes them: an internal node's stored bytes
+get each changed child's digest overwritten at the offset its bitmap gives,
+and each new child's digest inserted with its bitmap bit set. A leaf's
+tuples are merged with the changes and encoded again by ``serialize_node``,
+which checks their order; a full subtree is built only where a leaf
+overflows or a new label opens one. ``rechain`` puts a new prev-root
+behind the root's body. Each key is read as an integer once per call, so a
+label is a shift and a mask. ``update`` reads only the nodes on the changed
+keys' paths, and rejects a stored node that breaks the wire format or
+could not sit where it was found with MalformedNodeError.
 """
 
 from __future__ import annotations
@@ -309,7 +315,14 @@ def _key_ints(pairs: list[tuple[bytes, bytes]]) -> list[int]:
 
 
 class _Builder:
-    """Emits the nodes of one build or update, each through ``serialize_node``.
+    """Emits the nodes of one build or update.
+
+    ``build_range`` encodes a new subtree node by node through
+    ``serialize_node``. ``update_node`` writes the copy of a stored node:
+    an internal node as its stored bytes with child digests replaced or
+    inserted, a leaf re-encoded from its merged tuples. So an update never
+    builds an ``InternalNode``, and the digests and the order of store
+    reads and writes are those of re-encoding every copied node.
 
     ``ints`` holds the search keys of the pairs being placed, read as
     big-endian integers, so the label at a depth is a shift and a mask.
@@ -323,6 +336,8 @@ class _Builder:
         self.store = store
         self.width = label_width(params.r)
         self.bits = params.alg.bit_length
+        self.digest_len = params.alg.output_len
+        self.bitmap_len = params.bitmap_len
 
     def emit(self, node: Node) -> bytes:
         return self.store.put(serialize_node(node, self.params))
@@ -382,33 +397,56 @@ class _Builder:
         tag, body_end, shape = _frame(data, params)
         if depth and tag in _ROOT_TAGS:
             raise MalformedNodeError("root-tagged node below the root")
+        digest_len = self.digest_len
         if tag in _LEAF_TAGS:
-            entries = _leaf_entries(data, body_end, params)
             above = self.bits - depth * self.width  # key bits below this node's labels
             prefix = ints[lo] >> above
-            for key, _ in entries:
+            merged = {}
+            for at in range(2, body_end, 2 * digest_len):
+                key = data[at:at + digest_len]
                 if int.from_bytes(key, "big") >> above != prefix:
                     raise MalformedNodeError("leaf key off the path to its node")
-            merged = dict(entries)
+                merged[key] = data[at + digest_len:at + 2 * digest_len]
             merged.update(changes[lo:hi])
             pairs = sorted(merged.items())
+            if len(pairs) <= params.k:
+                return self.emit(LeafNode(tuple(pairs), prev_root))
             return self.build_range(pairs, _key_ints(pairs), 0, len(pairs), depth, prev_root)
         shift = self.shift(depth)
         if shift < 0:
             raise MalformedNodeError("trie deeper than the key has bits")
-        children = dict(_children(data, shape, params))
+        # Patch a copy of the stored body: a changed child's digest is
+        # overwritten where it stands, and a new label sets its bitmap bit
+        # and inserts a digest at its offset. Offsets come from the stored
+        # bitmap by popcount.
+        bitmap_len = self.bitmap_len
+        bitmap_end = 1 + bitmap_len
+        top = 8 * bitmap_len - 1  # the bit of label 0
+        mask = params.r - 1
+        bitmap = shape
+        out = bytearray(data[:body_end])
+        grown = 0  # labels arrive ascending: every insert so far lies ahead
         i = lo
         while i < hi:
             prefix = ints[i] >> shift
             j = bisect_left(ints, (prefix + 1) << shift, i + 1, hi)
-            label = prefix & (params.r - 1)
-            existing = children.get(label)
-            if existing is None:
-                children[label] = self.build_range(changes, ints, i, j, depth + 1, None)
+            bit = top - (prefix & mask)
+            offset = bitmap_end + (shape >> bit >> 1).bit_count() * digest_len
+            at = offset + grown
+            if shape >> bit & 1:
+                child = data[offset:offset + digest_len]
+                child = self.update_node(child, changes, ints, i, j, depth + 1, None)
+                out[at:at + digest_len] = child
             else:
-                children[label] = self.update_node(existing, changes, ints, i, j, depth + 1, None)
+                bitmap |= 1 << bit
+                out[at:at] = self.build_range(changes, ints, i, j, depth + 1, None)
+                grown += digest_len
             i = j
-        return self.emit(InternalNode(tuple(sorted(children.items())), prev_root))
+        out[0] = TAG_INTERNAL if prev_root is None else TAG_ROOT_INTERNAL
+        out[1:bitmap_end] = bitmap.to_bytes(bitmap_len, "big")
+        if prev_root is not None:
+            out += prev_root
+        return self.store.put(bytes(out))
 
 
 def build(params: TrieParams, assoc, prev_root: bytes | None, store: ObjectStore) -> TrieVersion:

@@ -14,7 +14,7 @@ from trienotary.crypto import SHA256
 from trienotary.merkle import Ledger
 from trienotary.notary import NotaryState, notarize_round
 from trienotary.store import MemoryStore
-from trienotary.trie import TrieParams
+from trienotary.trie import InternalNode, TrieParams, parse_node
 
 
 class CountingStore(MemoryStore):
@@ -27,6 +27,29 @@ class CountingStore(MemoryStore):
     def get(self, address: bytes) -> bytes:
         self.gets.append(address)
         return super().get(address)
+
+
+def label_adding_key(
+    params: TrieParams, key: bytes, path: list[bytes], rng: random.Random
+) -> bytes | None:
+    """A search key that follows ``key`` down ``path`` (node bytes from the
+    root, as ``search_path`` lists them) to an internal node and then takes
+    a label that node lacks, so inserting it adds a child to that node.
+    None when every internal node on the path has all r children."""
+    width = params.r.bit_length() - 1
+    gaps = []
+    for depth, data in enumerate(path):
+        node = parse_node(data, params)
+        if isinstance(node, InternalNode):
+            taken = {label for label, _ in node.children}
+            gaps += [(depth, label) for label in range(params.r) if label not in taken]
+    if not gaps:
+        return None
+    depth, label = rng.choice(gaps)
+    low = params.alg.bit_length - (depth + 1) * width
+    prefix = int.from_bytes(key, "big") >> (low + width)
+    new = (prefix << width | label) << low | rng.getrandbits(low)
+    return new.to_bytes(params.alg.output_len, "big")
 
 
 @dataclass

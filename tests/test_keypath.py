@@ -16,6 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from harness import label_adding_key
 from trienotary.audit import Status, audit_ledger
 from trienotary.crypto import SHA256, label_at
 from trienotary.errors import (
@@ -258,5 +259,8 @@ def test_update_through_a_hostile_node_raises_malformed(r, k, seed, mutation, da
 
     changes = {key: rng.randbytes(32)}
     changes.update((ALG.hash(lid), rng.randbytes(32)) for lid in rng.sample(ids, 2))
+    insert = label_adding_key(params, key, path_nodes, rng)  # on the honest path
+    if insert is not None:
+        changes[insert] = rng.randbytes(32)
     with pytest.raises(MalformedNodeError):
         update(TrieVersion(params, root, store), changes)

@@ -68,6 +68,16 @@ def test_registered_ledger_must_stay_in_snapshot():
         notarize_round(state, {b"a": ledgers[b"a"]}, store, chain)
 
 
+def test_swapping_a_registered_ledger_for_a_new_one_is_a_removal():
+    # same size as the registry, so a count cannot stand in for the check
+    state, store, chain = fresh()
+    ledgers = {b"a": Ledger(b"a", (), ALG), b"b": Ledger(b"b", (), ALG)}
+    state, _ = notarize_round(state, ledgers, store, chain)
+    swapped = {b"a": ledgers[b"a"], b"c": Ledger(b"c", (), ALG)}
+    with pytest.raises(NoRemovalViolationError, match=b"b".hex()):
+        notarize_round(state, swapped, store, chain)
+
+
 def test_shrunk_ledger_rejected():
     state, store, chain = fresh()
     ledger = Ledger.from_payloads(b"a", [b"1", b"2", b"3"], ALG)

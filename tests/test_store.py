@@ -85,6 +85,13 @@ def test_corrupt_unknown_address_not_found(store):
         store.corrupt(SHA256.hash(b"never stored"))
 
 
+def test_corrupt_empty_object_is_a_value_error(store):
+    address = store.put(b"")
+    with pytest.raises(ValueError, match="empty"):
+        store.corrupt(address)
+    assert store.get(address) == b""
+
+
 def test_items_yields_raw_pairs_in_address_order(store):
     contents = [b"b", b"a", b"", b"c", b"a"]
     for content in contents:

@@ -14,9 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harness import CountingStore
+from harness import CountingStore, label_adding_key
 from trienotary import trie as trie_module
-from trienotary.crypto import SHA256, SHA512, label_at
+from trienotary.crypto import SHA256, SHA512, HashAlg, label_at
 from trienotary.errors import (
     CanonicalizationError,
     DeletionNotSupportedError,
@@ -364,6 +364,7 @@ def test_leaf_keys_carry_path_labels_as_prefix():
 
 def test_update_equals_fresh_build_on_merged_set():
     rng = random.Random(99)
+    new_labels = 0
     for _ in range(30):
         r = rng.choice([2, 4, 8, 16])
         k = rng.randint(1, 8)
@@ -374,12 +375,19 @@ def test_update_equals_fresh_build_on_merged_set():
             delta[key] = rng.randbytes(32)  # value updates on existing keys
         store = MemoryStore(ALG)
         v0 = build(p, base, None, store)
+        for key in rng.sample(sorted(base), min(len(base), 3)):
+            path = [data for data, _ in search_path(v0, key)]
+            insert = label_adding_key(p, key, path, rng)  # a splice-insert
+            if insert is not None:
+                delta[insert] = rng.randbytes(32)
+                new_labels += 1
         v1 = update(v0, delta)
         merged = {**base, **delta}
         fresh_store = MemoryStore(ALG)
         fresh = build(p, merged, v0.root_digest, fresh_store)
         assert v1.root_digest == fresh.root_digest
         assert set(fresh_store._objects.items()) <= set(store._objects.items())
+    assert new_labels > 30  # more than one per update on average
 
 
 def reachable(store: MemoryStore, root: bytes, p: TrieParams) -> dict[bytes, bytes]:
@@ -422,6 +430,11 @@ def test_update_matches_a_rebuild_node_for_node(r, k, batches, data):
         changes = {key: data.draw(value) for key in inserts}
         for key in data.draw(st.lists(st.sampled_from(sorted(state)), max_size=4)):
             changes[key] = data.draw(value)  # a value-only change
+        key = data.draw(st.sampled_from(sorted(state)))
+        path = [node for node, _ in search_path(version, key)]
+        insert = label_adding_key(p, key, path, data.draw(st.randoms(use_true_random=False)))
+        if insert is not None:
+            changes[insert] = data.draw(value)  # adds a label to an internal node
         previous = version.root_digest
         version = update(version, changes)
         state.update(changes)
@@ -456,6 +469,36 @@ def test_update_reads_only_the_nodes_on_changed_paths(monkeypatch, r, k):
     assert parsed == []
     assert len(store.gets) == len(on_paths)
     assert set(store.gets) == on_paths
+
+
+def test_value_only_update_encodes_leaves_and_splices_internal_nodes(monkeypatch):
+    rng = random.Random(23)
+    p = params(4, 2)
+    assoc = rand_assoc(rng, 400)
+    store = CountingStore(ALG)
+    v0 = build(p, assoc, None, store)
+    changes = {key: rng.randbytes(32) for key in rng.sample(sorted(assoc), 25)}
+    leaves = {search_path(v0, key)[-1][0] for key in changes}
+    encoded = []
+    real_serialize = trie_module.serialize_node
+    monkeypatch.setattr(
+        trie_module, "serialize_node",
+        lambda node, p: encoded.append(node) or real_serialize(node, p),
+    )
+    hashed = []
+    real_hash = HashAlg.hash
+    monkeypatch.setattr(
+        HashAlg, "hash", lambda alg, data: hashed.append(data) or real_hash(alg, data)
+    )
+    store.gets.clear()
+    puts = store.puts
+    update(v0, changes)
+    assert len(leaves) == 24  # two of the changed keys share a leaf
+    assert len(encoded) == len(leaves)
+    assert all(isinstance(node, LeafNode) for node in encoded)
+    # the counts of the re-encoding writer: one read and one write per node
+    # on the changed paths, each hashed once
+    assert (len(store.gets), store.puts - puts, len(hashed)) == (76, 76, 152)
 
 
 def test_update_reuses_unchanged_branches():
