@@ -7,7 +7,8 @@ A working directory holds one deployment's public artifacts:
                   append-only record file
     proofs.idx    (ledger key, round) -> proof address index
     ledgers/      ledger exports (the data a producer would disclose)
-    config.json   hash algorithm and trie parameters
+    config.json   hash algorithm and trie parameters, written by ``simulate``;
+                  ``audit``, ``prove`` and ``tamper`` take them from here only
 
 One process writes a workdir at a time (``simulate``, ``tamper``); see
 ``trienotary.store`` for the pack format and its torn-tail rule.
@@ -38,7 +39,7 @@ from .audit import (
 )
 from .chain import Chain, format_record
 from .crypto import HashAlg, algorithm
-from .errors import CannotConstructError, TrienotaryError
+from .errors import CannotConstructError, MalformedArtifactError, TrienotaryError
 from .faults import KINDS, inject
 from .merkle import Ledger, read_ledger, write_ledger
 from .notary import NotaryState, notarize_round
@@ -60,15 +61,15 @@ def _write_config(workdir: Path, params: TrieParams) -> None:
     (workdir / CONFIG_NAME).write_text(json.dumps(config, sort_keys=True) + "\n")
 
 
-def _load_params(workdir: Path, args) -> TrieParams:
-    config = {}
-    config_path = workdir / CONFIG_NAME
-    if config_path.exists():
-        config = json.loads(config_path.read_text())
-    alg = algorithm(args.hash or config.get("hash", "sha256"))
-    r = args.r or config.get("r", 2)
-    k = args.k or config.get("k", 1)
-    return TrieParams(r, k, alg)
+def _load_params(workdir: Path) -> TrieParams:
+    """The workdir's trie parameters, read from its config.json only."""
+    try:
+        config = json.loads((workdir / CONFIG_NAME).read_text(encoding="ascii"))
+        return TrieParams(config["r"], config["k"], algorithm(config["hash"]))
+    except KeyError as exc:
+        raise MalformedArtifactError(f"{CONFIG_NAME}: missing key {exc}") from None
+    except (OSError, ValueError, TypeError, AttributeError) as exc:
+        raise MalformedArtifactError(f"{CONFIG_NAME}: {exc}") from None
 
 
 def _ledger_path(workdir: Path, ledger_id: bytes) -> Path:
@@ -79,7 +80,7 @@ def _open_workdir(args) -> tuple[Path, TrieParams, Chain]:
     workdir = Path(args.workdir)
     if not (workdir / CHAIN_NAME).exists():
         raise FileNotFoundError(f"no {CHAIN_NAME} under {workdir}")
-    return workdir, _load_params(workdir, args), Chain(workdir / CHAIN_NAME)
+    return workdir, _load_params(workdir), Chain(workdir / CHAIN_NAME)
 
 
 # ---------------------------------------------------------------- simulate
@@ -131,7 +132,7 @@ def _cmd_simulate(args) -> int:
             (workdir / name).unlink(missing_ok=True)
         shutil.rmtree(workdir / LEDGER_DIR_NAME, ignore_errors=True)
     workdir.mkdir(parents=True, exist_ok=True)
-    params = TrieParams(args.r or 2, args.k or 1, algorithm(args.hash or "sha256"))
+    params = TrieParams(args.r, args.k, algorithm(args.hash))
     _write_config(workdir, params)
     chain = Chain(workdir / CHAIN_NAME)
     with DirectoryStore(workdir, params.alg) as store:
@@ -174,7 +175,7 @@ def run_bench(r_values, k_values, n_values, seed: int, alg: HashAlg, out) -> Non
 
 
 def _cmd_bench(args) -> int:
-    alg = algorithm(args.hash or "sha256")
+    alg = algorithm(args.hash)
     r_values = [int(x) for x in args.r_list.split(",")]
     k_values = [int(x) for x in args.k_list.split(",")]
     n_values = [int(x) for x in args.ledgers.split(",")]
@@ -197,18 +198,24 @@ def _print_report(report: AuditReport) -> None:
     print(f"verdict: {report.verdict.value}")
 
 
+def _inconclusive(reason: str) -> int:
+    print(f"inconclusive: {reason}", file=sys.stderr)
+    return 2
+
+
 def _cmd_audit(args) -> int:
     workdir, params, chain = _open_workdir(args)
     ledger_id = args.id.encode()
     ledger_file = _ledger_path(workdir, ledger_id)
     if not ledger_file.exists():
-        print(f"inconclusive: no disclosed data for ledger id {args.id!r}", file=sys.stderr)
-        return 2
+        return _inconclusive(f"no disclosed data for ledger id {args.id!r}")
     roots = chain.read_roots()
     if not roots:
-        print(f"inconclusive: {CHAIN_NAME} is empty; nothing to audit", file=sys.stderr)
-        return 2
-    claimed = read_ledger(ledger_file)
+        return _inconclusive(f"{CHAIN_NAME} is empty; nothing to audit")
+    try:
+        claimed = read_ledger(ledger_file)
+    except ValueError as exc:
+        return _inconclusive(f"disclosed data for ledger id {args.id!r} is unreadable ({exc})")
     with DirectoryStore(workdir, params.alg) as store:
         report = audit_ledger(ledger_id, claimed, roots, store, params)
     _print_report(report)
@@ -235,8 +242,7 @@ def _cmd_verify(args) -> int:
     try:
         proof = decode_audit_proof(Path(args.proof).read_bytes())
     except (OSError, ValueError) as exc:
-        print(f"inconclusive: unreadable audit proof ({exc})", file=sys.stderr)
-        return 2
+        return _inconclusive(f"unreadable audit proof ({exc})")
     chain = Chain(Path(args.workdir) / CHAIN_NAME)
     report = verify_audit_proof(proof, args.id.encode(), chain.read_roots())
     _print_report(report)
@@ -282,14 +288,11 @@ def build_parser() -> argparse.ArgumentParser:
             help="deployment directory (default: $NOTARY_WORKDIR)",
         )
 
-    def add_params(p):
-        p.add_argument("--hash", choices=["sha256", "sha512"], default=None)
-        p.add_argument("--r", type=int, default=None, help="trie arity (power of two)")
-        p.add_argument("--k", type=int, default=None, help="max tuples per leaf")
-
     p = sub.add_parser("simulate", help="seeded end-to-end notarization run")
     add_workdir(p)
-    add_params(p)
+    p.add_argument("--hash", choices=["sha256", "sha512"], default="sha256")
+    p.add_argument("--r", type=int, default=2, help="trie arity (power of two)")
+    p.add_argument("--k", type=int, default=1, help="max tuples per leaf")
     p.add_argument("--ledgers", type=int, default=10)
     p.add_argument("--rounds", type=int, default=3)
     p.add_argument("--append-rate", type=float, default=1.0)
@@ -303,20 +306,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", dest="k_list", default="1,2,4,8", help="comma-separated leaf capacities")
     p.add_argument("--ledgers", default="100000", help="comma-separated ledger counts")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--hash", choices=["sha256", "sha512"], default=None)
+    p.add_argument("--hash", choices=["sha256", "sha512"], default="sha256")
     p.add_argument("--out", default="-", help="CSV path, - for stdout")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("audit", help="audit one ledger against chain + storage")
     p.add_argument("id", help="ledger id")
     add_workdir(p)
-    add_params(p)
     p.set_defaults(func=_cmd_audit)
 
     p = sub.add_parser("prove", help="write a self-contained audit proof")
     p.add_argument("id")
     add_workdir(p)
-    add_params(p)
     p.add_argument("--out", required=True)
     p.add_argument("--round", type=int, default=None, help="last covered round (default: latest)")
     p.set_defaults(func=_cmd_prove)
@@ -329,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tamper", help="test hook: corrupt public artifacts")
     add_workdir(p)
-    add_params(p)
     p.add_argument(
         "--kind",
         required=True,
@@ -350,10 +350,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except TrienotaryError as exc:
+    except (FileNotFoundError, TrienotaryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -32,8 +32,9 @@ class CanonicalizationError(TrienotaryError):
 
 
 class MalformedArtifactError(TrienotaryError):
-    """A line of a public text artifact (chain journal, proof index) does not
-    decode; the message names the file and the 1-based line number."""
+    """A public artifact (chain journal, proof index, config.json) does not
+    decode; the message names the file and, for a journal or index line,
+    its 1-based line number."""
 
 
 class NotFoundError(TrienotaryError):

@@ -32,6 +32,7 @@ exercises two different formulations of the same tree.
 
 from __future__ import annotations
 
+import base64
 from dataclasses import dataclass
 
 from .crypto import HashAlg, SHA256, algorithm
@@ -41,6 +42,14 @@ LEAF_PREFIX = b"\x00"
 NODE_PREFIX = b"\x01"
 
 _LEDGER_HEADER_MAGIC = "ledger v1"
+# export payload encoding name -> (encode, decode)
+_PAYLOAD_CODECS = {
+    "hex": (bytes.hex, bytes.fromhex),
+    "base64": (
+        lambda payload: base64.b64encode(payload).decode("ascii"),
+        lambda line: base64.b64decode(line, validate=True),
+    ),
+}
 
 
 def _block_bytes(index: int, payload: bytes) -> bytes:
@@ -193,6 +202,27 @@ class _Tree:
             head = self.alg.hash(NODE_PREFIX + pieces.pop() + head)
         return head
 
+    # The two RFC 9162 proof recursions are methods, not closures: a closure
+    # that calls itself is a reference cycle, left for the cyclic collector.
+
+    def subproof(self, m: int, lo: int, hi: int, complete: bool) -> list[bytes]:
+        """SUBPROOF(m, D[lo:hi], complete) of RFC 9162 section 2.1.4.1."""
+        if m == hi - lo:
+            return [] if complete else [self.head(lo, hi)]
+        k = _split(hi - lo)
+        if m <= k:
+            return self.subproof(m, lo, lo + k, complete) + [self.head(lo + k, hi)]
+        return self.subproof(m - k, lo + k, hi, False) + [self.head(lo, lo + k)]
+
+    def path(self, i: int, lo: int, hi: int) -> list[bytes]:
+        """PATH(i, D[lo:hi]) of RFC 9162 section 2.1.3.1."""
+        if hi - lo == 1:
+            return []
+        k = _split(hi - lo)
+        if i - lo < k:
+            return self.path(i, lo, lo + k) + [self.head(lo + k, hi)]
+        return self.path(i, lo + k, hi) + [self.head(lo, lo + k)]
+
 
 def root_at(ledger: Ledger, size: int) -> bytes:
     """Merkle head over the first ``size`` blocks."""
@@ -212,17 +242,8 @@ def prove_consistency(ledger: Ledger, old_size: int, new_size: int) -> Consisten
         raise InvalidRangeError(
             f"need 0 < m <= n <= {len(ledger)}, got m={old_size} n={new_size}"
         )
-    tree = _Tree(ledger, new_size)
-
-    def subproof(m: int, lo: int, hi: int, complete: bool) -> list[bytes]:
-        if m == hi - lo:
-            return [] if complete else [tree.head(lo, hi)]
-        k = _split(hi - lo)
-        if m <= k:
-            return subproof(m, lo, lo + k, complete) + [tree.head(lo + k, hi)]
-        return subproof(m - k, lo + k, hi, False) + [tree.head(lo, lo + k)]
-
-    return ConsistencyProof(old_size, new_size, tuple(subproof(old_size, 0, new_size, True)))
+    path = _Tree(ledger, new_size).subproof(old_size, 0, new_size, True)
+    return ConsistencyProof(old_size, new_size, tuple(path))
 
 
 def verify_consistency(
@@ -271,17 +292,7 @@ def prove_inclusion(ledger: Ledger, index: int) -> InclusionProof:
     n = len(ledger)
     if index < 0 or index >= n:
         raise InvalidRangeError(f"index {index} out of range for {n} blocks")
-    tree = _Tree(ledger, n)
-
-    def path(i: int, lo: int, hi: int) -> list[bytes]:
-        if hi - lo == 1:
-            return []
-        k = _split(hi - lo)
-        if i - lo < k:
-            return path(i, lo, lo + k) + [tree.head(lo + k, hi)]
-        return path(i, lo + k, hi) + [tree.head(lo, lo + k)]
-
-    return InclusionProof(index, n, tuple(path(index, 0, n)))
+    return InclusionProof(index, n, tuple(_Tree(ledger, n).path(index, 0, n)))
 
 
 def verify_inclusion(
@@ -328,14 +339,9 @@ def decode_consistency_proof(data: bytes, alg: HashAlg) -> ConsistencyProof:
 
 def write_ledger(ledger: Ledger, path, encoding: str = "hex") -> None:
     """Export a ledger as newline-delimited encoded payloads under a one-line header."""
-    if encoding not in ("hex", "base64"):
+    if encoding not in _PAYLOAD_CODECS:
         raise ValueError(f"encoding must be 'hex' or 'base64', got {encoding!r}")
-    if encoding == "base64":
-        import base64
-
-        enc = lambda b: base64.b64encode(b).decode("ascii")  # noqa: E731
-    else:
-        enc = bytes.hex
+    enc = _PAYLOAD_CODECS[encoding][0]
     lines = [
         f"{_LEDGER_HEADER_MAGIC} alg={ledger.alg.name} enc={encoding} id={ledger.id.hex()}"
     ]
@@ -345,22 +351,31 @@ def write_ledger(ledger: Ledger, path, encoding: str = "hex") -> None:
 
 
 def read_ledger(path) -> Ledger:
-    """Load a ledger export, recomputing every block hash from its payload."""
-    with open(path, "r", encoding="ascii") as fh:
-        content = fh.read()
-    lines = content.splitlines()
-    if not lines or not lines[0].startswith(_LEDGER_HEADER_MAGIC + " "):
-        raise ValueError(f"not a ledger export: {path}")
-    fields = dict(part.split("=", 1) for part in lines[0].split(" ")[2:])
-    alg = algorithm(fields["alg"])
-    encoding = fields["enc"]
-    ledger_id = bytes.fromhex(fields["id"])
-    if encoding == "base64":
-        import base64
+    """Load a ledger export, recomputing every block hash from its payload.
 
-        dec = base64.b64decode
-    elif encoding == "hex":
-        dec = bytes.fromhex
-    else:
-        raise ValueError(f"unknown payload encoding {encoding!r} in {path}")
-    return Ledger.from_payloads(ledger_id, (dec(line) for line in lines[1:]), alg)
+    Raises ``ValueError`` naming ``path`` for anything that does not decode
+    as an export: non-ASCII bytes, a bad header, a header without ``alg=``,
+    ``enc=`` or ``id=``, or a payload line that is not in its encoding.
+    """
+    with open(path, "rb") as fh:
+        content = fh.read()
+    try:
+        lines = content.decode("ascii").splitlines()
+        if not lines or not lines[0].startswith(_LEDGER_HEADER_MAGIC + " "):
+            raise ValueError("not a ledger export")
+        fields = dict(part.split("=", 1) for part in lines[0].split(" ")[2:])
+        if not {"alg", "enc", "id"} <= fields.keys():
+            raise ValueError("header lacks one of alg=, enc=, id=")
+        alg, ledger_id = algorithm(fields["alg"]), bytes.fromhex(fields["id"])
+        if fields["enc"] not in _PAYLOAD_CODECS:
+            raise ValueError(f"unknown payload encoding {fields['enc']!r}")
+        dec = _PAYLOAD_CODECS[fields["enc"]][1]
+        payloads = []
+        for number, line in enumerate(lines[1:], start=2):
+            try:
+                payloads.append(dec(line))
+            except ValueError:
+                raise ValueError(f"line {number} is not {fields['enc']}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return Ledger.from_payloads(ledger_id, payloads, alg)

@@ -366,6 +366,83 @@ def test_tamper_of_empty_chain_is_one_error_line(simulated):
     assert proc.stderr == "error: chain.log is empty; nothing to tamper\n"
 
 
+CONFIG_DAMAGE = {
+    "missing file": None,
+    "bad JSON": '{"hash": "sha256", "k": 1, ',
+    "missing key": '{"hash": "sha256", "r": 2}',
+    "unknown hash": '{"hash": "md5", "k": 1, "r": 2}',
+    "invalid r": '{"hash": "sha256", "k": 1, "r": 3}',
+}
+
+
+@pytest.mark.parametrize("command", ["audit", "prove", "tamper"])
+@pytest.mark.parametrize("damage", sorted(CONFIG_DAMAGE))
+def test_malformed_config_is_one_error_line(simulated, tmp_path, command, damage):
+    config = simulated / "config.json"
+    if CONFIG_DAMAGE[damage] is None:
+        config.unlink()
+    else:
+        config.write_text(CONFIG_DAMAGE[damage])
+    argv = {
+        "audit": ["audit", "ledger-1"],
+        "prove": ["prove", "ledger-1", "--out", tmp_path / "l1.proof"],
+        "tamper": ["tamper", "--kind", "corrupt-node"],
+    }[command]
+    chain = (simulated / "chain.log").read_bytes()
+    proc = run_subprocess(*argv, "--workdir", simulated)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: config.json: ") and proc.stderr.count("\n") == 1
+    assert (simulated / "chain.log").read_bytes() == chain
+
+
+def test_trie_params_come_from_config_only(tmp_path):
+    workdir = tmp_path / "run"
+    assert run("simulate", "--workdir", workdir, "--ledgers", 6, "--rounds", 3,
+               "--seed", 3, "--r", 4, "--k", 2) == 0
+    assert run("audit", "ledger-3", "--workdir", workdir) == 0
+    for command in (["audit", "ledger-3"], ["prove", "ledger-3", "--out", tmp_path / "p"],
+                    ["tamper", "--kind", "corrupt-node"]):
+        with pytest.raises(SystemExit):  # argparse rejects the flag
+            run(*command, "--workdir", workdir, "--r", 2, "--k", 1)
+    assert run("audit", "ledger-3", "--workdir", workdir) == 0
+
+
+def _replace_line(index: int, text: bytes):
+    def damage(path: Path) -> None:
+        lines = path.read_bytes().splitlines()
+        lines[index] = text
+        path.write_bytes(b"\n".join(lines) + b"\n")
+    return damage
+
+
+def _drop_header_field(name: bytes):
+    def damage(path: Path) -> None:
+        lines = path.read_bytes().splitlines()
+        lines[0] = b" ".join(p for p in lines[0].split(b" ") if not p.startswith(name + b"="))
+        path.write_bytes(b"\n".join(lines) + b"\n")
+    return damage
+
+
+@pytest.mark.parametrize("damage", [
+    _replace_line(1, b"not-hex"),
+    _replace_line(0, b"no ledger header here"),
+    _replace_line(1, "caf\u00e9".encode()),
+    _drop_header_field(b"alg"),
+    _drop_header_field(b"enc"),
+    _drop_header_field(b"id"),
+], ids=["bad hex line", "bad header", "non-ASCII", "no alg=", "no enc=", "no id="])
+def test_unreadable_disclosed_data_is_inconclusive(simulated, damage, capsys):
+    damage(simulated / "ledgers" / f"{b'ledger-1'.hex()}.ledger")
+    assert run("audit", "ledger-1", "--workdir", simulated) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "inconclusive: disclosed data for ledger id 'ledger-1' is unreadable ("
+    )
+    assert captured.err.count("\n") == 1
+
+
 def test_bench_csv_schema_and_determinism(tmp_path):
     args = ["bench", "--r", "2,4", "--k", "1,2", "--ledgers", "64,256", "--seed", "5"]
     first, second = run_captured(*args), run_captured(*args)

@@ -8,17 +8,16 @@ definition. Package output is cross-checked against both.
 
 from __future__ import annotations
 
+import gc
 import math
 import random
-import sys
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trienotary.chain import Chain
-from trienotary.crypto import SHA256, SHA512, HashAlg
+from trienotary.crypto import SHA256, SHA512
 from trienotary.errors import InvalidRangeError
 from trienotary.merkle import (
     ConsistencyProof,
@@ -391,26 +390,6 @@ def test_fork_of_filled_version_keeps_both_children_correct():
 
 # -------------------------------------------------------------- hash counts
 
-@pytest.fixture
-def merkle_hashes(monkeypatch):
-    """Counts HashAlg.hash calls made from the merkle module."""
-    counts = Counter()
-    original = HashAlg.hash
-
-    def counted(alg, data):
-        counts[sys._getframe(1).f_globals["__name__"]] += 1
-        return original(alg, data)
-
-    monkeypatch.setattr(HashAlg, "hash", counted)
-
-    def taken() -> int:
-        count = counts["trienotary.merkle"]
-        counts.clear()
-        return count
-
-    return taken
-
-
 # (n, first fill, root_at(n), prove_consistency(n // 2, n), prove_inclusion(0))
 @pytest.mark.parametrize(
     "n, fill, root, consistency, inclusion",
@@ -446,6 +425,20 @@ def test_round_hashes_per_changed_ledger(merkle_hashes, n, per_ledger):
     grown = {lid: ledger.append(b"next") for lid, ledger in ledgers.items()}
     notarize_round(state, {**grown, **untouched}, store, chain)
     assert merkle_hashes() == per_ledger * len(grown)
+
+
+def test_proofs_leave_no_cyclic_garbage():
+    # A round proves every changed ledger; garbage that only the cyclic
+    # collector can free would make rounds pay for collections.
+    ledger = Ledger.from_payloads(b"gc", [bytes([i]) for i in range(37)], ALG)
+    gc.collect()
+    gc.disable()
+    try:
+        prove_consistency(ledger, 11, 37)
+        prove_inclusion(ledger, 5)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ------------------------------------------------------------ export files

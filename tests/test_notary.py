@@ -196,6 +196,60 @@ def test_deterministic_replay_is_bitwise_identical(tmp_path):
     assert a == b
 
 
+def test_failed_round_leaves_state_unchanged_and_retry_matches_clean_run():
+    def start():
+        state, store, chain = fresh()
+        ledgers = {
+            lid: Ledger.from_payloads(lid, [lid + b"-0", lid + b"-1"], ALG)
+            for lid in (b"a", b"b", b"c")
+        }
+        state, _ = notarize_round(state, ledgers, store, chain)
+        honest = {lid: ledger.append(lid + b"-2") for lid, ledger in ledgers.items()}
+        return state, store, chain, ledgers, honest
+
+    state, store, chain, ledgers, honest = start()
+    registry = dict(state.registry)
+    before = (state.last_root, state.round)
+    # ``a`` is proved first; ``b``, second in id order, rewrites its history
+    forged = {**honest, b"b": Ledger.from_payloads(b"b", [b"b-0", b"X", b"b-2"], ALG)}
+    with pytest.raises(LedgerTamperError, match=b"b".hex()):
+        notarize_round(state, forged, store, chain)
+    assert state.registry == registry
+    assert all(state.registry[lid].ledger is ledgers[lid] for lid in ledgers)
+    assert (state.last_root, state.round) == before
+    assert chain.height == 1
+
+    state, record = notarize_round(state, honest, store, chain)
+    clean_state, clean_store, clean_chain, _, clean_honest = start()
+    _, clean_record = notarize_round(clean_state, clean_honest, clean_store, clean_chain)
+    assert record == clean_record
+    assert list(store.items()) == list(clean_store.items())
+    assert store._proofs == clean_store._proofs
+
+
+def test_fresh_objects_with_same_blocks_only_rechain_then_cost_nothing(merkle_hashes):
+    state, store, chain = fresh()
+    payloads = [bytes([i]) for i in range(6)]
+    ids = [bytes([i]) for i in range(8)]
+    state, first = notarize_round(
+        state, {lid: Ledger.from_payloads(lid, payloads, ALG) for lid in ids}, store, chain
+    )
+    again = {lid: Ledger.from_payloads(lid, payloads, ALG) for lid in ids}
+    objects, proofs = len(store), dict(store._proofs)
+    merkle_hashes()
+    state, second = notarize_round(state, again, store, chain)
+    assert merkle_hashes() > 0  # each fresh object's digest is recomputed
+    assert store._proofs == proofs
+    assert len(store) == objects + 1  # a rechain writes only the new root
+    new_root = parse_node(store.get(second.trie_root), PARAMS)
+    assert new_root.prev_root == first.trie_root
+    assert new_root.children == parse_node(store.get(first.trie_root), PARAMS).children
+
+    state, _ = notarize_round(state, again, store, chain)
+    assert merkle_hashes() == 0
+    assert store._proofs == proofs
+
+
 # ------------------------------------------------------------ single ledger
 
 def test_single_mode_first_record_has_empty_note():
