@@ -40,9 +40,6 @@ class Chain:
                 for number, line in enumerate(self._path.read_bytes().splitlines(), 1):
                     self._records.append(_parse_record(self._path, number, line))
 
-    def __len__(self) -> int:
-        return len(self._records)
-
     @property
     def height(self) -> int:
         return len(self._records)
@@ -70,9 +67,6 @@ class Chain:
 
     def records(self) -> list[NotarizationRecord]:
         return list(self._records)
-
-    def record(self, seq: int) -> NotarizationRecord:
-        return self._records[seq]
 
 
 def _parse_record(path: Path, number: int, line: bytes) -> NotarizationRecord:

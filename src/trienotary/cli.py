@@ -76,11 +76,21 @@ def _ledger_path(workdir: Path, ledger_id: bytes) -> Path:
     return workdir / LEDGER_DIR_NAME / f"{ledger_id.hex()}.ledger"
 
 
-def _open_workdir(args) -> tuple[Path, TrieParams, Chain]:
-    workdir = Path(args.workdir)
+def _open_chain(workdir: Path) -> Chain:
     if not (workdir / CHAIN_NAME).exists():
         raise FileNotFoundError(f"no {CHAIN_NAME} under {workdir}")
-    return workdir, _load_params(workdir), Chain(workdir / CHAIN_NAME)
+    return Chain(workdir / CHAIN_NAME)
+
+
+def _open_workdir(args) -> tuple[Path, TrieParams, Chain]:
+    workdir = Path(args.workdir)
+    chain = _open_chain(workdir)
+    return workdir, _load_params(workdir), chain
+
+
+def _error(message) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 1
 
 
 # ---------------------------------------------------------------- simulate
@@ -121,18 +131,20 @@ def run_simulation(
 
 
 def _cmd_simulate(args) -> int:
+    try:
+        params = TrieParams(args.r, args.k, algorithm(args.hash))
+    except ValueError as exc:
+        return _error(exc)
     workdir = Path(args.workdir)
     if (workdir / CHAIN_NAME).exists():
         if not args.force:
-            print(f"error: {workdir} already holds a simulation (use --force)", file=sys.stderr)
-            return 1
+            return _error(f"{workdir} already holds a simulation (use --force)")
         import shutil
 
         for name in (CHAIN_NAME, PACK_NAME, PROOF_INDEX_NAME, CONFIG_NAME):
             (workdir / name).unlink(missing_ok=True)
         shutil.rmtree(workdir / LEDGER_DIR_NAME, ignore_errors=True)
     workdir.mkdir(parents=True, exist_ok=True)
-    params = TrieParams(args.r, args.k, algorithm(args.hash))
     _write_config(workdir, params)
     chain = Chain(workdir / CHAIN_NAME)
     with DirectoryStore(workdir, params.alg) as store:
@@ -174,16 +186,26 @@ def run_bench(r_values, k_values, n_values, seed: int, alg: HashAlg, out) -> Non
                 )
 
 
+def _int_list(text: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}") from None
+
+
 def _cmd_bench(args) -> int:
     alg = algorithm(args.hash)
-    r_values = [int(x) for x in args.r_list.split(",")]
-    k_values = [int(x) for x in args.k_list.split(",")]
-    n_values = [int(x) for x in args.ledgers.split(",")]
+    try:
+        for r in args.r_list:
+            for k in args.k_list:
+                TrieParams(r, k, alg)  # every cell is checked before any output
+    except ValueError as exc:
+        return _error(exc)
     if args.out == "-":
-        run_bench(r_values, k_values, n_values, args.seed, alg, sys.stdout)
+        run_bench(args.r_list, args.k_list, args.ledgers, args.seed, alg, sys.stdout)
     else:
         with open(args.out, "w", encoding="ascii", newline="\n") as fh:
-            run_bench(r_values, k_values, n_values, args.seed, alg, fh)
+            run_bench(args.r_list, args.k_list, args.ledgers, args.seed, alg, fh)
     return 0
 
 
@@ -230,8 +252,7 @@ def _cmd_prove(args) -> int:
         with DirectoryStore(workdir, params.alg) as store:
             proof = make_audit_proof(ledger_id, up_to, chain.read_roots(), store, params)
     except (CannotConstructError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(exc)
     blob = encode_audit_proof(proof)
     Path(args.out).write_bytes(blob)
     print(f"wrote audit proof for rounds 0..{up_to} ({len(blob)} bytes) to {args.out}")
@@ -250,8 +271,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_print_chain(args) -> int:
-    chain = Chain(Path(args.workdir) / CHAIN_NAME)
-    for record in chain.records():
+    for record in _open_chain(Path(args.workdir)).records():
         print(format_record(record))
     return 0
 
@@ -302,9 +322,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("bench", help="trie size/depth sweep, CSV output")
-    p.add_argument("--r", dest="r_list", default="2,4,8", help="comma-separated arities")
-    p.add_argument("--k", dest="k_list", default="1,2,4,8", help="comma-separated leaf capacities")
-    p.add_argument("--ledgers", default="100000", help="comma-separated ledger counts")
+    p.add_argument("--r", dest="r_list", type=_int_list, default="2,4,8",
+                   help="comma-separated arities")
+    p.add_argument("--k", dest="k_list", type=_int_list, default="1,2,4,8",
+                   help="comma-separated leaf capacities")
+    p.add_argument("--ledgers", type=_int_list, default="100000",
+                   help="comma-separated ledger counts")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--hash", choices=["sha256", "sha512"], default="sha256")
     p.add_argument("--out", default="-", help="CSV path, - for stdout")
@@ -351,8 +374,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (FileNotFoundError, TrienotaryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(exc)
 
 
 def entry() -> None:

@@ -163,7 +163,10 @@ class DirectoryStore(ObjectStore):
                     raise MalformedArtifactError(
                         f"{self._index_path}:{number}: malformed proof index entry"
                     ) from None
-                self._proofs[slot] = address
+                if self._proofs.setdefault(slot, address) != address:
+                    raise MalformedArtifactError(
+                        f"{self._index_path}:{number}: conflicting proof index entry"
+                    )
         if self._pack_path.exists():
             self._reader = open(self._pack_path, "rb")
             self._scan()

@@ -30,18 +30,18 @@ the audit all descend through it. It reads node bytes in place, checked
 by the same framing rules as ``parse_node``, without building node objects.
 
 The writer (``build``, ``update``, ``rechain``) reads the nodes it patches
-through ``_frame`` too. ``build`` encodes every node with
-``serialize_node``. ``update`` copies the nodes on the changed keys' paths
-and splices rather than re-encodes them: an internal node's stored bytes
-get each changed child's digest overwritten at the offset its bitmap gives,
-and each new child's digest inserted with its bitmap bit set. A leaf's
-tuples are merged with the changes and encoded again by ``serialize_node``,
-which checks their order; a full subtree is built only where a leaf
-overflows or a new label opens one. ``rechain`` puts a new prev-root
-behind the root's body. Each key is read as an integer once per call, so a
-label is a shift and a mask. ``update`` reads only the nodes on the changed
-keys' paths, and rejects a stored node that breaks the wire format or
-could not sit where it was found with MalformedNodeError.
+through ``_frame`` too. ``build`` and ``update`` are one recursion: build
+writes into an empty subtree, update into the stored root. An internal
+node is spliced, never encoded: its stored bytes, or an empty body with
+no bitmap bit, get each changed child's digest overwritten at the offset
+its bitmap gives and each new child's digest inserted with its bitmap bit
+set. Only leaves are encoded, by ``serialize_node``, which checks their
+order; a stored leaf's tuples are merged with the changes first.
+``rechain`` puts a new prev-root behind the root's body. Each key is read
+as an integer once per call, so a label is a shift and a mask. ``update``
+reads only the nodes on the changed keys' paths, and rejects a stored
+node that breaks the wire format or could not sit where it was found
+with MalformedNodeError.
 """
 
 from __future__ import annotations
@@ -315,14 +315,15 @@ def _key_ints(pairs: list[tuple[bytes, bytes]]) -> list[int]:
 
 
 class _Builder:
-    """Emits the nodes of one build or update.
+    """Writes the nodes of one build or update through one recursion.
 
-    ``build_range`` encodes a new subtree node by node through
-    ``serialize_node``. ``update_node`` writes the copy of a stored node:
-    an internal node as its stored bytes with child digests replaced or
-    inserted, a leaf re-encoded from its merged tuples. So an update never
-    builds an ``InternalNode``, and the digests and the order of store
-    reads and writes are those of re-encoding every copied node.
+    ``write`` places sorted pairs into the subtree at a digest, where None
+    is an empty subtree. In an empty subtree, at most k pairs make a leaf
+    and more make an internal node spliced into an empty body. A stored
+    leaf overflowing with the merged changes is rewritten as an empty
+    subtree. So no writer builds an ``InternalNode``, and the digests and
+    the order of store reads and writes are those of encoding every
+    written node afresh.
 
     ``ints`` holds the search keys of the pairs being placed, read as
     big-endian integers, so the label at a depth is a shift and a mask.
@@ -338,17 +339,11 @@ class _Builder:
         self.bits = params.alg.bit_length
         self.digest_len = params.alg.output_len
         self.bitmap_len = params.bitmap_len
+        self.empty = bytes(1 + params.bitmap_len)  # an internal body with no child
 
-    def emit(self, node: Node) -> bytes:
-        return self.store.put(serialize_node(node, self.params))
-
-    def shift(self, depth: int) -> int:
-        """Right shift that brings a key's label at ``depth`` to its low bits;
-        negative when the key has no full label left at that depth."""
-        return self.bits - (depth + 1) * self.width
-
-    def build_range(
+    def write(
         self,
+        digest: bytes | None,
         pairs: list[tuple[bytes, bytes]],
         ints: list[int],
         lo: int,
@@ -356,69 +351,54 @@ class _Builder:
         depth: int,
         prev_root: bytes | None,
     ) -> bytes:
-        """Emit the subtree over sorted pairs[lo:hi]; returns its digest."""
+        """Write the subtree at ``digest`` (None: empty) with sorted
+        pairs[lo:hi] placed in it; returns the new subtree's digest.
+
+        A stored node is read through ``_frame``; a node that breaks the
+        wire format, or could not sit at this depth of the pairs' path,
+        raises MalformedNodeError.
+        """
         params = self.params
-        if hi - lo <= params.k:
-            return self.emit(LeafNode(tuple(pairs[lo:hi]), prev_root))
-        shift = self.shift(depth)
+        digest_len = self.digest_len
+        if digest is None:
+            if hi - lo <= params.k:
+                leaf = LeafNode(tuple(pairs[lo:hi]), prev_root)
+                return self.store.put(serialize_node(leaf, params))
+            data = self.empty
+            body_end = len(data)
+            shape = 0
+        else:
+            data = _load(self.store, digest)
+            tag, body_end, shape = _frame(data, params)
+            if depth and tag in _ROOT_TAGS:
+                raise MalformedNodeError("root-tagged node below the root")
+            if tag in _LEAF_TAGS:
+                above = self.bits - depth * self.width  # key bits below this node's labels
+                prefix = ints[lo] >> above
+                merged = {}
+                for at in range(2, body_end, 2 * digest_len):
+                    key = data[at:at + digest_len]
+                    if int.from_bytes(key, "big") >> above != prefix:
+                        raise MalformedNodeError("leaf key off the path to its node")
+                    merged[key] = data[at + digest_len:at + 2 * digest_len]
+                merged.update(pairs[lo:hi])
+                entries = sorted(merged.items())
+                if len(entries) <= params.k:
+                    leaf = LeafNode(tuple(entries), prev_root)
+                    return self.store.put(serialize_node(leaf, params))
+                n = len(entries)
+                return self.write(None, entries, _key_ints(entries), 0, n, depth, prev_root)
+        shift = self.bits - (depth + 1) * self.width  # brings the label at depth low
         if shift < 0:
+            if digest is not None:
+                raise MalformedNodeError("trie deeper than the key has bits")
             raise KeyExhaustedError(
                 f"{hi - lo} keys share all {depth * self.width} label bits at depth {depth}"
             )
-        children = []
-        i = lo
-        while i < hi:
-            prefix = ints[i] >> shift
-            j = bisect_left(ints, (prefix + 1) << shift, i + 1, hi)
-            children.append(
-                (prefix & (params.r - 1), self.build_range(pairs, ints, i, j, depth + 1, None))
-            )
-            i = j
-        return self.emit(InternalNode(tuple(children), prev_root))
-
-    def update_node(
-        self,
-        digest: bytes,
-        changes: list[tuple[bytes, bytes]],
-        ints: list[int],
-        lo: int,
-        hi: int,
-        depth: int,
-        prev_root: bytes | None,
-    ) -> bytes:
-        """Re-emit the subtree at ``digest`` with changes[lo:hi] applied.
-
-        The stored node is read through ``_frame``; a node that breaks the
-        wire format, or could not sit at this depth of the changed keys'
-        path, raises MalformedNodeError.
-        """
-        params = self.params
-        data = _load(self.store, digest)
-        tag, body_end, shape = _frame(data, params)
-        if depth and tag in _ROOT_TAGS:
-            raise MalformedNodeError("root-tagged node below the root")
-        digest_len = self.digest_len
-        if tag in _LEAF_TAGS:
-            above = self.bits - depth * self.width  # key bits below this node's labels
-            prefix = ints[lo] >> above
-            merged = {}
-            for at in range(2, body_end, 2 * digest_len):
-                key = data[at:at + digest_len]
-                if int.from_bytes(key, "big") >> above != prefix:
-                    raise MalformedNodeError("leaf key off the path to its node")
-                merged[key] = data[at + digest_len:at + 2 * digest_len]
-            merged.update(changes[lo:hi])
-            pairs = sorted(merged.items())
-            if len(pairs) <= params.k:
-                return self.emit(LeafNode(tuple(pairs), prev_root))
-            return self.build_range(pairs, _key_ints(pairs), 0, len(pairs), depth, prev_root)
-        shift = self.shift(depth)
-        if shift < 0:
-            raise MalformedNodeError("trie deeper than the key has bits")
-        # Patch a copy of the stored body: a changed child's digest is
-        # overwritten where it stands, and a new label sets its bitmap bit
-        # and inserts a digest at its offset. Offsets come from the stored
-        # bitmap by popcount.
+        # Patch a copy of the body: a changed child's digest is overwritten
+        # where it stands, and a new label sets its bitmap bit and inserts
+        # a digest at its offset. Offsets come from the stored bitmap by
+        # popcount.
         bitmap_len = self.bitmap_len
         bitmap_end = 1 + bitmap_len
         top = 8 * bitmap_len - 1  # the bit of label 0
@@ -435,11 +415,10 @@ class _Builder:
             at = offset + grown
             if shape >> bit & 1:
                 child = data[offset:offset + digest_len]
-                child = self.update_node(child, changes, ints, i, j, depth + 1, None)
-                out[at:at + digest_len] = child
+                out[at:at + digest_len] = self.write(child, pairs, ints, i, j, depth + 1, None)
             else:
                 bitmap |= 1 << bit
-                out[at:at] = self.build_range(changes, ints, i, j, depth + 1, None)
+                out[at:at] = self.write(None, pairs, ints, i, j, depth + 1, None)
                 grown += digest_len
             i = j
         out[0] = TAG_INTERNAL if prev_root is None else TAG_ROOT_INTERNAL
@@ -463,7 +442,7 @@ def build(params: TrieParams, assoc, prev_root: bytes | None, store: ObjectStore
     if prev_root is None:
         prev_root = params.alg.zero
     builder = _Builder(params, store)
-    root = builder.build_range(pairs, _key_ints(pairs), 0, len(pairs), 0, prev_root)
+    root = builder.write(None, pairs, _key_ints(pairs), 0, len(pairs), 0, prev_root)
     return TrieVersion(params, root, store)
 
 
@@ -481,7 +460,7 @@ def update(prev: TrieVersion, changes) -> TrieVersion:
     if not pairs:
         raise ValueError("update requires at least one change")
     builder = _Builder(prev.params, prev.store)
-    root = builder.update_node(
+    root = builder.write(
         prev.root_digest, pairs, _key_ints(pairs), 0, len(pairs), 0, prev.root_digest
     )
     return TrieVersion(prev.params, root, prev.store)

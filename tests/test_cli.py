@@ -274,6 +274,16 @@ def _garbage_index_line(workdir: Path) -> str:
     return f"proofs.idx:{lines + 1}: malformed proof index entry"
 
 
+def _conflicting_index_line(workdir: Path) -> str:
+    """Point the first indexed (ledger, round) slot at a second address."""
+    path = workdir / "proofs.idx"
+    lines = path.read_text().splitlines()
+    key_hex, round_str, addr_hex = lines[0].split(" ")
+    other = "00" * (len(addr_hex) // 2)
+    path.write_text("\n".join([*lines, f"{key_hex} {round_str} {other}"]) + "\n")
+    return f"proofs.idx:{len(lines) + 1}: conflicting proof index entry"
+
+
 def _renumber_chain_record(workdir: Path) -> str:
     path = workdir / "chain.log"
     lines = path.read_text().splitlines()
@@ -295,7 +305,8 @@ def run_subprocess(*argv) -> subprocess.CompletedProcess:
 
 @pytest.mark.parametrize("command", ["audit", "prove"])
 @pytest.mark.parametrize(
-    "damage", [_tear_last_chain_line, _garbage_index_line, _renumber_chain_record]
+    "damage",
+    [_tear_last_chain_line, _garbage_index_line, _conflicting_index_line, _renumber_chain_record],
 )
 def test_malformed_artifact_is_one_error_line(simulated, tmp_path, command, damage):
     expected = damage(simulated)
@@ -480,3 +491,33 @@ def test_workdir_from_environment(tmp_path, monkeypatch):
 
 def test_missing_workdir_is_an_error(tmp_path):
     assert run("audit", "ledger-0", "--workdir", tmp_path / "nowhere") == 1
+
+
+def test_print_chain_without_journal_is_an_error(tmp_path, capsys):
+    assert run("print-chain", "--workdir", tmp_path) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: no chain.log under {tmp_path}\n"
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["simulate", "--r", "3"], 1, "arity must be a power of two in [2, 256], got 3"),
+    (["simulate", "--r", "512"], 1, "arity must be a power of two in [2, 256], got 512"),
+    (["simulate", "--k", "0"], 1, "k must be in [1, 256], got 0"),
+    (["simulate", "--k", "257"], 1, "k must be in [1, 256], got 257"),
+    (["bench", "--r", "2,3"], 1, "arity must be a power of two in [2, 256], got 3"),
+    (["bench", "--k", "0"], 1, "k must be in [1, 256], got 0"),
+    (["bench", "--r", "x"], 2, "not a comma-separated integer list: 'x'"),
+    (["bench", "--k", "1,y"], 2, "not a comma-separated integer list: '1,y'"),
+    (["bench", "--ledgers", "10,"], 2, "not a comma-separated integer list: '10,'"),
+])
+def test_invalid_trie_parameters_are_one_error(tmp_path, argv, code, message):
+    workdir, out = tmp_path / "run", tmp_path / "bench.csv"
+    where = ["--workdir", workdir] if argv[0] == "simulate" else ["--out", out]
+    proc = run_subprocess(*argv, *where)
+    assert proc.returncode == code
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert proc.stderr.rstrip().endswith(message)
+    if code == 1:
+        assert proc.stderr == f"error: {message}\n"
+    assert not workdir.exists() and not out.exists()

@@ -124,6 +124,22 @@ def test_directory_layout_and_index_format(tmp_path):
     )
 
 
+def test_directory_index_conflict_on_load_is_malformed(tmp_path):
+    root = tmp_path / "s"
+    with DirectoryStore(root, SHA256) as store:
+        first, second = store.put(b"A"), store.put(b"B")
+        key = SHA256.hash(b"lid")
+        store.index_proof(key, 1, first)
+    index = root / "proofs.idx"
+    line = index.read_bytes()
+    index.write_bytes(line + line)  # an identical repeat still loads
+    with DirectoryStore(root, SHA256) as reopened:
+        assert reopened.find_proof(key, 1) == first
+    index.write_bytes(line + line + f"{key.hex()} 1 {second.hex()}\n".encode("ascii"))
+    with pytest.raises(MalformedArtifactError, match="proofs.idx:3: conflicting"):
+        DirectoryStore(root, SHA256)
+
+
 def test_directory_store_reload(tmp_path):
     root = tmp_path / "s"
     with DirectoryStore(root, SHA256) as store:

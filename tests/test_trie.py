@@ -32,6 +32,7 @@ from trienotary.trie import (
     Measurements,
     TrieParams,
     TrieVersion,
+    associations,
     build,
     lookup,
     node_digest,
@@ -499,6 +500,62 @@ def test_value_only_update_encodes_leaves_and_splices_internal_nodes(monkeypatch
     # the counts of the re-encoding writer: one read and one write per node
     # on the changed paths, each hashed once
     assert (len(store.gets), store.puts - puts, len(hashed)) == (76, 76, 152)
+
+
+@pytest.mark.parametrize("r,k,n", [(2, 1, 64), (4, 2, 400), (16, 3, 300)])
+def test_build_encodes_only_leaves(monkeypatch, r, k, n):
+    p = params(r, k)
+    assoc = rand_assoc(random.Random(29), n)
+    store = CountingStore(ALG)
+    encoded = []
+    real_serialize = trie_module.serialize_node
+    monkeypatch.setattr(
+        trie_module, "serialize_node",
+        lambda node, p: encoded.append(node) or real_serialize(node, p),
+    )
+    version = build(p, assoc, None, store)
+    assert store.gets == []
+    nodes = reachable(store, version.root_digest, p).values()
+    leaves = sum(isinstance(parse_node(data, p), LeafNode) for data in nodes)
+    assert len(encoded) == leaves
+    assert all(isinstance(node, LeafNode) for node in encoded)
+    assert store.puts == stats(version).nodes_count == len(nodes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    r=st.sampled_from([2, 4, 16, 256]),
+    k=st.integers(1, 3),
+    alg=st.sampled_from([SHA256, SHA512]),
+    shared=st.sampled_from([0, 64, 200]),
+    data=st.data(),
+)
+def test_every_written_node_is_canonical(r, k, alg, shared, data):
+    """Build, then insert and change values: every node the writer stored
+    is the canonical encoding of what it decodes to."""
+    p = TrieParams(r, k, alg)
+    rng = data.draw(st.randoms(use_true_random=False))
+    bits = alg.bit_length
+    base = rng.getrandbits(bits) >> (bits - shared) << (bits - shared)
+
+    def new_keys(count):
+        lows = (rng.getrandbits(bits - shared) for _ in range(count))
+        return [(base | low).to_bytes(alg.output_len, "big") for low in lows]
+
+    n = data.draw(st.integers(1, 200))
+    state = {key: rng.randbytes(alg.output_len) for key in new_keys(n)}
+    store = MemoryStore(alg)
+    version = build(p, state, None, store)
+    for _ in range(data.draw(st.integers(0, 3))):
+        changes = {key: rng.randbytes(alg.output_len) for key in new_keys(rng.randint(0, 20))}
+        for key in rng.sample(sorted(state), min(len(state), rng.randint(0, 5))):
+            changes[key] = rng.randbytes(alg.output_len)  # a value-only change
+        if changes:
+            version = update(version, changes)
+            state.update(changes)
+    for _, stored in store.items():
+        assert serialize_node(parse_node(stored, p), p) == stored
+    assert associations(version) == state
 
 
 def test_update_reuses_unchanged_branches():
