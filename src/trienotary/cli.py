@@ -38,7 +38,7 @@ from .audit import (
     verify_audit_proof,
 )
 from .chain import Chain, format_record
-from .crypto import HashAlg, algorithm
+from .crypto import ALGORITHM_NAMES, HashAlg, algorithm
 from .errors import CannotConstructError, MalformedArtifactError, TrienotaryError
 from .faults import KINDS, inject
 from .merkle import Ledger, read_ledger, write_ledger
@@ -93,6 +93,11 @@ def _error(message) -> int:
     return 1
 
 
+def _check_ledger_counts(counts) -> None:
+    if min(counts) < 1:
+        raise ValueError(f"ledger count must be at least 1, got {min(counts)}")
+
+
 # ---------------------------------------------------------------- simulate
 
 def run_simulation(
@@ -133,6 +138,7 @@ def run_simulation(
 def _cmd_simulate(args) -> int:
     try:
         params = TrieParams(args.r, args.k, algorithm(args.hash))
+        _check_ledger_counts([args.ledgers])
     except ValueError as exc:
         return _error(exc)
     workdir = Path(args.workdir)
@@ -199,6 +205,7 @@ def _cmd_bench(args) -> int:
         for r in args.r_list:
             for k in args.k_list:
                 TrieParams(r, k, alg)  # every cell is checked before any output
+        _check_ledger_counts(args.ledgers)
     except ValueError as exc:
         return _error(exc)
     if args.out == "-":
@@ -310,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="seeded end-to-end notarization run")
     add_workdir(p)
-    p.add_argument("--hash", choices=["sha256", "sha512"], default="sha256")
+    p.add_argument("--hash", choices=ALGORITHM_NAMES, default="sha256")
     p.add_argument("--r", type=int, default=2, help="trie arity (power of two)")
     p.add_argument("--k", type=int, default=1, help="max tuples per leaf")
     p.add_argument("--ledgers", type=int, default=10)
@@ -329,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ledgers", type=_int_list, default="100000",
                    help="comma-separated ledger counts")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--hash", choices=["sha256", "sha512"], default="sha256")
+    p.add_argument("--hash", choices=ALGORITHM_NAMES, default="sha256")
     p.add_argument("--out", default="-", help="CSV path, - for stdout")
     p.set_defaults(func=_cmd_bench)
 

@@ -57,6 +57,7 @@ SHA512 = HashAlg("sha512", 64, 2)
 _REGISTRY = (SHA256, SHA512)
 _BY_NAME = {alg.name: alg for alg in _REGISTRY}
 _BY_WIRE_ID = {alg.wire_id: alg for alg in _REGISTRY}
+ALGORITHM_NAMES = tuple(_BY_NAME)
 
 
 def algorithm(name: str) -> HashAlg:

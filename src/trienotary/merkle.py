@@ -14,16 +14,17 @@ Two proof kinds are supported:
 * inclusion proofs: a specific block is present at a specific position
   under a given root (selective disclosure of single blocks).
 
-Cost model. Every head of a complete, aligned subtree (2**j leaves starting
-at a multiple of 2**j) is hashed once and kept, since appending never
-changes it (the stored subtree heads of RFC 9162 section 2.1 and of Crosby
-and Wallach's tamper-evident logs). The store is shared by the versions of
-one append chain, so appending a block costs amortized O(1) hashes,
-charged when the next root or proof is asked for. The head of any prefix
-folds the O(log n) complete heads that cover it, so ``root_at`` is O(log n)
-hashes, and proofs are O(log^2 n) worst case. The first use of a ledger
-built from a block tuple fills its store in O(n); so does a fork, a version
-appended to after its chain had already grown past it.
+Cost model. The versions of one append chain share one log: its blocks
+and every head of a complete, aligned subtree (2**j leaves starting at a
+multiple of 2**j), hashed once and kept, since appending never changes it
+(the stored subtree heads of RFC 9162 section 2.1 and of Crosby and
+Wallach's tamper-evident logs). Appending to the newest version is one
+block hash and one list append; the amortized O(1) head hashes are charged
+when the next root or proof is asked for. The head of any prefix folds the
+O(log n) complete heads that cover it, so ``root_at`` is O(log n) hashes,
+and proofs are O(log^2 n) worst case. Appending to an older version forks
+a new log from a copy of its prefix; a fork, like a ledger built from a
+block tuple, fills its heads in O(n) on first use.
 
 Proof generation follows the recursive subproof/path definitions; proof
 verification is the independent iterative reconstruction, so a round-trip
@@ -84,83 +85,31 @@ class InclusionProof:
     path: tuple[bytes, ...]
 
 
-class _Heads:
-    """Complete, aligned subtree heads shared along one append chain.
-
-    ``levels[j - 1]`` concatenates, in leaf order, the heads of the
-    2**j-leaf subtrees filled so far. Leaf heads (level 0) are not kept: each
-    is one hash of its block hash. ``tip`` is the length of the newest
-    version holding the store. Only that version's ``append`` hands the
-    store on, so every holder's blocks are a prefix of the tip's, and any
-    holder may fill the store from its own blocks.
-    """
-
-    __slots__ = ("tip", "levels")
-
-    def __init__(self, tip: int):
-        self.tip = tip
-        self.levels = [bytearray()]
-
-
-class Ledger:
-    """An immutable append-only block sequence; ``append`` returns a new version."""
-
-    __slots__ = ("id", "blocks", "alg", "_heads")
-
-    def __init__(self, ledger_id: bytes, blocks: tuple[Block, ...] = (), alg: HashAlg = SHA256):
-        self.id = ledger_id
-        self.blocks = blocks
-        self.alg = alg
-        self._heads: _Heads | None = None
-
-    @classmethod
-    def from_payloads(cls, ledger_id: bytes, payloads, alg: HashAlg = SHA256) -> "Ledger":
-        blocks = tuple(
-            Block(index, payload, alg.hash(_block_bytes(index, payload)))
-            for index, payload in enumerate(payloads)
-        )
-        return cls(ledger_id, blocks, alg)
-
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-    def append(self, payload: bytes) -> "Ledger":
-        index = len(self.blocks)
-        block = Block(index, payload, self.alg.hash(_block_bytes(index, payload)))
-        child = Ledger(self.id, self.blocks + (block,), self.alg)
-        heads = self._heads
-        if heads is not None and heads.tip == index:
-            heads.tip = index + 1
-            child._heads = heads
-        return child
-
-    def leaf_hashes(self, size: int | None = None) -> list[bytes]:
-        """Domain-separated leaf hashes for the first ``size`` blocks."""
-        if size is None:
-            size = len(self.blocks)
-        return [self.alg.hash(LEAF_PREFIX + b.block_hash) for b in self.blocks[:size]]
-
-
 def _split(n: int) -> int:
     """Largest power of two smaller than n (so k < n <= 2k)."""
     return 1 << ((n - 1).bit_length() - 1)
 
 
-class _Tree:
-    """Subtree heads over a ledger's first ``size`` leaves, read from its store."""
+class _Log:
+    """The blocks of one append chain, each version a prefix, and their heads.
+
+    ``levels[j - 1]`` concatenates, in leaf order, the heads of the 2**j-leaf
+    subtrees filled so far; it is None until a fill covers two leaves. Leaf
+    heads are not kept: each is one hash of its block hash.
+    """
 
     __slots__ = ("blocks", "alg", "levels")
 
-    def __init__(self, ledger: Ledger, size: int):
-        self.blocks = ledger.blocks
-        self.alg = ledger.alg
-        self.levels: list[bytearray] = []
+    def __init__(self, blocks: list[Block], alg: HashAlg):
+        self.blocks = blocks
+        self.alg = alg
+        self.levels: list[bytearray] | None = None
+
+    def fill(self, size: int) -> "_Log":
+        """Store every complete subtree head within the first ``size`` leaves."""
         if size < 2:
-            return
-        heads = ledger._heads
-        if heads is None:
-            heads = ledger._heads = _Heads(len(ledger))
-        self.levels = levels = heads.levels
+            return self
+        levels = self.levels = self.levels or [bytearray()]
         step = self.alg.output_len
         hash_ = self.alg.hash
         # Each odd leaf t completes the pair (t - 1, t) and, through it,
@@ -174,6 +123,7 @@ class _Tree:
                 head = hash_(NODE_PREFIX + level[-2 * step:])
             else:
                 levels.append(bytearray(head))
+        return self
 
     def leaf(self, index: int) -> bytes:
         return self.alg.hash(LEAF_PREFIX + self.blocks[index].block_hash)
@@ -224,11 +174,52 @@ class _Tree:
         return self.path(i, lo + k, hi) + [self.head(lo, lo + k)]
 
 
+class Ledger:
+    """An immutable append-only block sequence; ``append`` returns a new version.
+
+    A version is the first ``len`` blocks of its chain's shared ``_Log``:
+    appending to the newest version extends the log in place, and appending
+    to an older one forks a new log from a copy of its prefix.
+    """
+
+    __slots__ = ("id", "alg", "_log", "_size")
+
+    def __init__(self, ledger_id: bytes, blocks: tuple[Block, ...] = (), alg: HashAlg = SHA256):
+        self.id = ledger_id
+        self.alg = alg
+        self._log = _Log(list(blocks), alg)
+        self._size = len(blocks)
+
+    @classmethod
+    def from_payloads(cls, ledger_id: bytes, payloads, alg: HashAlg = SHA256) -> "Ledger":
+        blocks = [
+            Block(index, payload, alg.hash(_block_bytes(index, payload)))
+            for index, payload in enumerate(payloads)
+        ]
+        return cls(ledger_id, blocks, alg)
+
+    @property
+    def blocks(self) -> tuple[Block, ...]:
+        return tuple(self._log.blocks[:self._size])
+
+    def __len__(self) -> int:
+        return self._size
+
+    def append(self, payload: bytes) -> "Ledger":
+        log, index = self._log, self._size
+        if len(log.blocks) != index:
+            log = _Log(log.blocks[:index], self.alg)
+        log.blocks.append(Block(index, payload, self.alg.hash(_block_bytes(index, payload))))
+        child = object.__new__(Ledger)
+        child.id, child.alg, child._log, child._size = self.id, self.alg, log, index + 1
+        return child
+
+
 def root_at(ledger: Ledger, size: int) -> bytes:
     """Merkle head over the first ``size`` blocks."""
     if size < 0 or size > len(ledger):
         raise InvalidRangeError(f"size {size} out of range for ledger of {len(ledger)} blocks")
-    return _Tree(ledger, size).head(0, size)
+    return ledger._log.fill(size).head(0, size)
 
 
 def ledger_root(ledger: Ledger) -> bytes:
@@ -242,7 +233,7 @@ def prove_consistency(ledger: Ledger, old_size: int, new_size: int) -> Consisten
         raise InvalidRangeError(
             f"need 0 < m <= n <= {len(ledger)}, got m={old_size} n={new_size}"
         )
-    path = _Tree(ledger, new_size).subproof(old_size, 0, new_size, True)
+    path = ledger._log.fill(new_size).subproof(old_size, 0, new_size, True)
     return ConsistencyProof(old_size, new_size, tuple(path))
 
 
@@ -292,7 +283,7 @@ def prove_inclusion(ledger: Ledger, index: int) -> InclusionProof:
     n = len(ledger)
     if index < 0 or index >= n:
         raise InvalidRangeError(f"index {index} out of range for {n} blocks")
-    return InclusionProof(index, n, tuple(_Tree(ledger, n).path(index, 0, n)))
+    return InclusionProof(index, n, tuple(ledger._log.fill(n).path(index, 0, n)))
 
 
 def verify_inclusion(

@@ -14,8 +14,8 @@ from pathlib import Path
 import pytest
 
 import trienotary
-from trienotary.cli import main, run_bench
-from trienotary.crypto import SHA256
+from trienotary.cli import build_parser, main, run_bench
+from trienotary.crypto import ALGORITHM_NAMES, SHA256
 from trienotary.store import DirectoryStore
 
 
@@ -510,6 +510,9 @@ def test_print_chain_without_journal_is_an_error(tmp_path, capsys):
     (["bench", "--r", "x"], 2, "not a comma-separated integer list: 'x'"),
     (["bench", "--k", "1,y"], 2, "not a comma-separated integer list: '1,y'"),
     (["bench", "--ledgers", "10,"], 2, "not a comma-separated integer list: '10,'"),
+    (["simulate", "--ledgers", "0"], 1, "ledger count must be at least 1, got 0"),
+    (["bench", "--ledgers", "0"], 1, "ledger count must be at least 1, got 0"),
+    (["bench", "--ledgers", "5,-1"], 1, "ledger count must be at least 1, got -1"),
 ])
 def test_invalid_trie_parameters_are_one_error(tmp_path, argv, code, message):
     workdir, out = tmp_path / "run", tmp_path / "bench.csv"
@@ -521,3 +524,11 @@ def test_invalid_trie_parameters_are_one_error(tmp_path, argv, code, message):
     if code == 1:
         assert proc.stderr == f"error: {message}\n"
     assert not workdir.exists() and not out.exists()
+
+
+def test_hash_choices_are_the_registry():
+    parser = build_parser()
+    commands = parser._subparsers._group_actions[0].choices
+    for command in ("simulate", "bench"):
+        (action,) = [a for a in commands[command]._actions if a.dest == "hash"]
+        assert tuple(action.choices) == ALGORITHM_NAMES == ("sha256", "sha512")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import gc
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -100,7 +101,7 @@ def make_ledger(n: int, tag: bytes = b"") -> Ledger:
 
 
 def leaf_hashes(ledger: Ledger) -> list[bytes]:
-    return ledger.leaf_hashes()
+    return [ALG.hash(b"\x00" + block.block_hash) for block in ledger.blocks]
 
 
 # ------------------------------------------------------------------- roots
@@ -386,6 +387,21 @@ def test_fork_of_filled_version_keeps_both_children_correct():
     assert ledger_root(second) != ledger_root(first)
     for ledger in (second, first, parent):
         check_against_reference(ledger)
+
+
+def test_append_to_the_newest_version_copies_nothing():
+    ledger = Ledger.from_payloads(b"long", [i.to_bytes(4, "big") for i in range(20_000)], ALG)
+    # The first append grows the block list's spare capacity, as a list
+    # append may; the next one fits in it.
+    ledger = ledger.append(b"first")
+    tracemalloc.start()
+    try:
+        grown = ledger.append(b"second")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096  # a copy of the 20,001 block references would be 160 KB
+    assert len(grown) == 20_002 and len(ledger) == 20_001
 
 
 # -------------------------------------------------------------- hash counts
