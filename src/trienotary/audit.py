@@ -25,18 +25,24 @@ of every node and proof the storage-backed audit would have fetched,
 valid up to the notarization round current when it was built. Rounds
 published after that are reported as not covered rather than verified.
 
-Cost model: one run (an audit, a bundle build or a bundle check) fetches
-and validates each distinct node once, except that a version root is
-checked twice: the root walk parses it for its prev-root link, and the
-key's path is then read from it by ``trie.KeyPath``. A per-run memo maps
-(child digest, depth) to what the walk below that child found: the
-value, absence, or unresolved with any malformation detail. A later
+Cost model: one run (an audit, a bundle build or a bundle check) reads
+one source, nodes by digest and proofs by round, and records each read
+in order; the record of a storage-backed run is the bundle. A run
+fetches and validates each distinct node once, except that a version
+root is checked twice: the root walk parses it for its prev-root link,
+and the key's path is then read from it by ``trie.KeyPath``. A per-run
+memo maps (child digest, depth) to what the walk below that child found:
+the value, absence, or unresolved with any malformation detail. A later
 round that reaches a memoized child stops there, and a memoized
 malformation is charged to that round too, so the verdicts are those of
-a memo-free walk. Skipped nodes were fetched earlier in the same run, so
-a bundle holds the same nodes in the same order. The memo lives in the
-run, not in ``ObjectStore``: stored bytes can be corrupted after the
-fact, and a store-level cache would hide that from every later audit.
+a memo-free walk. The memo lives in the run, not in ``ObjectStore``:
+stored bytes can be corrupted after the fact, and a store-level cache
+would hide that from every later audit.
+
+The root walk compares each root with its round's chain record as it
+goes. A walk fault (a root unresolved, malformed or not a root, a
+lineage shorter or longer than the chain) outranks a mismatch, and of
+several mismatches the newest is reported.
 """
 
 from __future__ import annotations
@@ -131,92 +137,79 @@ class AuditProof:
 
 
 class _Engine:
-    """One audit run; resolve/fetch callables abstract the storage."""
+    """One audit run over one source, keeping a record of what it read.
 
-    def __init__(self, params, ledger_key, chain_roots, resolve, fetch_proof):
+    ``get(digest)`` returns node bytes and ``proof_at(round)`` a stored
+    proof blob or None; either may raise NotFoundError or IntegrityError.
+    ``fetch_node`` and ``fetch_proof`` are the only readers, and they
+    record each successful read in ``nodes`` (digest -> bytes) and
+    ``proofs`` (round -> blob), in read order.
+    """
+
+    def __init__(self, params, ledger_key, chain_roots, get, proof_at):
         self.params = params
         self.chain_roots = list(chain_roots)
-        self.resolve = resolve
-        self.fetch_proof = fetch_proof
+        self.get = get
+        self.proof_at = proof_at
         self.path = KeyPath(params, ledger_key)
         self.memo: dict = {}  # (child digest, depth) -> (outcome, detail)
-        self.malformed: list[tuple[int, str]] = []
+        self.nodes: dict[bytes, bytes] = {}
+        self.proofs: dict[int, bytes] = {}
+
+    def fetch_node(self, digest: bytes) -> bytes | None:
+        try:
+            data = self.get(digest)
+        except (NotFoundError, IntegrityError):
+            return None
+        self.nodes[digest] = data
+        return data
+
+    def fetch_proof(self, round_seq: int) -> bytes | None:
+        try:
+            blob = self.proof_at(round_seq)
+        except (NotFoundError, IntegrityError):
+            return None
+        if blob is not None:
+            self.proofs[round_seq] = blob
+        return blob
 
     def walk_roots(self):
         """Follow prev-root links from the latest chain digest.
 
-        Returns (chain_match CheckResult, {round: root node bytes}). Root
-        nodes are aligned newest-first against the chain sequence.
+        Returns (chain_match CheckResult, {round: root node bytes}). Each
+        walked root is compared with the chain record of its round; the
+        newest mismatch is reported only if the walk itself ends cleanly.
         """
         height = len(self.chain_roots)
-        sentinel = self.params.alg.zero
         roots_by_round: dict[int, bytes] = {}
+        mismatch = None
         current = self.chain_roots[-1]
-        walked: list[bytes] = []
-        ended = False
-        for step in range(height):
-            round_seq = height - 1 - step
-            try:
-                data = self.resolve(current)
-            except (NotFoundError, IntegrityError):
-                return (
-                    CheckResult(
-                        Status.INCONCLUSIVE,
-                        round_seq,
-                        f"version root {current.hex()[:16]}… unresolved in storage",
-                    ),
-                    roots_by_round,
-                )
+        for round_seq in range(height - 1, -1, -1):
+            data = self.fetch_node(current)
+            if data is None:
+                detail = f"version root {current.hex()[:16]}… unresolved in storage"
+                return CheckResult(Status.INCONCLUSIVE, round_seq, detail), roots_by_round
             try:
                 node = parse_node(data, self.params)
             except MalformedNodeError as exc:
-                return (
-                    CheckResult(Status.FAIL, round_seq, f"malformed version root: {exc}"),
-                    roots_by_round,
-                )
+                detail = f"malformed version root: {exc}"
+                return CheckResult(Status.FAIL, round_seq, detail), roots_by_round
             if node.prev_root is None:
-                return (
-                    CheckResult(Status.FAIL, round_seq, "version root is not a root node"),
-                    roots_by_round,
-                )
-            walked.append(current)
+                detail = "version root is not a root node"
+                return CheckResult(Status.FAIL, round_seq, detail), roots_by_round
+            if mismatch is None and current != self.chain_roots[round_seq]:
+                detail = "traversed root does not match the published digest"
+                mismatch = CheckResult(Status.FAIL, round_seq, detail)
             roots_by_round[round_seq] = data
             current = node.prev_root
-            if current == sentinel:
-                ended = step == height - 1
-                if not ended:
-                    return (
-                        CheckResult(
-                            Status.FAIL,
-                            round_seq,
-                            f"lineage ends after {step + 1} versions, chain has {height}",
-                        ),
-                        roots_by_round,
-                    )
-                break
-        else:
-            return (
-                CheckResult(Status.FAIL, 0, "lineage has more versions than chain records"),
-                roots_by_round,
-            )
-        for step, digest in enumerate(walked):
-            round_seq = height - 1 - step
-            if digest != self.chain_roots[round_seq]:
-                return (
-                    CheckResult(
-                        Status.FAIL,
-                        round_seq,
-                        "traversed root does not match the published digest",
-                    ),
-                    roots_by_round,
-                )
-        return CheckResult(Status.PASS), roots_by_round
-
-    def fetch_node(self, digest: bytes) -> bytes | None:
-        try:
-            return self.resolve(digest)
-        except (NotFoundError, IntegrityError):
-            return None
+            if current == self.params.alg.zero:
+                if round_seq:
+                    versions = height - round_seq
+                    detail = f"lineage ends after {versions} versions, chain has {height}"
+                    return CheckResult(Status.FAIL, round_seq, detail), roots_by_round
+                return mismatch or CheckResult(Status.PASS), roots_by_round
+        detail = "lineage has more versions than chain records"
+        return CheckResult(Status.FAIL, 0, detail), roots_by_round
 
     def run(self, claimed: bytes | None, extra_proofs) -> dict:
         chain_match, roots_by_round = self.walk_roots()
@@ -226,14 +219,23 @@ class _Engine:
         # digest its parent stored. A subtree already walked this run answers
         # from the memo, and its malformation is charged to this round too.
         values: list = [UNRESOLVED] * height
+        malformed = []
         for round_seq, root_data in roots_by_round.items():
             values[round_seq], detail = self.path.walk(root_data, self.fetch_node, self.memo)
             if detail:
-                self.malformed.append((round_seq, detail))
+                malformed.append((round_seq, detail))
         unresolved = tuple(i for i, v in enumerate(values) if v is UNRESOLVED)
+        # value changes: both rounds hold a defined, non-null value, and they differ
+        definite = [v is not UNRESOLVED and v is not None for v in values]
+        changes = [
+            round_seq
+            for round_seq in range(1, height)
+            if definite[round_seq - 1] and definite[round_seq]
+            and values[round_seq - 1] != values[round_seq]
+        ]
 
-        if self.malformed:
-            round_seq, detail = min(self.malformed)
+        if malformed:
+            round_seq, detail = min(malformed)
             alternative = CheckResult(Status.FAIL, round_seq, f"malformed node: {detail}")
         elif unresolved:
             alternative = CheckResult(
@@ -241,48 +243,36 @@ class _Engine:
             )
         else:
             alternative = CheckResult(Status.PASS)
-
-        no_removal = self._check_no_removal(values, unresolved)
-        no_forks = self._check_no_forks(values, unresolved)
-        disclosed = self._check_disclosed(claimed, values, unresolved, extra_proofs)
+        gaps = CheckResult(Status.PASS)
+        if unresolved:
+            gaps = CheckResult(Status.INCONCLUSIVE, unresolved[0], "history has gaps")
 
         return {
             "chain_match": chain_match,
             "no_alternative_histories": alternative,
-            "no_removal": no_removal,
-            "no_forks": no_forks,
-            "disclosed_data_match": disclosed,
+            "no_removal": self._check_no_removal(values, definite, gaps),
+            "no_forks": self._check_no_forks(values, changes, gaps),
+            "disclosed_data_match": self._check_disclosed(
+                claimed, values, changes, unresolved, extra_proofs
+            ),
             "history": tuple(None if v is UNRESOLVED else v for v in values),
             "unresolved_rounds": unresolved,
         }
 
-    def _check_no_removal(self, values, unresolved) -> CheckResult:
+    def _check_no_removal(self, values, definite, gaps) -> CheckResult:
         seen_value = False
         for round_seq, value in enumerate(values):
-            if value is UNRESOLVED:
-                continue
             if value is None and seen_value:
                 return CheckResult(
                     Status.FAIL, round_seq, "key vanished after having been notarized"
                 )
-            if value is not None:
-                seen_value = True
-        if unresolved:
-            return CheckResult(Status.INCONCLUSIVE, unresolved[0], "history has gaps")
-        return CheckResult(Status.PASS)
+            seen_value = seen_value or definite[round_seq]
+        return gaps
 
-    def _check_no_forks(self, values, unresolved) -> CheckResult:
+    def _check_no_forks(self, values, changes, gaps) -> CheckResult:
         inconclusive: CheckResult | None = None
-        for round_seq in range(1, len(values)):
-            old, new = values[round_seq - 1], values[round_seq]
-            if old is UNRESOLVED or new is UNRESOLVED:
-                continue
-            if old is None or new is None or old == new:
-                continue
-            try:
-                blob = self.fetch_proof(round_seq)
-            except (NotFoundError, IntegrityError):
-                blob = None
+        for round_seq in changes:
+            blob = self.fetch_proof(round_seq)
             if blob is None:
                 inconclusive = inconclusive or CheckResult(
                     Status.INCONCLUSIVE,
@@ -294,30 +284,22 @@ class _Engine:
                 proof = decode_consistency_proof(blob, self.params.alg)
             except ValueError as exc:
                 return CheckResult(Status.FAIL, round_seq, f"undecodable proof: {exc}")
+            old, new = values[round_seq - 1], values[round_seq]
             if not verify_consistency(old, new, proof, self.params.alg):
                 return CheckResult(
                     Status.FAIL, round_seq, "published consistency proof does not verify"
                 )
-        if inconclusive is not None:
-            return inconclusive
-        if unresolved:
-            return CheckResult(Status.INCONCLUSIVE, unresolved[0], "history has gaps")
-        return CheckResult(Status.PASS)
+        return inconclusive or gaps
 
-    def _check_disclosed(self, claimed, values, unresolved, extra_proofs) -> CheckResult:
+    def _check_disclosed(self, claimed, values, changes, unresolved, extra_proofs) -> CheckResult:
         if claimed is None:
             return CheckResult(Status.NOT_CHECKED)
-        definite = [v for v in values if v is not UNRESOLVED and v is not None]
-        if claimed in definite:
+        if claimed in values:
             return CheckResult(Status.PASS)
         alg = self.params.alg
         proofs = list(extra_proofs)
-        for round_seq in range(1, len(values)):
+        for round_seq in changes:
             old, new = values[round_seq - 1], values[round_seq]
-            if old is UNRESOLVED or new is UNRESOLVED or old is None or new is None:
-                continue
-            if old == new:
-                continue
             before = any(verify_consistency(old, claimed, p, alg) for p in proofs)
             after = any(verify_consistency(claimed, new, p, alg) for p in proofs)
             if before and after:
@@ -345,6 +327,16 @@ def _as_digest(claimed, alg: HashAlg) -> bytes | None:
     return claimed
 
 
+def _store_engine(params: TrieParams, key: bytes, chain_roots, store: ObjectStore) -> _Engine:
+    """An engine reading public storage: nodes by digest, proofs by index."""
+
+    def proof_at(round_seq: int) -> bytes | None:
+        address = store.find_proof(key, round_seq)
+        return None if address is None else store.get(address)
+
+    return _Engine(params, key, chain_roots, store.get, proof_at)
+
+
 def audit_ledger(
     ledger_id: bytes,
     claimed,
@@ -361,39 +353,12 @@ def audit_ledger(
     if not chain_roots:
         raise ValueError("chain is empty; nothing to audit")
     key = params.alg.hash(ledger_id)
-
-    def fetch_proof(round_seq: int) -> bytes | None:
-        address = store.find_proof(key, round_seq)
-        return None if address is None else store.get(address)
-
-    engine = _Engine(params, key, chain_roots, store.get, fetch_proof)
-    parts = engine.run(_as_digest(claimed, params.alg), extra_proofs)
+    parts = _store_engine(params, key, chain_roots, store).run(
+        _as_digest(claimed, params.alg), extra_proofs
+    )
     return AuditReport(
         ledger_key=key, covered_rounds=len(chain_roots), uncovered_rounds=(), **parts
     )
-
-
-class _Recorder:
-    """Storage adapter that remembers everything an audit run touched."""
-
-    def __init__(self, store: ObjectStore, ledger_key: bytes):
-        self.store = store
-        self.key = ledger_key
-        self.nodes: dict[bytes, bytes] = {}
-        self.proofs: dict[int, bytes] = {}
-
-    def resolve(self, digest: bytes) -> bytes:
-        data = self.store.get(digest)
-        self.nodes.setdefault(digest, data)
-        return data
-
-    def fetch_proof(self, round_seq: int) -> bytes | None:
-        address = self.store.find_proof(self.key, round_seq)
-        if address is None:
-            return None
-        blob = self.store.get(address)
-        self.proofs.setdefault(round_seq, blob)
-        return blob
 
 
 def make_audit_proof(
@@ -403,17 +368,17 @@ def make_audit_proof(
     store: ObjectStore,
     params: TrieParams,
 ) -> AuditProof:
-    """Bundle every node and proof needed to audit rounds 0..up_to_round offline."""
+    """Bundle every node and proof needed to audit rounds 0..up_to_round offline.
+
+    The bundle is the read record of a storage-backed audit run.
+    """
     chain_roots = list(chain_roots)
     if not 0 <= up_to_round < len(chain_roots):
         raise ValueError(
             f"up_to_round {up_to_round} outside the chain's {len(chain_roots)} rounds"
         )
     key = params.alg.hash(ledger_id)
-    recorder = _Recorder(store, key)
-    engine = _Engine(
-        params, key, chain_roots[: up_to_round + 1], recorder.resolve, recorder.fetch_proof
-    )
+    engine = _store_engine(params, key, chain_roots[: up_to_round + 1], store)
     parts = engine.run(None, ())
     gaps = [
         name
@@ -428,8 +393,8 @@ def make_audit_proof(
         ledger_key=key,
         up_to_round=up_to_round,
         params=params,
-        nodes=tuple(recorder.nodes.values()),
-        proofs=tuple(sorted(recorder.proofs.items())),
+        nodes=tuple(engine.nodes.values()),
+        proofs=tuple(engine.proofs.items()),
     )
 
 
@@ -445,6 +410,10 @@ def verify_audit_proof(
     Verifies rounds up to ``proof.up_to_round``; chain records published
     after the bundle was built are reported as uncovered, not verified
     (the bundle is a static snapshot).
+
+    Nodes are framed under the bundle's own ``proof.params``: the caller
+    must compare them with the deployment's parameters, or a bundle can
+    claim a looser shape (say a larger k) than the trie was built with.
     """
     params = proof.params
     alg = params.alg
@@ -478,15 +447,14 @@ def verify_audit_proof(
         )
 
     nodes = {alg.hash(data): data for data in proof.nodes}
-    proof_blobs = dict(proof.proofs)
 
-    def resolve(digest: bytes) -> bytes:
+    def get(digest: bytes) -> bytes:
         try:
             return nodes[digest]
         except KeyError:
             raise NotFoundError(f"bundle lacks node {digest.hex()}") from None
 
-    engine = _Engine(params, key, chain_roots[:covered], resolve, proof_blobs.get)
+    engine = _Engine(params, key, chain_roots[:covered], get, dict(proof.proofs).get)
     parts = engine.run(_as_digest(claimed, alg), extra_proofs)
     return AuditReport(
         ledger_key=key, covered_rounds=covered, uncovered_rounds=uncovered, **parts

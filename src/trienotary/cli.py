@@ -8,7 +8,8 @@ A working directory holds one deployment's public artifacts:
     proofs.idx    (ledger key, round) -> proof address index
     ledgers/      ledger exports (the data a producer would disclose)
     config.json   hash algorithm and trie parameters, written by ``simulate``;
-                  ``audit``, ``prove`` and ``tamper`` take them from here only
+                  ``audit``, ``prove``, ``verify`` and ``tamper`` take them
+                  from here only
 
 One process writes a workdir at a time (``simulate``, ``tamper``); see
 ``trienotary.store`` for the pack format and its torn-tail rule.
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -93,9 +95,13 @@ def _error(message) -> int:
     return 1
 
 
-def _check_ledger_counts(counts) -> None:
+def _check_counts(what: str, counts) -> None:
     if min(counts) < 1:
-        raise ValueError(f"ledger count must be at least 1, got {min(counts)}")
+        raise ValueError(f"{what} count must be at least 1, got {min(counts)}")
+
+
+def _describe(params: TrieParams) -> str:
+    return f"r={params.r}, k={params.k}, {params.alg.name}"
 
 
 # ---------------------------------------------------------------- simulate
@@ -138,7 +144,10 @@ def run_simulation(
 def _cmd_simulate(args) -> int:
     try:
         params = TrieParams(args.r, args.k, algorithm(args.hash))
-        _check_ledger_counts([args.ledgers])
+        _check_counts("ledger", [args.ledgers])
+        _check_counts("round", [args.rounds])
+        if not 0 <= args.append_rate < math.inf:  # nan fails every comparison
+            raise ValueError(f"append rate must be finite and >= 0, got {args.append_rate}")
     except ValueError as exc:
         return _error(exc)
     workdir = Path(args.workdir)
@@ -162,7 +171,7 @@ def _cmd_simulate(args) -> int:
         write_ledger(ledger, _ledger_path(workdir, lid), args.enc)
     print(
         f"simulated {args.ledgers} ledgers over {args.rounds} rounds "
-        f"(r={params.r}, k={params.k}, {params.alg.name}) in {workdir}"
+        f"({_describe(params)}) in {workdir}"
     )
     return 0
 
@@ -205,7 +214,7 @@ def _cmd_bench(args) -> int:
         for r in args.r_list:
             for k in args.k_list:
                 TrieParams(r, k, alg)  # every cell is checked before any output
-        _check_ledger_counts(args.ledgers)
+        _check_counts("ledger", args.ledgers)
     except ValueError as exc:
         return _error(exc)
     if args.out == "-":
@@ -267,11 +276,16 @@ def _cmd_prove(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _, params, chain = _open_workdir(args)
     try:
         proof = decode_audit_proof(Path(args.proof).read_bytes())
     except (OSError, ValueError) as exc:
         return _inconclusive(f"unreadable audit proof ({exc})")
-    chain = Chain(Path(args.workdir) / CHAIN_NAME)
+    if proof.params != params:
+        return _error(
+            f"audit proof parameters ({_describe(proof.params)}) "
+            f"differ from {CONFIG_NAME} ({_describe(params)})"
+        )
     report = verify_audit_proof(proof, args.id.encode(), chain.read_roots())
     _print_report(report)
     return report.exit_code

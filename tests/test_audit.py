@@ -8,6 +8,7 @@ import pytest
 
 from harness import CountingStore, History, as_chain, run_history
 from trienotary.audit import (
+    CheckResult,
     Status,
     audit_ledger,
     decode_audit_proof,
@@ -249,6 +250,83 @@ def test_missing_storage_is_inconclusive_not_fail():
     )
     assert report.verdict is Status.INCONCLUSIVE
     assert report.chain_match.status is Status.INCONCLUSIVE
+
+
+def _unresolved(digest: bytes, round_seq: int) -> CheckResult:
+    detail = f"version root {digest.hex()[:16]}… unresolved in storage"
+    return CheckResult(Status.INCONCLUSIVE, round_seq, detail)
+
+
+MISMATCH = "traversed root does not match the published digest"
+
+
+@pytest.mark.parametrize("case", [
+    "missing root", "garbage root", "non-root node", "lineage ends early",
+    "chain shorter than lineage", "one forged record", "two forged records",
+    "forged record and missing older root",
+])
+def test_root_walk_outcomes_are_pinned(case):
+    """chain_match (status, round, detail) for each outcome of the root walk.
+
+    A walk fault (unresolved, malformed, not a root, lineage length)
+    outranks a mismatch; of several mismatches the newest is reported.
+    """
+    history = run_history(30, n_ledgers=2, rounds=4)
+    store = history.store
+    roots = history.chain.read_roots()
+    chain = list(roots)
+    forged = ALG.hash(b"forged")
+    if case == "missing root":
+        del store._objects[roots[1]]
+        expected = _unresolved(roots[1], 1)
+    elif case == "garbage root":
+        chain[3] = store.put(b"garbage")
+        expected = CheckResult(Status.FAIL, 3, "malformed version root: unknown node tag 0x67")
+    elif case == "non-root node":
+        chain[3] = store.put(bytes([0x02, 0]) + ALG.hash(b"key") + ALG.hash(b"value"))
+        expected = CheckResult(Status.FAIL, 3, "version root is not a root node")
+    elif case == "lineage ends early":
+        chain.insert(0, forged)
+        expected = CheckResult(Status.FAIL, 1, "lineage ends after 4 versions, chain has 5")
+    elif case == "chain shorter than lineage":
+        del chain[0]
+        expected = CheckResult(Status.FAIL, 0, "lineage has more versions than chain records")
+    elif case == "one forged record":
+        chain[1] = forged
+        expected = CheckResult(Status.FAIL, 1, MISMATCH)
+    elif case == "two forged records":
+        chain[0] = chain[2] = forged
+        expected = CheckResult(Status.FAIL, 2, MISMATCH)
+    else:
+        chain[2] = forged
+        del store._objects[roots[0]]
+        expected = _unresolved(roots[0], 0)
+    report = audit_ledger(b"ledger-0", None, chain, store, history.params)
+    assert report.chain_match == expected
+
+
+@pytest.mark.parametrize("kind", ["remove-key", "fork-value", "chain-mismatch"])
+@pytest.mark.parametrize("seed", range(3))
+def test_verify_matches_storage_audit_under_faults(kind, seed):
+    rng = random.Random(40 + seed)
+    history = run_history(
+        40 + seed,
+        n_ledgers=rng.randint(2, 5),
+        rounds=rng.randint(2, 5),
+        params=TrieParams(rng.choice([2, 4]), rng.choice([1, 2]), ALG),
+        p_append=1.0,
+    )
+    lid = b"ledger-1"
+    roots = as_chain(inject(
+        kind, history.params, history.store, history.chain.records(), lid, rng
+    )).read_roots()
+    claimed = history.ledgers[lid]
+    direct = audit_ledger(lid, claimed, roots, history.store, history.params)
+    assert direct.verdict is Status.FAIL
+    proof = make_audit_proof(lid, len(roots) - 1, roots, history.store, history.params)
+    offline = verify_audit_proof(proof, lid, roots, claimed)
+    assert offline.checks() == direct.checks()  # status, round and detail
+    assert offline == direct  # history and unresolved rounds too
 
 
 # ------------------------------------------------------------- audit proofs

@@ -169,6 +169,26 @@ def test_prove_verify_round_trip(simulated, tmp_path):
     assert run("verify", "ledger-3", "--proof", proof_file, "--workdir", simulated) == 1
 
 
+def test_verify_refuses_a_bundle_with_other_parameters(simulated, tmp_path, capsys):
+    # a bundle claiming k=2 would frame the k=1 trie's nodes under a looser
+    # leaf limit; verify takes the parameters from config.json, as audit does
+    proof_file = tmp_path / "l1.proof"
+    assert run("prove", "ledger-1", "--workdir", simulated, "--out", proof_file) == 0
+    blob = bytearray(proof_file.read_bytes())
+    k_field = slice(4 + 1 + 2, 4 + 1 + 2 + 2)  # section length, hash id, r, then k
+    assert blob[k_field] == (1).to_bytes(2, "little")
+    blob[k_field] = (2).to_bytes(2, "little")
+    proof_file.write_bytes(blob)
+    capsys.readouterr()
+    assert run("verify", "ledger-1", "--proof", proof_file, "--workdir", simulated) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: audit proof parameters (r=2, k=2, sha256) "
+        "differ from config.json (r=2, k=1, sha256)\n"
+    )
+
+
 def test_verify_truncated_proof_is_inconclusive(simulated, tmp_path):
     proof_file = tmp_path / "l0.proof"
     assert run("prove", "ledger-0", "--workdir", simulated, "--out", proof_file) == 0
@@ -513,6 +533,10 @@ def test_print_chain_without_journal_is_an_error(tmp_path, capsys):
     (["simulate", "--ledgers", "0"], 1, "ledger count must be at least 1, got 0"),
     (["bench", "--ledgers", "0"], 1, "ledger count must be at least 1, got 0"),
     (["bench", "--ledgers", "5,-1"], 1, "ledger count must be at least 1, got -1"),
+    (["simulate", "--rounds", "0"], 1, "round count must be at least 1, got 0"),
+    (["simulate", "--append-rate", "-1"], 1, "append rate must be finite and >= 0, got -1.0"),
+    (["simulate", "--append-rate", "nan"], 1, "append rate must be finite and >= 0, got nan"),
+    (["simulate", "--append-rate", "inf"], 1, "append rate must be finite and >= 0, got inf"),
 ])
 def test_invalid_trie_parameters_are_one_error(tmp_path, argv, code, message):
     workdir, out = tmp_path / "run", tmp_path / "bench.csv"
