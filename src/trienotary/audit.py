@@ -321,6 +321,10 @@ def _as_digest(claimed, alg: HashAlg) -> bytes | None:
     if claimed is None:
         return None
     if isinstance(claimed, Ledger):
+        if claimed.alg != alg:
+            raise ValueError(
+                f"claimed ledger uses {claimed.alg.name}, the deployment {alg.name}"
+            )
         return ledger_root(claimed)
     if not isinstance(claimed, bytes) or len(claimed) != alg.output_len:
         raise ValueError("claimed digest must be a Ledger or a digest of the configured length")
@@ -348,7 +352,8 @@ def audit_ledger(
     """Run the storage-backed audit for ``ledger_id`` over the full chain.
 
     ``claimed`` is disclosed ledger data (a Ledger), its digest, or None to
-    skip the disclosed-data check.
+    skip the disclosed-data check. A Ledger in another hash algorithm, or a
+    digest of another length, raises ``ValueError``: it could never match.
     """
     if not chain_roots:
         raise ValueError("chain is empty; nothing to audit")

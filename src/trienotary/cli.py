@@ -254,6 +254,11 @@ def _cmd_audit(args) -> int:
         claimed = read_ledger(ledger_file)
     except ValueError as exc:
         return _inconclusive(f"disclosed data for ledger id {args.id!r} is unreadable ({exc})")
+    if claimed.alg != params.alg:
+        return _inconclusive(
+            f"disclosed data for ledger id {args.id!r} uses {claimed.alg.name}, "
+            f"{CONFIG_NAME} says {params.alg.name}"
+        )
     with DirectoryStore(workdir, params.alg) as store:
         report = audit_ledger(ledger_id, claimed, roots, store, params)
     _print_report(report)
@@ -394,7 +399,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, TrienotaryError) as exc:
+    except (OSError, TrienotaryError) as exc:
         return _error(exc)
 
 

@@ -14,16 +14,19 @@ Two proof kinds are supported:
 * inclusion proofs: a specific block is present at a specific position
   under a given root (selective disclosure of single blocks).
 
-Cost model. The versions of one append chain share one log: its blocks
-and every head of a complete, aligned subtree (2**j leaves starting at a
-multiple of 2**j), hashed once and kept, since appending never changes it
-(the stored subtree heads of RFC 9162 section 2.1 and of Crosby and
-Wallach's tamper-evident logs). Appending to the newest version is one
-block hash and one list append; the amortized O(1) head hashes are charged
-when the next root or proof is asked for. The head of any prefix folds the
-O(log n) complete heads that cover it, so ``root_at`` is O(log n) hashes,
-and proofs are O(log^2 n) worst case. Appending to an older version forks
-a new log from a copy of its prefix; a fork, like a ledger built from a
+Cost model. The versions of one append chain share one log: its payloads,
+its block hashes concatenated in one ``bytearray``, and every head of a
+complete, aligned subtree (2**j leaves starting at a multiple of 2**j),
+hashed once and kept, since appending never changes it (the stored subtree
+heads of RFC 9162 section 2.1 and of Crosby and Wallach's tamper-evident
+logs). A block costs one payload reference and one digest's bytes, and no
+object of its own: ``Block`` values are built only when ``Ledger.blocks``
+is read. Appending to the newest version is one block hash and two
+in-place appends; the amortized O(1) head hashes are charged when the next
+root or proof is asked for. The head of any prefix folds the O(log n)
+complete heads that cover it, so ``root_at`` is O(log n) hashes, and
+proofs are O(log^2 n) worst case. Appending to an older version forks a
+new log from a copy of its prefix; a fork, like a ledger built from a
 block tuple, fills its heads in O(n) on first use.
 
 Proof generation follows the recursive subproof/path definitions; proof
@@ -93,24 +96,36 @@ def _split(n: int) -> int:
 class _Log:
     """The blocks of one append chain, each version a prefix, and their heads.
 
-    ``levels[j - 1]`` concatenates, in leaf order, the heads of the 2**j-leaf
-    subtrees filled so far; it is None until a fill covers two leaves. Leaf
-    heads are not kept: each is one hash of its block hash.
+    ``payloads[i]`` is block i's payload and ``hashes[i * step:(i + 1) * step]``
+    its block hash, ``step`` being the digest length. ``levels[j - 1]``
+    concatenates, in leaf order, the heads of the 2**j-leaf subtrees filled
+    so far; it is None until a fill covers two leaves. Leaf heads are not
+    kept: each is one hash of its block hash.
     """
 
-    __slots__ = ("blocks", "alg", "levels")
+    __slots__ = ("payloads", "hashes", "alg", "step", "levels")
 
-    def __init__(self, blocks: list[Block], alg: HashAlg):
-        self.blocks = blocks
+    def __init__(self, payloads: list[bytes], hashes: bytearray, alg: HashAlg):
+        self.payloads = payloads
+        self.hashes = hashes
         self.alg = alg
+        self.step = alg.output_len
         self.levels: list[bytearray] | None = None
+
+    def extend(self, payloads) -> None:
+        """Append blocks after the last one, hashing each at its position."""
+        start = len(self.payloads)
+        self.payloads += payloads
+        hashes, hash_, stored = self.hashes, self.alg.hash, self.payloads
+        for index in range(start, len(stored)):
+            hashes += hash_(_block_bytes(index, stored[index]))
 
     def fill(self, size: int) -> "_Log":
         """Store every complete subtree head within the first ``size`` leaves."""
         if size < 2:
             return self
         levels = self.levels = self.levels or [bytearray()]
-        step = self.alg.output_len
+        step = self.step
         hash_ = self.alg.hash
         # Each odd leaf t completes the pair (t - 1, t) and, through it,
         # every subtree whose last leaf is t.
@@ -126,7 +141,8 @@ class _Log:
         return self
 
     def leaf(self, index: int) -> bytes:
-        return self.alg.hash(LEAF_PREFIX + self.blocks[index].block_hash)
+        step = self.step
+        return self.alg.hash(LEAF_PREFIX + self.hashes[index * step:(index + 1) * step])
 
     def head(self, lo: int, hi: int) -> bytes:
         """Head of leaves [lo, hi), a subtree of the RFC 9162 decomposition.
@@ -138,7 +154,7 @@ class _Log:
         if lo == hi:
             return self.alg.hash(b"")
         pieces = []
-        step = self.alg.output_len
+        step = self.step
         while lo < hi:
             j = (hi - lo).bit_length() - 1
             if j == 0:
@@ -179,37 +195,56 @@ class Ledger:
 
     A version is the first ``len`` blocks of its chain's shared ``_Log``:
     appending to the newest version extends the log in place, and appending
-    to an older one forks a new log from a copy of its prefix.
+    to an older one forks a new log from a copy of its prefix. ``blocks``
+    builds its ``Block`` values on each read; no other path makes one.
     """
 
     __slots__ = ("id", "alg", "_log", "_size")
 
     def __init__(self, ledger_id: bytes, blocks: tuple[Block, ...] = (), alg: HashAlg = SHA256):
+        """Copy payloads and block hashes out of ``blocks``, trusting the hashes.
+
+        Raises ``ValueError`` for a block whose ``index`` is not its position
+        or whose hash is not one digest of ``alg``: the log stores neither.
+        """
         self.id = ledger_id
         self.alg = alg
-        self._log = _Log(list(blocks), alg)
-        self._size = len(blocks)
+        self._log = log = _Log([], bytearray(), alg)
+        for position, block in enumerate(blocks):
+            if block.index != position or len(block.block_hash) != log.step:
+                raise ValueError(
+                    f"block at position {position} has index {block.index} and a "
+                    f"{len(block.block_hash)}-byte hash; need index {position} and "
+                    f"a {log.step}-byte {alg.name} hash"
+                )
+            log.payloads.append(block.payload)
+            log.hashes += block.block_hash
+        self._size = len(log.payloads)
 
     @classmethod
     def from_payloads(cls, ledger_id: bytes, payloads, alg: HashAlg = SHA256) -> "Ledger":
-        blocks = [
-            Block(index, payload, alg.hash(_block_bytes(index, payload)))
-            for index, payload in enumerate(payloads)
-        ]
-        return cls(ledger_id, blocks, alg)
+        ledger = cls(ledger_id, (), alg)
+        ledger._log.extend(payloads)
+        ledger._size = len(ledger._log.payloads)
+        return ledger
 
     @property
     def blocks(self) -> tuple[Block, ...]:
-        return tuple(self._log.blocks[:self._size])
+        log, step = self._log, self._log.step
+        hashes = bytes(log.hashes[:self._size * step])
+        return tuple(
+            Block(index, log.payloads[index], hashes[index * step:(index + 1) * step])
+            for index in range(self._size)
+        )
 
     def __len__(self) -> int:
         return self._size
 
     def append(self, payload: bytes) -> "Ledger":
         log, index = self._log, self._size
-        if len(log.blocks) != index:
-            log = _Log(log.blocks[:index], self.alg)
-        log.blocks.append(Block(index, payload, self.alg.hash(_block_bytes(index, payload))))
+        if len(log.payloads) != index:
+            log = _Log(log.payloads[:index], log.hashes[:index * log.step], self.alg)
+        log.extend((payload,))
         child = object.__new__(Ledger)
         child.id, child.alg, child._log, child._size = self.id, self.alg, log, index + 1
         return child
@@ -336,7 +371,7 @@ def write_ledger(ledger: Ledger, path, encoding: str = "hex") -> None:
     lines = [
         f"{_LEDGER_HEADER_MAGIC} alg={ledger.alg.name} enc={encoding} id={ledger.id.hex()}"
     ]
-    lines.extend(enc(block.payload) for block in ledger.blocks)
+    lines.extend(map(enc, ledger._log.payloads[:len(ledger)]))
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

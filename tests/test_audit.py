@@ -17,7 +17,7 @@ from trienotary.audit import (
     verify_audit_proof,
 )
 from trienotary.chain import Chain
-from trienotary.crypto import SHA256
+from trienotary.crypto import SHA256, SHA512
 from trienotary.errors import CannotConstructError
 from trienotary.faults import inject
 from trienotary.merkle import Ledger, prove_consistency, root_at
@@ -79,6 +79,19 @@ def test_claimed_none_skips_disclosure_check():
     report = audit(history, b"ledger-0", claimed=None)
     assert report.disclosed_data_match.status is Status.NOT_CHECKED
     assert report.verdict is Status.PASS
+
+
+def test_claimed_ledger_in_another_algorithm_is_refused():
+    history = run_history(5, n_ledgers=2, rounds=2)
+    payloads = [block.payload for block in history.ledgers[b"ledger-0"].blocks]
+    other = Ledger.from_payloads(b"ledger-0", payloads, SHA512)
+    with pytest.raises(ValueError, match="claimed ledger uses sha512, the deployment sha256"):
+        audit(history, b"ledger-0", claimed=other)
+    bundle = make_audit_proof(
+        b"ledger-0", 1, history.chain.read_roots(), history.store, history.params
+    )
+    with pytest.raises(ValueError, match="claimed ledger uses sha512"):
+        verify_audit_proof(bundle, b"ledger-0", history.chain.read_roots(), claimed=other)
 
 
 def _two_round_history_with_gap() -> tuple[History, bytes, int, int]:

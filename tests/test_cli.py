@@ -474,6 +474,33 @@ def test_unreadable_disclosed_data_is_inconclusive(simulated, damage, capsys):
     assert captured.err.count("\n") == 1
 
 
+def test_disclosed_data_in_another_algorithm_is_inconclusive(simulated):
+    export = simulated / "ledgers" / f"{b'ledger-1'.hex()}.ledger"
+    export.write_bytes(export.read_bytes().replace(b"alg=sha256", b"alg=sha512", 1))
+    proc = run_subprocess("audit", "ledger-1", "--workdir", simulated)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "inconclusive: disclosed data for ledger id 'ledger-1' uses sha512, "
+        "config.json says sha256\n"
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ["prove", "ledger-1", "--workdir", "{workdir}", "--out", "{dir}"],
+    ["bench", "--ledgers", "4", "--out", "{dir}"],
+    ["simulate", "--ledgers", "2", "--workdir", "{file}"],
+], ids=["prove --out dir", "bench --out dir", "simulate --workdir file"])
+def test_os_errors_are_one_error_line(simulated, tmp_path, argv):
+    (tmp_path / "a-dir").mkdir()
+    (tmp_path / "a-file").write_bytes(b"")
+    where = {"workdir": simulated, "dir": tmp_path / "a-dir", "file": tmp_path / "a-file"}
+    proc = run_subprocess(*(arg.format(**where) for arg in argv))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: [Errno ") and proc.stderr.count("\n") == 1
+
+
 def test_bench_csv_schema_and_determinism(tmp_path):
     args = ["bench", "--r", "2,4", "--k", "1,2", "--ledgers", "64,256", "--seed", "5"]
     first, second = run_captured(*args), run_captured(*args)

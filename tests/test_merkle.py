@@ -21,6 +21,7 @@ from trienotary.chain import Chain
 from trienotary.crypto import SHA256, SHA512
 from trienotary.errors import InvalidRangeError
 from trienotary.merkle import (
+    Block,
     ConsistencyProof,
     InclusionProof,
     Ledger,
@@ -402,6 +403,66 @@ def test_append_to_the_newest_version_copies_nothing():
         tracemalloc.stop()
     assert peak < 4096  # a copy of the 20,001 block references would be 160 KB
     assert len(grown) == 20_002 and len(ledger) == 20_001
+
+
+def ref_block(index: int, payload: bytes) -> Block:
+    return Block(index, payload, ALG.hash(index.to_bytes(8, "big") + payload))
+
+
+# An op picks a version as above and either appends to it (a fork when it
+# is not the newest) or rebuilds it whole as Ledger(id, blocks).
+_BLOCK_OPS = st.lists(
+    st.tuples(st.sampled_from(["append", "rebuild"]), st.integers(0, 40), st.binary(max_size=3)),
+    max_size=30,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(initial=st.lists(st.binary(max_size=3), max_size=6), ops=_BLOCK_OPS)
+def test_blocks_match_reference_across_forks_and_rebuilds(initial, ops):
+    versions = [(Ledger.from_payloads(b"blk", initial, ALG), list(initial))]
+    for op, pick, payload in ops:
+        ledger, payloads = versions[min(pick, len(versions) - 1)]
+        if op == "append":
+            versions.append((ledger.append(payload), payloads + [payload]))
+        else:
+            versions.append((Ledger(b"blk", ledger.blocks, ALG), payloads))
+    for ledger, payloads in versions:
+        assert ledger.blocks == tuple(ref_block(i, p) for i, p in enumerate(payloads))
+        assert ledger_root(Ledger(b"blk", ledger.blocks, ALG)) == ledger_root(ledger)
+
+
+def test_a_block_the_log_cannot_hold_is_refused():
+    first, second, third = make_ledger(3).blocks
+    with pytest.raises(ValueError, match="position 1 has index 2"):
+        Ledger(b"x", (first, third), ALG)
+    with pytest.raises(ValueError, match="position 0 has index 1"):
+        Ledger(b"x", (second,), ALG)
+    with pytest.raises(ValueError, match="a 64-byte hash; need index 0 and a 32-byte"):
+        Ledger(b"x", (Block(0, b"", SHA512.hash(b"")),), ALG)
+
+
+def test_a_long_ledger_adds_no_object_per_block():
+    payloads = [i.to_bytes(4, "big") for i in range(10_000)]
+    gc.collect()
+    before = len(gc.get_objects())
+    ledger = Ledger.from_payloads(b"layout", payloads, ALG)
+    ledger_root(ledger)
+    assert len(gc.get_objects()) - before <= 5  # a Block per block added 10,000
+
+
+def test_a_long_ledger_keeps_under_100_bytes_per_block():
+    payloads = [i.to_bytes(4, "big") for i in range(10_000)]
+    tracemalloc.start()
+    try:
+        ledger = Ledger.from_payloads(b"layout", payloads, ALG)
+        ledger_root(ledger)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # One payload reference, one block hash and the stored heads: about
+    # 77 B. A Block object with its own hash and index kept about 190 B.
+    assert retained / len(ledger) < 100
 
 
 # -------------------------------------------------------------- hash counts
