@@ -252,7 +252,7 @@ def _cmd_audit(args) -> int:
         return _inconclusive(f"{CHAIN_NAME} is empty; nothing to audit")
     try:
         claimed = read_ledger(ledger_file)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         return _inconclusive(f"disclosed data for ledger id {args.id!r} is unreadable ({exc})")
     if claimed.alg != params.alg:
         return _inconclusive(
@@ -269,13 +269,22 @@ def _cmd_prove(args) -> int:
     workdir, params, chain = _open_workdir(args)
     ledger_id = args.id.encode()
     up_to = chain.height - 1 if args.round is None else args.round
-    try:
-        with DirectoryStore(workdir, params.alg) as store:
-            proof = make_audit_proof(ledger_id, up_to, chain.read_roots(), store, params)
-    except (CannotConstructError, ValueError) as exc:
-        return _error(exc)
-    blob = encode_audit_proof(proof)
-    Path(args.out).write_bytes(blob)
+    new_file = not os.path.lexists(args.out)
+    # Opened before the audit, so an unusable --out fails first; opened for
+    # appending, so an existing file keeps its bytes until the bundle is built.
+    with open(args.out, "ab") as out:
+        try:
+            with DirectoryStore(workdir, params.alg) as store:
+                proof = make_audit_proof(ledger_id, up_to, chain.read_roots(), store, params)
+        except BaseException as exc:
+            if new_file:  # a bundle that cannot be built leaves no file behind
+                os.unlink(args.out)
+            if isinstance(exc, (CannotConstructError, ValueError)):
+                return _error(exc)
+            raise
+        blob = encode_audit_proof(proof)
+        out.truncate(0)
+        out.write(blob)
     print(f"wrote audit proof for rounds 0..{up_to} ({len(blob)} bytes) to {args.out}")
     return 0
 

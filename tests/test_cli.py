@@ -455,6 +455,11 @@ def _drop_header_field(name: bytes):
     return damage
 
 
+def _replace_with_directory(path: Path) -> None:
+    path.unlink()
+    path.mkdir()
+
+
 @pytest.mark.parametrize("damage", [
     _replace_line(1, b"not-hex"),
     _replace_line(0, b"no ledger header here"),
@@ -462,7 +467,8 @@ def _drop_header_field(name: bytes):
     _drop_header_field(b"alg"),
     _drop_header_field(b"enc"),
     _drop_header_field(b"id"),
-], ids=["bad hex line", "bad header", "non-ASCII", "no alg=", "no enc=", "no id="])
+    _replace_with_directory,
+], ids=["bad hex line", "bad header", "non-ASCII", "no alg=", "no enc=", "no id=", "directory"])
 def test_unreadable_disclosed_data_is_inconclusive(simulated, damage, capsys):
     damage(simulated / "ledgers" / f"{b'ledger-1'.hex()}.ledger")
     assert run("audit", "ledger-1", "--workdir", simulated) == 2
@@ -499,6 +505,39 @@ def test_os_errors_are_one_error_line(simulated, tmp_path, argv):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: [Errno ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("out, errno", [("a-dir", 21), ("missing/l1.proof", 2)],
+                         ids=["directory", "missing parent"])
+def test_prove_checks_out_before_the_audit(simulated, tmp_path, capsys, out, errno):
+    (tmp_path / "a-dir").mkdir()
+    (simulated / "objects.pack").unlink()  # the audit would fail as well
+    assert run("prove", "ledger-1", "--workdir", simulated, "--out", tmp_path / out) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: [Errno {errno}] ")
+    assert captured.err.count("\n") == 1
+
+
+def test_prove_without_a_bundle_leaves_out_as_it_was(simulated, tmp_path, capsys):
+    (simulated / "objects.pack").unlink()
+    new, existing = tmp_path / "new.proof", tmp_path / "existing.proof"
+    existing.write_bytes(b"kept")
+    for out in (new, existing):
+        assert run("prove", "ledger-1", "--workdir", simulated, "--out", out) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: public storage is missing data needed for the bundle"
+        )
+    assert not new.exists()
+    assert existing.read_bytes() == b"kept"
+
+
+def test_prove_replaces_an_existing_out_file(simulated, tmp_path):
+    fresh, reused = tmp_path / "fresh.proof", tmp_path / "reused.proof"
+    reused.write_bytes(b"x" * 100_000)  # longer than the bundle
+    for out in (fresh, reused):
+        assert run("prove", "ledger-1", "--workdir", simulated, "--out", out) == 0
+    assert reused.read_bytes() == fresh.read_bytes()
 
 
 def test_bench_csv_schema_and_determinism(tmp_path):

@@ -17,6 +17,7 @@ from trienotary.errors import (
     MalformedArtifactError,
     NotFoundError,
     ProofIndexConflictError,
+    TrienotaryError,
 )
 from trienotary.store import DirectoryStore, MemoryStore
 
@@ -45,6 +46,12 @@ def test_put_is_idempotent(store):
     assert a == b
     if isinstance(store, MemoryStore):
         assert len(store) == 1
+
+
+def test_puts_counts_every_call(store):
+    for content in (b"a", b"a", b""):
+        store.put(content)
+    assert store.puts == 3
 
 
 def test_empty_content_address(store):
@@ -277,3 +284,61 @@ def test_flipped_pack_byte_gives_original_content_or_a_classified_error(contents
                     assert store.get(address) == content
                 except (NotFoundError, IntegrityError):
                     pass
+
+
+# ------------------------------------------------- one contract, two backends
+
+POOL = [b"", b"x", bytes(range(40))]  # drawn often, so puts repeat
+KEYS = [SHA256.hash(b"k0"), SHA256.hash(b"k1")]
+SLOTS = [(key, round_seq) for key in KEYS for round_seq in range(2)]
+pooled = st.sampled_from(POOL)
+store_ops = st.one_of(
+    st.tuples(st.just("put"), pooled),
+    st.tuples(st.just("get"), pooled),  # a content never put is an unknown address
+    st.tuples(st.just("in"), pooled),
+    st.tuples(st.just("corrupt"), pooled),
+    st.tuples(st.just("index"), st.sampled_from(SLOTS), pooled),
+    st.tuples(st.just("reopen")),
+)
+
+
+def _apply(store, op):
+    """The result of one operation, or the type and message of its error."""
+    name, *args = op
+    try:
+        if name == "put":
+            return store.put(args[0])
+        if name == "get":
+            return store.get(SHA256.hash(args[0]))
+        if name == "in":
+            return SHA256.hash(args[0]) in store
+        if name == "corrupt":
+            return store.corrupt(SHA256.hash(args[0]))
+        (key, round_seq), content = args
+        return store.index_proof(key, round_seq, SHA256.hash(content))
+    except (TrienotaryError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _state(store):
+    return list(store.items()), [store.find_proof(*slot) for slot in SLOTS]
+
+
+@settings(max_examples=100, deadline=None)
+@given(ops=st.lists(store_ops, max_size=30))
+def test_both_backends_give_identical_results(ops):
+    """One drawn sequence on both backends: every result and error is the
+    same, and so are ``items()`` and every ``find_proof`` after each step."""
+    memory = MemoryStore(SHA256)
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = DirectoryStore(tmp, SHA256)
+        try:
+            for op in ops:
+                if op == ("reopen",):
+                    directory.close()
+                    directory = DirectoryStore(tmp, SHA256)
+                else:
+                    assert _apply(directory, op) == _apply(memory, op), op
+                assert _state(directory) == _state(memory), op
+        finally:
+            directory.close()
