@@ -8,11 +8,14 @@ publicly readable digest sequence) as a human-auditable text file:
 
     <seq> <hex trie_root> <hex note>
 
-one record per line, LF endings, written strictly append-only.
+one record per line, LF endings, written strictly append-only. A final
+line with no LF is an append that did not finish: readers ignore it, and
+the next append cuts it off first.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,10 +37,13 @@ class Chain:
     def __init__(self, path=None):
         self._records: list[NotarizationRecord] = []
         self._path: Path | None = None
+        self._end = 0  # length of the file's complete lines
         if path is not None:
             self._path = Path(path)
             if self._path.exists():
-                for number, line in enumerate(self._path.read_bytes().splitlines(), 1):
+                data = self._path.read_bytes()
+                self._end = data.rfind(b"\n") + 1
+                for number, line in enumerate(data[: self._end].splitlines(), 1):
                     self._records.append(_parse_record(self._path, number, line))
 
     @property
@@ -56,8 +62,12 @@ class Chain:
                 f"capacity is {NOTE_CAPACITY}"
             )
         if self._path is not None:
-            with open(self._path, "a", encoding="ascii", newline="\n") as fh:
-                fh.write(format_record(record) + "\n")
+            line = (format_record(record) + "\n").encode("ascii")
+            with open(self._path, "ab") as fh:
+                if os.fstat(fh.fileno()).st_size > self._end:  # a torn final line
+                    fh.truncate(self._end)
+                fh.write(line)
+            self._end += len(line)
         self._records.append(record)
         return record.seq
 

@@ -4,9 +4,10 @@ A multi-ledger round takes an immutable snapshot of every ledger, computes
 each ledger's state digest, generates and publishes a consistency proof
 for every ledger whose digest changed since the previous round, builds the
 next trie version (chained to the previous root) over all
-(hashed id, digest) associations, publishes all new nodes to storage, and
-writes one record, the trie root, to the public chain. Ledger count
-therefore never affects chain traffic: one record per round.
+(hashed id, digest) associations, publishes all new nodes to storage,
+commits the storage, and only then writes one record, the trie root, to
+the public chain. Ledger count therefore never affects chain traffic: one
+record per round.
 
 Once registered, a ledger must appear in every later round; a snapshot
 missing a registered ledger, or presenting a state that is not an
@@ -136,6 +137,7 @@ def notarize_round(
         version = update(prev, changes) if changes else rechain(prev)
 
     record = NotarizationRecord(state.round, version.root_digest, b"")
+    store.commit()
     chain.publish(record)
     return NotaryState(params, registry, version.root_digest, state.round + 1), record
 

@@ -15,12 +15,16 @@ tests and simulation, and a directory holding one append-only pack file
 deployments. A pack record is ``address || u32 big-endian length ||
 content``; the first record for an address wins, and a record that runs
 past the end of the file is a torn tail, ignored by readers and cut off by
-the next write. One process writes a directory at a time, and no other
-process reads it while it does.
+the next commit. Writes are queued and made in one batch by ``commit``:
+the pack's records first, then the index lines, so an index line never
+names a record that is not yet in the pack. The notary commits once per
+round, before the round's journal line. One process writes a directory at
+a time, and another process that opens it sees only what was committed.
 """
 
 from __future__ import annotations
 
+import mmap
 import os
 from collections.abc import Iterator
 from pathlib import Path
@@ -32,6 +36,7 @@ PACK_NAME = "objects.pack"
 PROOF_INDEX_NAME = "proofs.idx"
 _LENGTH_BYTES = 4  # u32 big-endian content length after each record's address
 _LENGTH_MASK = (1 << 32) - 1
+_QUEUE_BYTES = 1 << 20  # queued pack bytes past which a put writes the queue early
 
 
 class ObjectStore:
@@ -44,8 +49,10 @@ class ObjectStore:
       stored bytes no longer hash to their address.
     - A (ledger key, round) slot takes one proof address: an identical
       repeat is a no-op, another address raises ProofIndexConflictError. A
-      new entry is persisted before it is recorded, so a failed write
-      leaves ``find_proof`` returning None.
+      new entry is handed to the backend before it is recorded, so a
+      backend that refuses it leaves ``find_proof`` returning None.
+    - ``commit`` hands every write so far to the backing files in one
+      batch; reads see a write at once, committed or not.
 
     A backend keeps ``_objects``, a dict keyed by every stored address that
     the core looks up afresh at each call, and supplies the primitives:
@@ -54,8 +61,8 @@ class ObjectStore:
     - ``_write(address, content)``: store a new address;
     - ``_overwrite(address, content)``: replace stored bytes with a damaged
       copy of the same length;
-    - ``_persist_proof(ledger_key, round_seq, address)``: make a new index
-      entry durable, or raise.
+    - ``_add_proof(ledger_key, round_seq, address)``: keep a new index
+      entry for the next commit, or raise.
     """
 
     def __init__(self, alg: HashAlg):
@@ -101,7 +108,7 @@ class ObjectStore:
         slot = (ledger_key, round_seq)
         existing = self._proofs.get(slot)
         if existing is None:
-            self._persist_proof(ledger_key, round_seq, address)
+            self._add_proof(ledger_key, round_seq, address)
             self._proofs[slot] = address
         elif existing != address:
             raise ProofIndexConflictError(
@@ -111,6 +118,11 @@ class ObjectStore:
     def find_proof(self, ledger_key: bytes, round_seq: int) -> bytes | None:
         """Address of the proof for (ledger, round), or None."""
         return self._proofs.get((ledger_key, round_seq))
+
+    def commit(self) -> None:
+        """Hand every write so far to the backing files (nothing is
+        fsynced); raises OSError if that fails, keeping the writes for the
+        next commit. A no-op for a backend that writes at once."""
 
     def corrupt(self, address: bytes) -> None:
         """Test hook: damage the object at ``address`` so ``get`` fails its
@@ -144,17 +156,29 @@ class MemoryStore(ObjectStore):
 
     _overwrite = _write  # the damaged copy replaces the entry
 
-    def _persist_proof(self, ledger_key: bytes, round_seq: int, address: bytes) -> None:
-        """Nothing to persist: the index is the core's ``_proofs``."""
+    def _add_proof(self, ledger_key: bytes, round_seq: int, address: bytes) -> None:
+        """Nothing to keep: the index is the core's ``_proofs``."""
 
 
 class DirectoryStore(ObjectStore):
     """Filesystem store: the ``objects.pack`` record file plus ``proofs.idx``.
 
     Opening reads every record header of the pack into an address ->
-    ``offset << 32 | length`` map; a read is one ``pread`` at the offset.
-    Both files are opened for appending on the first write, not before, so
-    a read-only use such as an audit never edits them. Index lines are
+    ``offset << 32 | length`` map. New records and index lines are queued
+    in memory; ``commit`` appends the queued records to the pack in one
+    write, then the queued lines to the index in one write, and ``close``
+    commits too. A queued record's entry already holds the offset it will
+    be written at, so an entry at or past ``_end``, the end of the
+    committed records, is read from the queue, and one before it is a slice
+    of one read-only mapping of the pack. The mapping never covers more
+    than the committed records, so it never holds a torn tail, and it is
+    replaced when a read goes past it. Once ``_QUEUE_BYTES`` are queued, the
+    next put writes the queued records early; index lines wait for
+    ``commit``, so they always follow the records they point to. A write
+    that fails raises OSError, cuts its file back to its committed length
+    and keeps the queue, so the next commit retries it. Both files are
+    opened for appending at the first commit that writes, not before, so a
+    read-only use such as an audit never edits them. Index lines are
     ``<hex ledger key> <decimal round> <hex address>`` with LF endings,
     appended in registration order. Nothing is fsynced.
     """
@@ -165,7 +189,11 @@ class DirectoryStore(ObjectStore):
         self._pack_path = self.root / PACK_NAME
         self._index_path = self.root / PROOF_INDEX_NAME
         self._objects: dict[bytes, int] = {}  # address -> offset << 32 | length
-        self._end = 0  # end of the last complete record
+        self._end = 0  # end of the last committed record
+        self._index_end = 0  # length of proofs.idx as last committed
+        self._queue = bytearray()  # records to be written at _end
+        self._lines = bytearray()  # index lines to be written after them
+        self._map: mmap.mmap | None = None  # the pack's first bytes, at most _end
         self._reader = self._pack_writer = self._index_writer = None
         if self._index_path.exists():
             for number, line in enumerate(self._index_path.read_bytes().splitlines(), 1):
@@ -187,18 +215,33 @@ class DirectoryStore(ObjectStore):
 
     def _scan(self) -> None:
         """Index every complete record; stop at a torn tail."""
+        size = os.fstat(self._reader.fileno()).st_size
+        if not size:
+            return
+        view = mmap.mmap(self._reader.fileno(), size, access=mmap.ACCESS_READ)
         address_len = self.alg.output_len
         header_len = address_len + _LENGTH_BYTES
-        size = os.fstat(self._reader.fileno()).st_size
-        while self._end + header_len <= size:
-            header = self._reader.read(header_len)
-            length = int.from_bytes(header[address_len:], "big")
-            body = self._end + header_len
+        end = 0
+        while end + header_len <= size:
+            body = end + header_len
+            length = int.from_bytes(view[body - _LENGTH_BYTES : body], "big")
             if body + length > size:
                 break
-            self._objects.setdefault(header[:address_len], body << 32 | length)
-            self._end = body + length
-            self._reader.seek(self._end)
+            self._objects.setdefault(view[end : end + address_len], body << 32 | length)
+            end = body + length
+        self._end = end
+        if end == size:
+            self._map = view
+        else:  # the torn tail stays out of the mapping
+            view.close()
+
+    def _remap(self) -> mmap.mmap:
+        """Map the committed records afresh, now that a read goes past the old mapping."""
+        if self._map is not None:
+            self._map.close()
+            self._map = None  # a failed mmap must not leave a closed mapping here
+        self._map = mmap.mmap(self._reader.fileno(), self._end, access=mmap.ACCESS_READ)
+        return self._map
 
     def _open_writers(self) -> None:
         """Open both files for appending, cutting off a torn pack tail first."""
@@ -208,51 +251,96 @@ class DirectoryStore(ObjectStore):
         fd = self._pack_writer.fileno()
         if os.fstat(fd).st_size > self._end:
             os.ftruncate(fd, self._end)
+        self._index_end = os.fstat(self._index_writer.fileno()).st_size
         if self._reader is None:
             self._reader = open(self._pack_path, "rb")
 
     def _read(self, address: bytes) -> bytes:
         entry = self._objects[address]
-        return os.pread(self._reader.fileno(), entry & _LENGTH_MASK, entry >> 32)
+        start = entry >> 32
+        stop = start + (entry & _LENGTH_MASK)
+        if start >= self._end:  # still queued
+            return bytes(self._queue[start - self._end : stop - self._end])
+        view = self._map
+        if view is None or stop > len(view):
+            view = self._remap()
+        return view[start:stop]
 
     def _write(self, address: bytes, content: bytes) -> None:
-        if self._pack_writer is None:
-            self._open_writers()
+        queue = self._queue
+        if len(queue) >= _QUEUE_BYTES:
+            self._write_pack()
         length = len(content)
-        record = address + length.to_bytes(_LENGTH_BYTES, "big") + content
-        if self._pack_writer.write(record) != len(record):  # a full disk
-            os.ftruncate(self._pack_writer.fileno(), self._end)
-            raise OSError(f"short write to {self._pack_path}")
-        body = self._end + len(record) - length
-        self._objects[address] = body << 32 | length
-        self._end += len(record)
+        size = length.to_bytes(_LENGTH_BYTES, "big")  # raises before the queue grows
+        queue += address
+        queue += size
+        self._objects[address] = (self._end + len(queue)) << 32 | length
+        queue += content
 
     def _overwrite(self, address: bytes, content: bytes) -> None:
+        start = self._objects[address] >> 32
+        if start >= self._end:  # still queued
+            start -= self._end
+            self._queue[start : start + len(content)] = content
+            return
         # pwrite on an O_APPEND descriptor appends on Linux, so the damaged
         # copy goes through a descriptor of its own.
         fd = os.open(self._pack_path, os.O_WRONLY)
         try:
-            os.pwrite(fd, content, self._objects[address] >> 32)
+            os.pwrite(fd, content, start)
         finally:
             os.close(fd)
 
-    def _persist_proof(self, ledger_key: bytes, round_seq: int, address: bytes) -> None:
-        if self._index_writer is None:
+    def _add_proof(self, ledger_key: bytes, round_seq: int, address: bytes) -> None:
+        self._lines += f"{ledger_key.hex()} {round_seq} {address.hex()}\n".encode("ascii")
+
+    def _write_pack(self) -> None:
+        if self._pack_writer is None:
             self._open_writers()
-        line = f"{ledger_key.hex()} {round_seq} {address.hex()}\n".encode("ascii")
-        if self._index_writer.write(line) != len(line):  # a full disk
-            # The torn line makes the next open raise MalformedArtifactError.
-            raise OSError(f"short write to {self._index_path}")
+        self._end = _append(self._pack_writer, self._queue, self._end, self._pack_path)
+        self._queue.clear()
+
+    def commit(self) -> None:
+        """Write the queued records to the pack in one write, then the queued
+        index lines to ``proofs.idx`` in one write."""
+        if self._queue:
+            self._write_pack()
+        if self._lines:
+            if self._index_writer is None:
+                self._open_writers()
+            self._index_end = _append(
+                self._index_writer, self._lines, self._index_end, self._index_path
+            )
+            self._lines.clear()
 
     def close(self) -> None:
-        """Close the pack and index files; the store is not used afterwards."""
-        for handle in (self._reader, self._pack_writer, self._index_writer):
-            if handle is not None:
-                handle.close()
-        self._reader = self._pack_writer = self._index_writer = None
+        """Commit, then release the mapping and close both files, even if the
+        commit raises; the store is not used afterwards."""
+        try:
+            self.commit()
+        finally:
+            if self._map is not None:
+                self._map.close()
+            for handle in (self._reader, self._pack_writer, self._index_writer):
+                if handle is not None:
+                    handle.close()
+            self._map = self._reader = self._pack_writer = self._index_writer = None
 
     def __enter__(self) -> DirectoryStore:
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def _append(handle, data: bytearray, end: int, path: Path) -> int:
+    """Append ``data`` to the file ``handle`` writes, whose committed length
+    is ``end``; returns the new length. A write that fails or stops short (a
+    full disk) cuts the file back to ``end`` and raises OSError."""
+    try:
+        if handle.write(data) != len(data):
+            raise OSError(f"short write to {path}")
+    except OSError:
+        os.ftruncate(handle.fileno(), end)
+        raise
+    return end + len(data)

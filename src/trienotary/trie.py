@@ -47,7 +47,7 @@ with MalformedNodeError.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 from .crypto import HashAlg, key_labels, label_width
@@ -79,15 +79,14 @@ class TrieParams:
     r: int
     k: int
     alg: HashAlg
+    # bytes of an internal node's child bitmap; set once, read per node framed
+    bitmap_len: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         label_width(self.r)  # validates r
         if not 1 <= self.k <= 256:
             raise ValueError(f"k must be in [1, 256], got {self.k}")
-
-    @property
-    def bitmap_len(self) -> int:
-        return (self.r + 7) // 8
+        object.__setattr__(self, "bitmap_len", (self.r + 7) // 8)
 
 
 @dataclass(frozen=True)

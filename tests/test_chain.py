@@ -74,3 +74,29 @@ def test_journal_format_is_exact(tmp_path):
     chain.publish(NotarizationRecord(0, root, b"\xab"))
     assert path.read_bytes() == f"0 {root.hex()} ab\n".encode("ascii")
     assert format_record(NotarizationRecord(1, root)) == f"1 {root.hex()} "
+
+
+def test_torn_final_line_is_skipped_and_loading_leaves_it(tmp_path):
+    path = tmp_path / "chain.log"
+    chain = Chain(path)
+    records = [NotarizationRecord(i, digest(bytes([i])), b"\x07" * i) for i in range(3)]
+    for record in records:
+        chain.publish(record)
+    complete = path.read_bytes()
+    for cut in (1, 2, len(format_record(records[2])) + 1):  # the LF alone, then more
+        path.write_bytes(complete[:-cut])
+        assert Chain(path).records() == records[:2]
+        assert path.read_bytes() == complete[:-cut]
+
+
+def test_publish_cuts_a_torn_final_line_then_appends(tmp_path):
+    path = tmp_path / "chain.log"
+    chain = Chain(path)
+    chain.publish(NotarizationRecord(0, digest(b"a")))
+    complete = path.read_bytes()
+    path.write_bytes(complete + b"1 " + digest(b"b").hex()[:9].encode("ascii"))
+    reopened = Chain(path)
+    record = NotarizationRecord(1, digest(b"c"), b"\x01")
+    assert reopened.publish(record) == 1
+    assert path.read_bytes() == complete + (format_record(record) + "\n").encode("ascii")
+    assert Chain(path).records() == reopened.records()

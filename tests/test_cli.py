@@ -282,8 +282,11 @@ def test_audit_bundle_golden(tmp_path):
 
 
 def _tear_last_chain_line(workdir: Path) -> str:
+    """Cut 20 characters out of the last line but keep its LF: a complete,
+    malformed record. A last line with no LF is an unfinished append, which
+    readers skip (``test_audit_skips_a_torn_final_chain_line``)."""
     path = workdir / "chain.log"
-    path.write_bytes(path.read_bytes()[:-20])
+    path.write_bytes(path.read_bytes()[:-21] + b"\n")
     return "chain.log:3: malformed chain record"
 
 
@@ -338,6 +341,19 @@ def test_malformed_artifact_is_one_error_line(simulated, tmp_path, command, dama
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert proc.stderr.rstrip().endswith(expected)
+
+
+def test_audit_skips_a_torn_final_chain_line(simulated):
+    """An append of round 3's record that stopped before its LF: the audit
+    covers the complete rounds 0..2 and passes, and leaves the file as it was."""
+    path = simulated / "chain.log"
+    lines = path.read_bytes().splitlines(keepends=True)
+    torn = b"".join(lines) + b"3 " + lines[-1][2:40]
+    path.write_bytes(torn)
+    proc = run_subprocess("audit", "ledger-1", "--workdir", simulated)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.endswith("verdict: pass\n")
+    assert path.read_bytes() == torn
 
 
 def _newest_root_record(workdir: Path) -> tuple[int, int]:

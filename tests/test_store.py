@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trienotary import store as store_module
 from trienotary.crypto import SHA256
 from trienotary.errors import (
     IntegrityError,
@@ -153,6 +154,7 @@ def test_directory_store_reload(tmp_path):
         address = store.put(b"persisted")
         key = SHA256.hash(b"lid")
         store.index_proof(key, 1, address)
+        store.commit()
         with DirectoryStore(root, SHA256) as reopened:
             assert reopened.get(address) == b"persisted"
             assert reopened.find_proof(key, 1) == address
@@ -170,36 +172,102 @@ def test_first_pack_record_for_an_address_wins(tmp_path):
     assert (tmp_path / "objects.pack").read_bytes() == damaged + record
 
 
-def test_short_write_raises_and_leaves_no_silent_damage(tmp_path):
-    class HalfWriter:  # a full disk: the write stops halfway
-        def __init__(self, real):
-            self.real = real
-
-        def write(self, data):
-            return self.real.write(data[: len(data) // 2])
-
-        def fileno(self):
-            return self.real.fileno()
-
+def test_a_second_store_sees_only_the_last_commit(tmp_path):
+    key = SHA256.hash(b"lid")
     with DirectoryStore(tmp_path, SHA256) as store:
         first = store.put(b"first")
-        size = (tmp_path / "objects.pack").stat().st_size
-        real, store._pack_writer = store._pack_writer, HalfWriter(store._pack_writer)
-        with pytest.raises(OSError):
-            store.put(b"second")
-        assert (tmp_path / "objects.pack").stat().st_size == size
-        store._pack_writer = real
+        store.index_proof(key, 0, first)
+        store.commit()
         second = store.put(b"second")
+        store.index_proof(key, 1, second)
+        assert (store.get(second), store.find_proof(key, 1)) == (b"second", second)
+        with DirectoryStore(tmp_path, SHA256) as other:
+            assert other.get(first) == b"first"
+            assert second not in other
+            assert (other.find_proof(key, 0), other.find_proof(key, 1)) == (first, None)
+    with DirectoryStore(tmp_path, SHA256) as reopened:  # close committed the rest
+        assert (reopened.get(second), reopened.find_proof(key, 1)) == (b"second", second)
+
+
+class HalfWriter:
+    """Stands in for a DirectoryStore file writer on a full disk: each
+    write stops halfway."""
+
+    def __init__(self, real):
+        self.real = real
+
+    def write(self, data):
+        return self.real.write(data[: len(data) // 2])
+
+    def fileno(self):
+        return self.real.fileno()
+
+    def close(self):
+        self.real.close()
+
+
+def test_short_write_raises_and_leaves_no_silent_damage(tmp_path):
+    pack, index = tmp_path / "objects.pack", tmp_path / "proofs.idx"
     with DirectoryStore(tmp_path, SHA256) as store:
-        assert (store.get(first), store.get(second)) == (b"first", b"second")
-        store.index_proof(first, 0, second)  # opens the writers
+        first = store.put(b"first")
+        store.index_proof(first, 0, first)
+        store.commit()  # opens the writers
+        pack_size, index_size = pack.stat().st_size, index.stat().st_size
+        second = store.put(b"second")
+        store._pack_writer = HalfWriter(store._pack_writer)
+        with pytest.raises(OSError):
+            store.commit()
+        assert pack.stat().st_size == pack_size  # cut back to the last commit
+        assert store.get(second) == b"second"  # still queued
+        store._pack_writer = store._pack_writer.real
+        store.index_proof(first, 1, second)
         store._index_writer = HalfWriter(store._index_writer)
         with pytest.raises(OSError):
-            store.index_proof(first, 1, second)
-        assert store.find_proof(first, 1) is None
+            store.commit()  # the pack write is retried and lands; the index write stops short
+        assert pack.stat().st_size == pack_size + HEADER_LEN + len(b"second")
+        assert index.stat().st_size == index_size  # no torn line left behind
+        assert store.find_proof(first, 1) == second  # still queued
         store._index_writer = store._index_writer.real
-    with pytest.raises(MalformedArtifactError, match="proofs.idx:2:"):
-        DirectoryStore(tmp_path, SHA256)
+        store.commit()  # the retry
+    with DirectoryStore(tmp_path, SHA256) as store:
+        assert (store.get(first), store.get(second)) == (b"first", b"second")
+        assert (store.find_proof(first, 0), store.find_proof(first, 1)) == (first, second)
+
+
+def test_close_releases_everything_even_when_its_commit_fails(tmp_path):
+    store = DirectoryStore(tmp_path, SHA256)
+    first = store.put(b"first")
+    store.commit()
+    assert store.get(first) == b"first"  # maps the pack
+    store.put(b"second")
+    store._pack_writer = HalfWriter(store._pack_writer)
+    with pytest.raises(OSError, match="short write"):
+        store.close()
+    assert (store._map, store._reader, store._pack_writer, store._index_writer) == (None,) * 4
+    assert (tmp_path / "objects.pack").stat().st_size == HEADER_LEN + len(b"first")
+
+
+def test_a_full_queue_writes_records_early_and_index_lines_wait(tmp_path, monkeypatch):
+    monkeypatch.setattr(store_module, "_QUEUE_BYTES", 2 * HEADER_LEN)
+    pack, index = tmp_path / "objects.pack", tmp_path / "proofs.idx"
+    key = SHA256.hash(b"lid")
+    with DirectoryStore(tmp_path, SHA256) as store:
+        addresses = [store.put(bytes([i]) * 8) for i in range(3)]
+        store.index_proof(key, 0, addresses[0])
+        store.corrupt(addresses[2])  # still queued: patched in the queue
+        assert pack.read_bytes() == b"".join(  # the third record waits in the queue
+            a + (8).to_bytes(4, "big") + bytes([i]) * 8 for i, a in enumerate(addresses[:2])
+        )
+        assert index.read_bytes() == b""
+        assert store.get(addresses[0]) == bytes(8)  # read through the mapping
+        store.commit()
+        assert len(index.read_bytes().splitlines()) == 1
+        with pytest.raises(IntegrityError):
+            store.get(addresses[2])
+    with DirectoryStore(tmp_path, SHA256) as store:
+        assert [store.get(a) for a in addresses[:2]] == [bytes(8), b"\x01" * 8]
+        assert store.find_proof(key, 0) == addresses[0]
+        assert addresses[2] not in store
 
 
 def test_directory_read_only_use_creates_nothing(tmp_path):
@@ -298,6 +366,7 @@ store_ops = st.one_of(
     st.tuples(st.just("in"), pooled),
     st.tuples(st.just("corrupt"), pooled),
     st.tuples(st.just("index"), st.sampled_from(SLOTS), pooled),
+    st.tuples(st.just("commit")),
     st.tuples(st.just("reopen")),
 )
 
@@ -314,6 +383,8 @@ def _apply(store, op):
             return SHA256.hash(args[0]) in store
         if name == "corrupt":
             return store.corrupt(SHA256.hash(args[0]))
+        if name == "commit":
+            return store.commit()
         (key, round_seq), content = args
         return store.index_proof(key, round_seq, SHA256.hash(content))
     except (TrienotaryError, ValueError) as exc:
