@@ -25,9 +25,16 @@ is read. Appending to the newest version is one block hash and two
 in-place appends; the amortized O(1) head hashes are charged when the next
 root or proof is asked for. The head of any prefix folds the O(log n)
 complete heads that cover it, so ``root_at`` is O(log n) hashes, and
-proofs are O(log^2 n) worst case. Appending to an older version forks a
-new log from a copy of its prefix; a fork, like a ledger built from a
-block tuple, fills its heads in O(n) on first use.
+proofs are O(log^2 n) worst case. The log also remembers its right edge:
+the last root ``root_at`` computed, with its size, and the last two leaf
+heads it hashed, with their indexes. Asked again, these cost no hash. So
+when a notarization round appends one block to an n-block ledger whose
+root it asked for last, the old root, the new root and the proof between
+them hash only the block, its leaf, the subtree heads it completes and
+the folds into the new root: 4 hashes at n = 10, 8 at n = 1000.
+Appending to an older version forks a new log from a copy of its prefix;
+a fork, like a ledger built from a block tuple, starts with nothing
+remembered and fills its heads in O(n) on first use.
 
 Proof generation follows the recursive subproof/path definitions; proof
 verification is the independent iterative reconstruction, so a round-trip
@@ -101,9 +108,21 @@ class _Log:
     concatenates, in leaf order, the heads of the 2**j-leaf subtrees filled
     so far; it is None until a fill covers two leaves. Leaf heads are not
     kept: each is one hash of its block hash.
+
+    The right edge is remembered: ``root`` is the head of the first
+    ``root_size`` leaves, the last root ``root_at`` computed, and
+    ``leaf_head`` and ``prev_head`` are the heads of leaves ``leaf_index``
+    and ``prev_index``, the last two leaves ``leaf`` hashed (sizes and
+    indexes are -1 before the first). Each is a function of a prefix,
+    which an append never changes, so none goes stale. Two leaves, since a
+    round whose new leaf n completes the pair (n - 1, n) needs both heads
+    for the fill and again for its consistency proof.
     """
 
-    __slots__ = ("payloads", "hashes", "alg", "step", "levels")
+    __slots__ = (
+        "payloads", "hashes", "alg", "step", "levels",
+        "root_size", "root", "leaf_index", "leaf_head", "prev_index", "prev_head",
+    )
 
     def __init__(self, payloads: list[bytes], hashes: bytearray, alg: HashAlg):
         self.payloads = payloads
@@ -111,6 +130,9 @@ class _Log:
         self.alg = alg
         self.step = alg.output_len
         self.levels: list[bytearray] | None = None
+        self.root_size, self.root = -1, b""
+        self.leaf_index, self.leaf_head = -1, b""
+        self.prev_index, self.prev_head = -1, b""
 
     def extend(self, payloads) -> None:
         """Append blocks after the last one, hashing each at its position."""
@@ -141,8 +163,15 @@ class _Log:
         return self
 
     def leaf(self, index: int) -> bytes:
+        if index == self.leaf_index:
+            return self.leaf_head
+        if index == self.prev_index:
+            return self.prev_head
         step = self.step
-        return self.alg.hash(LEAF_PREFIX + self.hashes[index * step:(index + 1) * step])
+        head = self.alg.hash(LEAF_PREFIX + self.hashes[index * step:(index + 1) * step])
+        self.prev_index, self.prev_head = self.leaf_index, self.leaf_head
+        self.leaf_index, self.leaf_head = index, head
+        return head
 
     def head(self, lo: int, hi: int) -> bytes:
         """Head of leaves [lo, hi), a subtree of the RFC 9162 decomposition.
@@ -254,7 +283,10 @@ def root_at(ledger: Ledger, size: int) -> bytes:
     """Merkle head over the first ``size`` blocks."""
     if size < 0 or size > len(ledger):
         raise InvalidRangeError(f"size {size} out of range for ledger of {len(ledger)} blocks")
-    return ledger._log.fill(size).head(0, size)
+    log = ledger._log
+    if size != log.root_size:
+        log.root_size, log.root = size, log.fill(size).head(0, size)
+    return log.root
 
 
 def ledger_root(ledger: Ledger) -> bytes:

@@ -36,7 +36,7 @@ from trienotary.merkle import (
     verify_inclusion,
     write_ledger,
 )
-from trienotary.notary import NotaryState, notarize_round
+from trienotary.notary import NotaryState, notarize_round, notarize_single
 from trienotary.store import MemoryStore
 from trienotary.trie import TrieParams
 
@@ -377,6 +377,60 @@ def test_stored_heads_match_reference_across_forks(initial, ops, data):
         check_against_reference(versions[i])
 
 
+# The log remembers the last root and leaf heads it computed. An op
+# appends to a version that ends its log (the log grows in place) or to
+# one that does not (a fork, a new log), or asks a version for a root, a
+# consistency proof or an inclusion proof at sizes x and y, clamped to its
+# length. Sizes stay small so that versions of one log, and a fork and its
+# parent, are asked about the same prefixes and leaves.
+_MEMO_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["extend", "fork", "root", "ledger_root", "consistency", "inclusion"]),
+        st.integers(0, 60),
+        st.integers(0, 12),
+        st.integers(0, 12),
+        st.binary(min_size=1, max_size=2),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(initial=st.lists(st.binary(max_size=3), max_size=6), ops=_MEMO_OPS)
+def test_memo_answers_like_a_fresh_ledger(initial, ops):
+    # (ledger, its payloads, whether it ends its log)
+    versions = [(Ledger.from_payloads(b"memo", initial, ALG), list(initial), True)]
+    for op, pick, x, y, payload in ops:
+        if op in ("extend", "fork"):
+            picks = [i for i, version in enumerate(versions) if version[2] == (op == "extend")]
+            if picks:
+                i = picks[pick % len(picks)]
+                ledger, payloads, _ = versions[i]
+                versions[i] = (ledger, payloads, False)
+                child, payloads = ledger.append(payload), payloads + [payload]
+                versions.append((child, payloads, True))
+                if op == "fork":
+                    # A fork of the version before a log's last one has
+                    # that log's length, and must not take its root.
+                    fresh = Ledger.from_payloads(b"memo", payloads, ALG)
+                    assert ledger_root(child) == ledger_root(fresh)
+            continue
+        ledger, payloads, _ = versions[pick % len(versions)]
+        fresh = Ledger.from_payloads(b"memo", payloads, ALG)
+        n = len(ledger)
+        if op == "root":
+            assert root_at(ledger, min(x, n)) == root_at(fresh, min(x, n))
+        elif op == "ledger_root":
+            assert ledger_root(ledger) == ledger_root(fresh)
+        elif n and op == "consistency":
+            old_size, new_size = sorted((1 + min(x, n - 1), 1 + min(y, n - 1)))
+            assert prove_consistency(ledger, old_size, new_size) == prove_consistency(
+                fresh, old_size, new_size
+            )
+        elif n:
+            assert prove_inclusion(ledger, min(x, n - 1)) == prove_inclusion(fresh, min(x, n - 1))
+
+
 def test_fork_of_filled_version_keeps_both_children_correct():
     # Both children complete the pair (6, 7), so a shared store would
     # hand the second child the first one's head.
@@ -467,13 +521,17 @@ def test_a_long_ledger_keeps_under_100_bytes_per_block():
 
 # -------------------------------------------------------------- hash counts
 
-# (n, first fill, root_at(n), prove_consistency(n // 2, n), prove_inclusion(0))
+# (n, first fill, root_at(n) again, a cold root_at(n - 1),
+#  prove_consistency(n // 2, n), prove_inclusion(0)). The repeated root is
+# the one the log remembers. The cold one makes popcount(n - 1) - 1 folds
+# of the heads covering n - 1 leaves; the last of them is leaf n - 2,
+# whose head the log remembers from the fill.
 @pytest.mark.parametrize(
-    "n, fill, root, consistency, inclusion",
-    [(10, 19, 1, 2, 1), (1000, 1999, 5, 4, 5)],
+    "n, fill, root, cold_root, consistency, inclusion",
+    [(10, 19, 0, 1, 2, 1), (1000, 1999, 0, 7, 4, 5)],
 )
 def test_hashes_on_a_filled_ledger_are_logarithmic(
-    merkle_hashes, n, fill, root, consistency, inclusion
+    merkle_hashes, n, fill, root, cold_root, consistency, inclusion
 ):
     ledger = Ledger.from_payloads(b"count", [i.to_bytes(4, "big") for i in range(n)], ALG)
     merkle_hashes()
@@ -481,17 +539,26 @@ def test_hashes_on_a_filled_ledger_are_logarithmic(
     assert merkle_hashes() == fill
     root_at(ledger, n)
     assert merkle_hashes() == root
+    root_at(ledger, n - 1)
+    assert merkle_hashes() == cold_root
     prove_consistency(ledger, n // 2, n)
     assert merkle_hashes() == consistency
     prove_inclusion(ledger, 0)
     assert merkle_hashes() == inclusion
-    assert max(root, consistency, inclusion) <= math.log2(n) ** 2
+    assert max(root, cold_root, consistency, inclusion) <= math.log2(n) ** 2
 
 
-# Per changed ledger: the appended block's hash, then the round's
-# ledger_root, root_at(old size) and prove_consistency(old size, new size).
+# Per changed ledger grown from n to n + 1 blocks: the block's hash; the
+# new leaf's head; one head per complete subtree the new leaf ends (the
+# trailing zero bits of n + 1); and popcount(n + 1) - 1 folds of the
+# complete heads covering n + 1 leaves into the new root. The append-only
+# check costs none: its root_at(n) is the root last round's ledger_root
+# left in the log. Nor does the proof from n to n + 1: it is stored heads
+# and the heads of the last two leaves, which the log keeps too. So
+# 1 + 1 + 0 + 2 = 4 at n = 10, 1 + 1 + 2 + 1 = 5 at n = 11,
+# 1 + 1 + 0 + 6 = 8 at n = 1000 and 1 + 1 + 1 + 6 = 9 at n = 1001.
 # A ledger presented again as the object notarized last round costs none.
-@pytest.mark.parametrize("n, per_ledger", [(10, 6), (1000, 14)])
+@pytest.mark.parametrize("n, per_ledger", [(10, 4), (11, 5), (1000, 8), (1001, 9)])
 def test_round_hashes_per_changed_ledger(merkle_hashes, n, per_ledger):
     payloads = [i.to_bytes(4, "big") for i in range(n)]
     ledgers = {lid: Ledger.from_payloads(lid, payloads, ALG) for lid in (b"a", b"b", b"c")}
@@ -502,6 +569,18 @@ def test_round_hashes_per_changed_ledger(merkle_hashes, n, per_ledger):
     grown = {lid: ledger.append(b"next") for lid, ledger in ledgers.items()}
     notarize_round(state, {**grown, **untouched}, store, chain)
     assert merkle_hashes() == per_ledger * len(grown)
+
+
+def test_single_mode_hashes_for_a_one_block_append(merkle_hashes):
+    # As per changed ledger in a round: the block, no hash for the check,
+    # the new leaf and one fold per set bit of 1000, and no hash for the
+    # proof.
+    ledger = Ledger.from_payloads(b"one", [i.to_bytes(4, "big") for i in range(1000)], ALG)
+    chain = Chain()
+    first = notarize_single(ledger, None, chain)
+    merkle_hashes()
+    notarize_single(ledger.append(b"next"), (first.trie_root, 1000), chain)
+    assert merkle_hashes() == 8
 
 
 def test_proofs_leave_no_cyclic_garbage():

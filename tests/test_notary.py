@@ -10,6 +10,7 @@ from trienotary.chain import Chain
 from trienotary.crypto import SHA256
 from trienotary.errors import LedgerTamperError, NoRemovalViolationError, OversizeNoteError
 from trienotary.merkle import (
+    Block,
     Ledger,
     decode_consistency_proof,
     ledger_root,
@@ -106,6 +107,52 @@ def test_rewrite_by_forking_a_superseded_version_rejected():
     rewritten = base.append(b"TAMPERED")
     with pytest.raises(LedgerTamperError):
         notarize_round(state, {b"a": rewritten}, store, chain)
+
+
+def forgeries(base: Ledger, honest: Ledger) -> dict[str, Ledger]:
+    """Two rewrites of block 4 that grow to ``honest``'s length: a fork of
+    ``base`` (3 blocks) and ``Ledger(id, blocks)`` with one hash changed."""
+    fork = base.append(b"3").append(b"X").append(b"5").append(b"6").append(b"7")
+    blocks = list(honest.blocks)
+    blocks[4] = Block(4, blocks[4].payload, ALG.hash(b"X"))
+    return {"fork": fork, "rebuilt": Ledger(b"a", tuple(blocks), ALG)}
+
+
+# ``notarized`` extends ``base`` on the same log, so once it is notarized
+# that log remembers its 6-block root; each forgery is made only then.
+@pytest.mark.parametrize("forgery", ["fork", "rebuilt"])
+def test_round_rejects_a_rewrite_of_a_ledger_with_a_remembered_root(forgery):
+    base = Ledger.from_payloads(b"a", [b"0", b"1", b"2"], ALG)
+    notarized = base.append(b"3").append(b"4").append(b"5")
+    honest = notarized.append(b"6").append(b"7")
+    state, store, chain = fresh()
+    state, _ = notarize_round(state, {b"a": base}, store, chain)
+    state, _ = notarize_round(state, {b"a": notarized}, store, chain)
+    registry, objects, proofs = dict(state.registry), len(store), dict(store._proofs)
+    before = (state.last_root, state.round, chain.records())
+    with pytest.raises(LedgerTamperError, match="rewrote history before block 6"):
+        notarize_round(state, {b"a": forgeries(base, honest)[forgery]}, store, chain)
+    assert state.registry == registry and state.registry[b"a"].ledger is notarized
+    assert (state.last_root, state.round, chain.records()) == before
+    assert (len(store), store._proofs) == (objects, proofs)
+    state, _ = notarize_round(state, {b"a": honest}, store, chain)
+    assert state.registry[b"a"].digest == ledger_root(honest)
+
+
+@pytest.mark.parametrize("forgery", ["fork", "rebuilt"])
+def test_single_mode_rejects_a_rewrite_of_a_ledger_with_a_remembered_root(forgery):
+    base = Ledger.from_payloads(b"a", [b"0", b"1", b"2"], ALG)
+    notarized = base.append(b"3").append(b"4").append(b"5")
+    honest = notarized.append(b"6").append(b"7")
+    chain = Chain()
+    first = notarize_single(base, None, chain)
+    second = notarize_single(notarized, (first.trie_root, 3), chain)
+    records = chain.records()
+    with pytest.raises(LedgerTamperError, match="rewrote history before block 6"):
+        notarize_single(forgeries(base, honest)[forgery], (second.trie_root, 6), chain)
+    assert chain.records() == records
+    third = notarize_single(honest, (second.trie_root, 6), chain)
+    assert third.trie_root == ledger_root(honest)
 
 
 def test_three_rounds_replay_oracle():
