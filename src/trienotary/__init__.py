@@ -19,7 +19,7 @@ from .audit import (
     verify_audit_proof,
 )
 from .chain import Chain, NotarizationRecord
-from .crypto import SHA256, SHA512, HashAlg, algorithm, label_at
+from .crypto import SHA256, SHA512, HashAlg, algorithm
 from .merkle import (
     Block,
     ConsistencyProof,
@@ -48,7 +48,6 @@ from .trie import (
     associations,
     build,
     lookup,
-    node_digest,
     parse_node,
     rechain,
     search_path,
@@ -90,12 +89,10 @@ __all__ = [
     "decode_consistency_proof",
     "encode_audit_proof",
     "encode_consistency_proof",
-    "label_at",
     "ledger_root",
     "lookup",
     "make_audit_proof",
     "measure_keys",
-    "node_digest",
     "notarize_round",
     "notarize_single",
     "parse_node",

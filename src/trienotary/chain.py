@@ -8,18 +8,17 @@ publicly readable digest sequence) as a human-auditable text file:
 
     <seq> <hex trie_root> <hex note>
 
-one record per line, LF endings, written strictly append-only. A final
-line with no LF is an append that did not finish: readers ignore it, and
-the next append cuts it off first.
+one record per line, LF endings, written strictly append-only through the
+one reader and writer of every workdir file, ``store._read_lines`` and ``_append``.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import MalformedArtifactError, NonContiguousSeqError, OversizeNoteError
+from .store import _append, _read_lines
 
 NOTE_CAPACITY = 1024
 
@@ -35,16 +34,9 @@ class Chain:
     """Append-only record journal; file-backed when ``path`` is given."""
 
     def __init__(self, path=None):
-        self._records: list[NotarizationRecord] = []
-        self._path: Path | None = None
-        self._end = 0  # length of the file's complete lines
-        if path is not None:
-            self._path = Path(path)
-            if self._path.exists():
-                data = self._path.read_bytes()
-                self._end = data.rfind(b"\n") + 1
-                for number, line in enumerate(data[: self._end].splitlines(), 1):
-                    self._records.append(_parse_record(self._path, number, line))
+        self._path = None if path is None else Path(path)
+        lines, self._end = ([], 0) if path is None else _read_lines(self._path)
+        self._records = [_parse_record(self._path, n, line) for n, line in enumerate(lines, 1)]
 
     @property
     def height(self) -> int:
@@ -63,11 +55,8 @@ class Chain:
             )
         if self._path is not None:
             line = (format_record(record) + "\n").encode("ascii")
-            with open(self._path, "ab") as fh:
-                if os.fstat(fh.fileno()).st_size > self._end:  # a torn final line
-                    fh.truncate(self._end)
-                fh.write(line)
-            self._end += len(line)
+            with open(self._path, "ab", buffering=0) as fh:
+                self._end = _append(fh, line, self._end, self._path)
         self._records.append(record)
         return record.seq
 

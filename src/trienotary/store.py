@@ -13,13 +13,14 @@ backend only holds raw bytes. Two backends share it: an in-memory map for
 tests and simulation, and a directory holding one append-only pack file
 ``objects.pack`` plus a newline-delimited ``proofs.idx`` for on-disk
 deployments. A pack record is ``address || u32 big-endian length ||
-content``; the first record for an address wins, and a record that runs
-past the end of the file is a torn tail, ignored by readers and cut off by
-the next commit. Writes are queued and made in one batch by ``commit``:
-the pack's records first, then the index lines, so an index line never
-names a record that is not yet in the pack. The notary commits once per
-round, before the round's journal line. One process writes a directory at
-a time, and another process that opens it sees only what was committed.
+content``; the first record for an address wins. Every workdir file,
+``chain.log`` included, keeps the one rule for a torn tail and a failed
+write that ``_read_lines`` and ``_append`` hold. Writes are queued and made
+in one batch by ``commit``: the pack's records first, then the index lines,
+so an index line never names a record that is not yet in the pack. The
+notary commits once per round, before the round's journal line. One
+process writes a directory at a time, and another process that opens it
+sees only what was committed.
 """
 
 from __future__ import annotations
@@ -174,13 +175,12 @@ class DirectoryStore(ObjectStore):
     than the committed records, so it never holds a torn tail, and it is
     replaced when a read goes past it. Once ``_QUEUE_BYTES`` are queued, the
     next put writes the queued records early; index lines wait for
-    ``commit``, so they always follow the records they point to. A write
-    that fails raises OSError, cuts its file back to its committed length
-    and keeps the queue, so the next commit retries it. Both files are
-    opened for appending at the first commit that writes, not before, so a
-    read-only use such as an audit never edits them. Index lines are
-    ``<hex ledger key> <decimal round> <hex address>`` with LF endings,
-    appended in registration order. Nothing is fsynced.
+    ``commit``, so they always follow the records they point to. Both
+    files are appended through ``_append``, and a write it refuses keeps
+    the queue for the next commit. Both files are opened for appending at
+    the first commit that writes, not before, so a read-only use such as an
+    audit never edits them. Index lines are ``<hex ledger key> <decimal
+    round> <hex address>`` with LF endings, in registration order.
     """
 
     def __init__(self, root, alg: HashAlg = SHA256):
@@ -190,25 +190,24 @@ class DirectoryStore(ObjectStore):
         self._index_path = self.root / PROOF_INDEX_NAME
         self._objects: dict[bytes, int] = {}  # address -> offset << 32 | length
         self._end = 0  # end of the last committed record
-        self._index_end = 0  # length of proofs.idx as last committed
         self._queue = bytearray()  # records to be written at _end
         self._lines = bytearray()  # index lines to be written after them
         self._map: mmap.mmap | None = None  # the pack's first bytes, at most _end
         self._reader = self._pack_writer = self._index_writer = None
-        if self._index_path.exists():
-            for number, line in enumerate(self._index_path.read_bytes().splitlines(), 1):
-                try:
-                    key_hex, round_str, addr_hex = line.decode("ascii").split(" ")
-                    slot = (bytes.fromhex(key_hex), int(round_str))
-                    address = bytes.fromhex(addr_hex)
-                except ValueError:
-                    raise MalformedArtifactError(
-                        f"{self._index_path}:{number}: malformed proof index entry"
-                    ) from None
-                if self._proofs.setdefault(slot, address) != address:
-                    raise MalformedArtifactError(
-                        f"{self._index_path}:{number}: conflicting proof index entry"
-                    )
+        lines, self._index_end = _read_lines(self._index_path)  # proofs.idx as committed
+        for number, line in enumerate(lines, 1):
+            try:
+                key_hex, round_str, addr_hex = line.decode("ascii").split(" ")
+                slot = (bytes.fromhex(key_hex), int(round_str))
+                address = bytes.fromhex(addr_hex)
+            except ValueError:
+                raise MalformedArtifactError(
+                    f"{self._index_path}:{number}: malformed proof index entry"
+                ) from None
+            if self._proofs.setdefault(slot, address) != address:
+                raise MalformedArtifactError(
+                    f"{self._index_path}:{number}: conflicting proof index entry"
+                )
         if self._pack_path.exists():
             self._reader = open(self._pack_path, "rb")
             self._scan()
@@ -244,14 +243,10 @@ class DirectoryStore(ObjectStore):
         return self._map
 
     def _open_writers(self) -> None:
-        """Open both files for appending, cutting off a torn pack tail first."""
+        """Open both files for appending."""
         self.root.mkdir(parents=True, exist_ok=True)
         self._pack_writer = open(self._pack_path, "ab", buffering=0)
         self._index_writer = open(self._index_path, "ab", buffering=0)
-        fd = self._pack_writer.fileno()
-        if os.fstat(fd).st_size > self._end:
-            os.ftruncate(fd, self._end)
-        self._index_end = os.fstat(self._index_writer.fileno()).st_size
         if self._reader is None:
             self._reader = open(self._pack_path, "rb")
 
@@ -319,9 +314,7 @@ class DirectoryStore(ObjectStore):
         try:
             self.commit()
         finally:
-            if self._map is not None:
-                self._map.close()
-            for handle in (self._reader, self._pack_writer, self._index_writer):
+            for handle in (self._map, self._reader, self._pack_writer, self._index_writer):
                 if handle is not None:
                     handle.close()
             self._map = self._reader = self._pack_writer = self._index_writer = None
@@ -333,14 +326,33 @@ class DirectoryStore(ObjectStore):
         self.close()
 
 
-def _append(handle, data: bytearray, end: int, path: Path) -> int:
-    """Append ``data`` to the file ``handle`` writes, whose committed length
-    is ``end``; returns the new length. A write that fails or stops short (a
-    full disk) cuts the file back to ``end`` and raises OSError."""
+def _read_lines(path: Path) -> tuple[list[bytes], int]:
+    """The complete lines of ``path`` (none if it is missing) and their
+    length, the committed length. A final line with no LF is an append that
+    did not finish: it is skipped, and the file is left as it is."""
     try:
-        if handle.write(data) != len(data):
+        data = path.read_bytes()
+    except FileNotFoundError:
+        return [], 0
+    end = data.rfind(b"\n") + 1
+    return data[:end].splitlines(), end
+
+
+def _append(handle, data: bytes, end: int, path: Path) -> int:
+    """Append ``data`` to the file ``handle`` writes, whose committed length
+    is ``end``; returns the new one. A torn tail past ``end`` is cut off
+    first. A write that fails or stops short (a full disk) cuts the file
+    back to ``end`` and raises OSError. Nothing is fsynced."""
+    fd = handle.fileno()
+    error = None
+    if os.fstat(fd).st_size <= end:  # no torn tail to cut off first
+        try:
+            if handle.write(data) == len(data):
+                return end + len(data)
             raise OSError(f"short write to {path}")
-    except OSError:
-        os.ftruncate(handle.fileno(), end)
-        raise
-    return end + len(data)
+        except OSError as failed:
+            error = failed
+    os.ftruncate(fd, end)
+    if error is not None:
+        raise error
+    return _append(handle, data, end, path)

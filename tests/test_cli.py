@@ -356,6 +356,22 @@ def test_audit_skips_a_torn_final_chain_line(simulated):
     assert path.read_bytes() == torn
 
 
+def test_audit_skips_a_torn_final_index_line(simulated):
+    """A commit whose index write stopped inside its last line: the audit of
+    a ledger that line does not name passes, and leaves the file as it was."""
+    path = simulated / "proofs.idx"
+    torn = path.read_bytes()[:-30]
+    path.write_bytes(torn)
+    torn_key = torn.splitlines()[-1].split(b" ")[0].decode("ascii")
+    ledger = next(
+        f"ledger-{i}" for i in range(6) if SHA256.hash(f"ledger-{i}".encode()).hex() != torn_key
+    )
+    proc = run_subprocess("audit", ledger, "--workdir", simulated)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.count("verdict:") == 1 and proc.stdout.endswith("verdict: pass\n")
+    assert path.read_bytes() == torn
+
+
 def _newest_root_record(workdir: Path) -> tuple[int, int]:
     """(start, end) of the pack record holding the newest trie root."""
     root = bytes.fromhex((workdir / "chain.log").read_text().splitlines()[-1].split()[1])

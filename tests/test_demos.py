@@ -1,4 +1,5 @@
-"""The walkthrough demos run end to end (demo 05, ~5 s of measurements, is left out)."""
+"""The walkthrough demos run end to end (demo 05, ~5 s of measurements, is
+left out), and the package's public names are pinned."""
 
 from __future__ import annotations
 
@@ -32,3 +33,24 @@ def test_demo_runs(name):
     if name.startswith("03"):
         assert "chain_match = fail" in proc.stdout
         assert "no_removal = fail" in proc.stdout
+
+
+PUBLIC_NAMES = [
+    "AuditProof", "AuditReport", "Block", "Chain", "CheckResult", "ConsistencyProof",
+    "DirectoryStore", "HashAlg", "InclusionProof", "InternalNode", "LeafNode", "Ledger",
+    "Measurements", "MemoryStore", "NotarizationRecord", "NotaryState", "ObjectStore",
+    "SHA256", "SHA512", "Status", "TrieParams", "TrieVersion", "algorithm",
+    "associations", "audit_ledger", "build", "decode_audit_proof",
+    "decode_consistency_proof", "encode_audit_proof", "encode_consistency_proof",
+    "ledger_root", "lookup", "make_audit_proof", "measure_keys", "notarize_round",
+    "notarize_single", "parse_node", "prove_consistency", "prove_inclusion",
+    "read_ledger", "rechain", "root_at", "search_path", "serialize_node", "stats",
+    "update", "verify_audit_proof", "verify_consistency", "verify_inclusion",
+    "write_ledger",
+]
+
+
+def test_public_names_are_pinned():
+    """A name joins or leaves ``trienotary.__all__`` only on purpose."""
+    assert trienotary.__all__ == PUBLIC_NAMES
+    assert all(hasattr(trienotary, name) for name in PUBLIC_NAMES)

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from trienotary.audit import audit_ledger
 from trienotary.chain import Chain
 from trienotary.crypto import SHA256
 from trienotary.errors import LedgerTamperError, NoRemovalViolationError, OversizeNoteError
@@ -352,6 +353,45 @@ def test_failed_commit_raises_before_publish_and_retry_matches_clean_run(tmp_pat
         return files(workdir)
 
     assert run(tmp_path / "torn", True) == run(tmp_path / "clean", False)
+
+
+def test_a_crash_at_any_byte_of_a_commit_keeps_audits_passing_and_resumes(tmp_path):
+    """Cut round 3's appends, taken in commit order (pack, then index, then
+    journal), after every byte: every ledger's audit of the reopened
+    workdir passes, and re-running the round from the saved state leaves
+    all three files as a run that never stopped does."""
+    names = ("objects.pack", "proofs.idx", "chain.log")
+    rng = random.Random(7)
+    ledgers = {
+        f"ledger-{i}".encode(): Ledger.from_payloads(f"ledger-{i}".encode(), [rng.randbytes(8)], ALG)
+        for i in range(6)
+    }
+    workdir, crashed = tmp_path / "clean", tmp_path / "crashed"
+    state = NotaryState(PARAMS)
+    with DirectoryStore(workdir, ALG) as store:
+        chain = Chain(workdir / "chain.log")
+        for _ in range(3):
+            state, _ = notarize_round(state, dict(ledgers), store, chain)
+            for lid in rng.sample(sorted(ledgers), 3):  # half the ledgers grow
+                ledgers[lid] = ledgers[lid].append(rng.randbytes(8))
+        committed = [(workdir / name).read_bytes() for name in names]
+        notarize_round(state, ledgers, store, chain)
+    final = [(workdir / name).read_bytes() for name in names]
+    appends = [whole[len(part) :] for part, whole in zip(committed, final)]
+    assert [part + tail for part, tail in zip(committed, appends)] == final
+    crashed.mkdir()
+    for cut in range(sum(map(len, appends))):
+        left = cut
+        for name, part, tail in zip(names, committed, appends):
+            (crashed / name).write_bytes(part + tail[:left])
+            left = max(0, left - len(tail))
+        with DirectoryStore(crashed, ALG) as store:
+            chain = Chain(crashed / "chain.log")
+            for lid in ledgers:
+                report = audit_ledger(lid, None, chain.read_roots(), store, PARAMS)
+                assert report.exit_code == 0, (cut, lid)
+            notarize_round(state, ledgers, store, chain)
+        assert [(crashed / name).read_bytes() for name in names] == final, cut
 
 
 def test_fresh_objects_with_same_blocks_only_rechain_then_cost_nothing(merkle_hashes):

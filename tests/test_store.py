@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trienotary import chain as chain_module
 from trienotary import store as store_module
+from trienotary.chain import Chain, NotarizationRecord
 from trienotary.crypto import SHA256
 from trienotary.errors import (
     IntegrityError,
@@ -190,8 +192,8 @@ def test_a_second_store_sees_only_the_last_commit(tmp_path):
 
 
 class HalfWriter:
-    """Stands in for a DirectoryStore file writer on a full disk: each
-    write stops halfway."""
+    """Stands in for a workdir file writer, a DirectoryStore's or the one
+    ``Chain.publish`` opens, on a full disk: each write stops halfway."""
 
     def __init__(self, real):
         self.real = real
@@ -205,9 +207,15 @@ class HalfWriter:
     def close(self):
         self.real.close()
 
+    def __enter__(self):
+        return self
 
-def test_short_write_raises_and_leaves_no_silent_damage(tmp_path):
-    pack, index = tmp_path / "objects.pack", tmp_path / "proofs.idx"
+    def __exit__(self, *exc_info):
+        self.close()
+
+
+def test_short_write_raises_and_leaves_no_silent_damage(tmp_path, monkeypatch):
+    pack, index, journal = (tmp_path / name for name in WORKDIR_FILES)
     with DirectoryStore(tmp_path, SHA256) as store:
         first = store.put(b"first")
         store.index_proof(first, 0, first)
@@ -232,6 +240,21 @@ def test_short_write_raises_and_leaves_no_silent_damage(tmp_path):
     with DirectoryStore(tmp_path, SHA256) as store:
         assert (store.get(first), store.get(second)) == (b"first", b"second")
         assert (store.find_proof(first, 0), store.find_proof(first, 1)) == (first, second)
+    chain = Chain(journal)
+    chain.publish(NotarizationRecord(0, first))
+    journal_bytes = journal.read_bytes()
+
+    def half_open(*args, **kwargs):  # Chain.publish opens its file afresh each time
+        return HalfWriter(open(*args, **kwargs))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(chain_module, "open", half_open, raising=False)
+        with pytest.raises(OSError, match="short write"):
+            chain.publish(NotarizationRecord(1, second))
+    assert journal.read_bytes() == journal_bytes  # no torn line left behind
+    assert chain.height == 1
+    assert chain.publish(NotarizationRecord(1, second)) == 1  # the retry
+    assert Chain(journal).records() == chain.records()
 
 
 def test_close_releases_everything_even_when_its_commit_fails(tmp_path):
@@ -280,53 +303,105 @@ def test_directory_read_only_use_creates_nothing(tmp_path):
     assert list(root.iterdir()) == []
 
 
-# ------------------------------------------------------- torn and hostile packs
+# ------------------------------------------------ torn workdir files, hostile packs
 
 HEADER_LEN = SHA256.output_len + 4
 FRESH = bytes(70)  # longer than any drawn content, so never among them
+WORKDIR_FILES = ("objects.pack", "proofs.idx", "chain.log")
 contents_strategy = st.lists(st.binary(max_size=64), min_size=1, max_size=12)
 
 
-def _fill(root: Path, contents) -> dict[bytes, int]:
-    """Put ``contents`` into a new pack; returns content -> end of its record."""
-    ends, end = {}, 0
+def _keep(store, chain, content) -> None:
+    """Keep ``content`` in all three workdir files: as a pack record, as the
+    index line of the slot (its address, 0) and as a chain record."""
+    address = store.put(content)
+    store.index_proof(address, 0, address)
+    store.commit()
+    chain.publish(NotarizationRecord(chain.height, address))
+
+
+def _fill(root: Path, contents) -> dict[str, dict[bytes, int]]:
+    """Keep each distinct content in a new workdir, one commit each;
+    returns file name -> content -> end of its entry in that file."""
+    ends = {name: {} for name in WORKDIR_FILES}
+    chain = Chain(root / "chain.log")
     with DirectoryStore(root, SHA256) as store:
-        for content in contents:
-            store.put(content)
-            if content not in ends:
-                end += HEADER_LEN + len(content)
-                ends[content] = end
-    assert (root / "objects.pack").stat().st_size == end
+        for content in dict.fromkeys(contents):
+            _keep(store, chain, content)
+            for name, file_ends in ends.items():
+                file_ends[content] = (root / name).stat().st_size
     return ends
+
+
+def _held(root: Path, addresses) -> dict[str, list[bytes]]:
+    """Per workdir file, the addresses of ``addresses`` it holds an entry
+    for, in order; a pack record that does not read back intact raises."""
+    with DirectoryStore(root, SHA256) as store:
+        packed = [a for a in addresses if a in store._objects]
+        for address in packed:
+            store.get(address)
+        return {
+            "objects.pack": packed,
+            "proofs.idx": [a for a in addresses if store.find_proof(a, 0) == a],
+            "chain.log": Chain(root / "chain.log").read_roots(),
+        }
 
 
 @settings(max_examples=150, deadline=None)
 @given(contents=contents_strategy, data=st.data())
 def test_cut_pack_keeps_complete_records_and_next_put_drops_the_tail(contents, data):
+    """Cut one workdir file, the pack, the index or the journal, at a drawn
+    length: opening the workdir reads the entries that end within the cut
+    and leaves the file as it is, and the next append cuts the rest off
+    before it writes."""
+    name = data.draw(st.sampled_from(WORKDIR_FILES), label="file")
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        ends = _fill(root, contents)
-        pack = root / "objects.pack"
-        cut = data.draw(st.integers(0, pack.stat().st_size), label="cut")
-        os.truncate(pack, cut)
-        complete = {c for c, end in ends.items() if end <= cut}
+        ends = _fill(root, contents)[name]
+        path = root / name
+        original = path.read_bytes()
+        cut = data.draw(st.integers(0, len(original)), label="cut")
+        path.write_bytes(original[:cut])
+        every = [SHA256.hash(c) for c in ends]
+        held = {file: every for file in WORKDIR_FILES}
+        held[name] = [SHA256.hash(c) for c, end in ends.items() if end <= cut]
+        assert _held(root, every) == held
+        assert path.read_bytes() == original[:cut]  # reading never edits the file
         with DirectoryStore(root, SHA256) as store:
-            for content in ends:
-                if content in complete:
-                    assert store.get(SHA256.hash(content)) == content
-                else:
-                    with pytest.raises(NotFoundError):
-                        store.get(SHA256.hash(content))
-            assert pack.stat().st_size == cut  # reading never edits the pack
-            store.put(FRESH)
-        tail = max((ends[c] for c in complete), default=0)
-        assert pack.stat().st_size == tail + HEADER_LEN + len(FRESH)
-        with DirectoryStore(root, SHA256) as store:
-            assert [a for a, _ in store.items()] == sorted(
-                SHA256.hash(c) for c in complete | {FRESH}
-            )
-            for content in complete | {FRESH}:
-                assert store.get(SHA256.hash(content)) == content
+            _keep(store, Chain(root / "chain.log"), FRESH)
+        fresh = SHA256.hash(FRESH)
+        entry = {
+            "objects.pack": fresh + len(FRESH).to_bytes(4, "big") + FRESH,
+            "proofs.idx": f"{fresh.hex()} 0 {fresh.hex()}\n".encode("ascii"),
+            "chain.log": f"{len(held['chain.log'])} {fresh.hex()} \n".encode("ascii"),
+        }[name]
+        tail = max((end for end in ends.values() if end <= cut), default=0)
+        assert path.read_bytes() == original[:tail] + entry
+        assert _held(root, [*every, fresh]) == {
+            file: [*addresses, fresh] for file, addresses in held.items()
+        }
+
+
+def test_torn_final_index_line_is_skipped_then_cut(tmp_path):
+    key = SHA256.hash(b"lid")
+    with DirectoryStore(tmp_path, SHA256) as store:
+        addresses = [store.put(bytes([i])) for i in range(3)]
+        for round_seq, address in enumerate(addresses):
+            store.index_proof(key, round_seq, address)
+    index = tmp_path / "proofs.idx"
+    complete = index.read_bytes()
+    torn = complete[:-30]  # inside the last line: its round 2 entry never finished
+    index.write_bytes(torn)
+    with DirectoryStore(tmp_path, SHA256) as store:
+        assert [store.find_proof(key, r) for r in range(3)] == [*addresses[:2], None]
+        assert index.read_bytes() == torn  # opening leaves the fragment
+        store.index_proof(key, 2, addresses[2])
+        store.index_proof(key, 3, addresses[0])
+        store.commit()  # cuts the fragment off, then appends
+    line = f"{key.hex()} 3 {addresses[0].hex()}\n".encode("ascii")
+    assert index.read_bytes() == complete + line
+    with DirectoryStore(tmp_path, SHA256) as store:
+        assert [store.find_proof(key, r) for r in range(4)] == [*addresses, addresses[0]]
 
 
 @settings(max_examples=150, deadline=None)
@@ -334,7 +409,7 @@ def test_cut_pack_keeps_complete_records_and_next_put_drops_the_tail(contents, d
 def test_flipped_pack_byte_gives_original_content_or_a_classified_error(contents, data):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        ends = _fill(root, contents)
+        ends = _fill(root, contents)["objects.pack"]
         pack = root / "objects.pack"
         raw = bytearray(pack.read_bytes())
         if not raw:
