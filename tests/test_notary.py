@@ -362,10 +362,8 @@ def test_a_crash_at_any_byte_of_a_commit_keeps_audits_passing_and_resumes(tmp_pa
     all three files as a run that never stopped does."""
     names = ("objects.pack", "proofs.idx", "chain.log")
     rng = random.Random(7)
-    ledgers = {
-        f"ledger-{i}".encode(): Ledger.from_payloads(f"ledger-{i}".encode(), [rng.randbytes(8)], ALG)
-        for i in range(6)
-    }
+    ids = [f"ledger-{i}".encode() for i in range(6)]
+    ledgers = {lid: Ledger.from_payloads(lid, [rng.randbytes(8)], ALG) for lid in ids}
     workdir, crashed = tmp_path / "clean", tmp_path / "crashed"
     state = NotaryState(PARAMS)
     with DirectoryStore(workdir, ALG) as store:
