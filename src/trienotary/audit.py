@@ -39,6 +39,15 @@ a memo-free walk. The memo lives in the run, not in ``ObjectStore``:
 stored bytes can be corrupted after the fact, and a store-level cache
 would hide that from every later audit.
 
+A bundle check (``verify``) makes one pass over the bundle's bytes
+(``decode_audit_proof``), hashes each node once to index the nodes by
+digest, which stands in for the store's read check, then runs the same
+engine over that index. The bundle's proof list names each round once:
+the decoder refuses a round listed twice with different proofs, as
+``proofs.idx`` refuses a conflicting entry, and reads an identical
+repeat as one entry. Node order, repeated nodes and nodes no check reads
+do not change a verdict.
+
 The root walk compares each root with its round's chain record as it
 goes. A walk fault (a root unresolved, malformed or not a root, a
 lineage shorter or longer than the chain) outranks a mismatch, and of
@@ -127,7 +136,10 @@ class AuditReport:
 
 @dataclass(frozen=True)
 class AuditProof:
-    """Self-contained bundle replaying the audit for rounds <= up_to_round."""
+    """Self-contained bundle replaying the audit for rounds <= up_to_round.
+
+    ``proofs`` pairs a round with its proof blob, each round at most once.
+    """
 
     ledger_key: bytes
     up_to_round: int
@@ -451,7 +463,7 @@ def verify_audit_proof(
             uncovered_rounds=uncovered,
         )
 
-    nodes = {alg.hash(data): data for data in proof.nodes}
+    nodes = dict(zip(map(alg.hash, proof.nodes), proof.nodes))
 
     def get(digest: bytes) -> bytes:
         try:
@@ -492,48 +504,90 @@ def encode_audit_proof(proof: AuditProof) -> bytes:
     return _section(header) + _section(nodes) + _section(proofs)
 
 
-class _Cursor:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
+def _truncated() -> ValueError:
+    return ValueError("truncated audit proof")
 
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise ValueError("truncated audit proof")
-        out = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return out
 
-    def u32(self) -> int:
-        return int.from_bytes(self.take(4), "little")
+def _read_section(data: bytes, pos: int, limit: int) -> tuple[int, int]:
+    """Start and end of the length-framed section at ``pos``, within ``limit``."""
+    start = pos + 4
+    if start > limit:
+        raise _truncated()
+    end = start + int.from_bytes(data[pos:start], "little")
+    if end > limit:
+        raise _truncated()
+    return start, end
 
-    def u64(self) -> int:
-        return int.from_bytes(self.take(8), "little")
+
+def _count(data: bytes, pos: int, limit: int, entry_min: int) -> tuple[int, int]:
+    """The entry count at ``pos`` and where its entries start; refused
+    unless the section, which ends at ``limit``, can hold that many."""
+    start = pos + 4
+    count = int.from_bytes(data[pos:start], "little")
+    if start + count * entry_min > limit:
+        raise _truncated()
+    return count, start
 
 
 def decode_audit_proof(data: bytes) -> AuditProof:
-    outer = _Cursor(data)
-    header = _Cursor(outer.take(outer.u32()))
-    alg = algorithm_by_wire_id(header.take(1)[0])
-    r = int.from_bytes(header.take(2), "little")
-    k = int.from_bytes(header.take(2), "little")
-    up_to_round = header.u64()
-    ledger_key = header.take(alg.output_len)
+    """Inverse of ``encode_audit_proof``, in one pass over ``data``.
+
+    Raises ValueError at the first fault met in reading order: a
+    truncated field, an unknown hash algorithm, invalid trie parameters,
+    trailing bytes. A bundle free of those that lists a round twice with
+    different proofs raises last; an identical repeat decodes as one
+    entry. Every length and count is checked against what is left of its
+    section before anything under it is read, so a count no section could
+    hold fails at once. Bytes left over at the end of a section are
+    skipped.
+    """
+    from_bytes = int.from_bytes
+    pos, header_end = _read_section(data, 0, len(data))
+    if pos == header_end:
+        raise _truncated()
+    alg = algorithm_by_wire_id(data[pos])
+    key_at = pos + 13  # past hash id, r, k and up_to_round
+    if key_at + alg.output_len > header_end:
+        raise _truncated()
+    r = from_bytes(data[pos + 1:pos + 3], "little")
+    k = from_bytes(data[pos + 3:pos + 5], "little")
+    up_to_round = from_bytes(data[pos + 5:key_at], "little")
+    ledger_key = data[key_at:key_at + alg.output_len]
     try:
         params = TrieParams(r, k, alg)
     except ValueError as exc:
         raise ValueError(f"invalid parameters in audit proof: {exc}") from None
 
-    nodes_section = _Cursor(outer.take(outer.u32()))
+    section_start, nodes_end = _read_section(data, header_end, len(data))
+    count, pos = _count(data, section_start, nodes_end, 4)
     nodes = []
-    for _ in range(nodes_section.u32()):
-        nodes.append(nodes_section.take(nodes_section.u32()))
+    for _ in range(count):  # u32 length, node bytes
+        start = pos + 4
+        if start > nodes_end:
+            raise _truncated()
+        pos = start + from_bytes(data[pos:start], "little")
+        if pos > nodes_end:
+            raise _truncated()
+        nodes.append(data[start:pos])
 
-    proofs_section = _Cursor(outer.take(outer.u32()))
-    proofs = []
-    for _ in range(proofs_section.u32()):
-        round_seq = proofs_section.u64()
-        proofs.append((round_seq, proofs_section.take(proofs_section.u32())))
-    if outer.pos != len(data):
+    section_start, proofs_end = _read_section(data, nodes_end, len(data))
+    count, pos = _count(data, section_start, proofs_end, 12)
+    proofs: dict[int, bytes] = {}
+    conflict = None  # the first round listed again with another blob
+    for _ in range(count):  # u64 round, u32 length, proof blob
+        start = pos + 12
+        if start > proofs_end:
+            raise _truncated()
+        end = start + from_bytes(data[pos + 8:start], "little")
+        if end > proofs_end:
+            raise _truncated()
+        round_seq = from_bytes(data[pos:pos + 8], "little")
+        blob = data[start:end]
+        if proofs.setdefault(round_seq, blob) != blob and conflict is None:
+            conflict = round_seq
+        pos = end
+    if proofs_end != len(data):
         raise ValueError("trailing bytes after audit proof")
-    return AuditProof(ledger_key, up_to_round, params, tuple(nodes), tuple(proofs))
+    if conflict is not None:
+        raise ValueError(f"audit proof lists round {conflict} twice with different proofs")
+    return AuditProof(ledger_key, up_to_round, params, tuple(nodes), tuple(proofs.items()))

@@ -67,11 +67,6 @@ TAG_LEAF = 0x02
 TAG_ROOT_INTERNAL = 0x03
 TAG_ROOT_LEAF = 0x04
 
-_LEAF_TAGS = (TAG_LEAF, TAG_ROOT_LEAF)
-_INTERNAL_TAGS = (TAG_INTERNAL, TAG_ROOT_INTERNAL)
-_ROOT_TAGS = (TAG_ROOT_INTERNAL, TAG_ROOT_LEAF)
-
-
 @dataclass(frozen=True)
 class TrieParams:
     """Trie shape parameters, fixed for the lifetime of a lineage."""
@@ -79,14 +74,21 @@ class TrieParams:
     r: int
     k: int
     alg: HashAlg
-    # bytes of an internal node's child bitmap; set once, read per node framed
+    # derived once, read per node framed: bytes of a digest and of an
+    # internal node's child bitmap, and the bitmap bits of labels >= r
+    digest_len: int = field(init=False, repr=False, compare=False)
     bitmap_len: int = field(init=False, repr=False, compare=False)
+    spare_bits: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         label_width(self.r)  # validates r
         if not 1 <= self.k <= 256:
             raise ValueError(f"k must be in [1, 256], got {self.k}")
-        object.__setattr__(self, "bitmap_len", (self.r + 7) // 8)
+        bitmap_len = (self.r + 7) // 8
+        object.__setattr__(self, "digest_len", self.alg.output_len)
+        object.__setattr__(self, "bitmap_len", bitmap_len)
+        # labels >= r are the low 8 * bitmap_len - r bits of the bitmap
+        object.__setattr__(self, "spare_bits", (1 << (8 * bitmap_len - self.r)) - 1)
 
 
 @dataclass(frozen=True)
@@ -159,7 +161,7 @@ class Measurements:
 
 def serialize_node(node: Node, params: TrieParams) -> bytes:
     """Canonical byte serialization; raises CanonicalizationError on invalid nodes."""
-    digest_len = params.alg.output_len
+    digest_len = params.digest_len
     if node.prev_root is not None and len(node.prev_root) != digest_len:
         raise CanonicalizationError("prev-root digest has wrong length")
     if isinstance(node, LeafNode):
@@ -208,50 +210,54 @@ def _frame(data: bytes, params: TrieParams) -> tuple[int, int, int]:
     tuple count of a leaf or, for an internal node, its bitmap as a
     big-endian integer (label i is bit ``8 * bitmap_len - 1 - i``). Raises
     MalformedNodeError on any deviation. This is the one definition of node
-    validity; ``parse_node`` and ``KeyPath`` both rely on it.
+    validity; ``parse_node``, ``KeyPath`` and the writer all rely on it.
+
+    The tag returned is one of the four ``TAG_`` values, so callers tell
+    node kinds apart by arithmetic: odd tags are internal nodes, and tags
+    above TAG_LEAF are roots.
     """
     if not data:
         raise MalformedNodeError("empty node")
-    digest_len = params.alg.output_len
     tag = data[0]
+    if not TAG_INTERNAL <= tag <= TAG_ROOT_LEAF:
+        raise MalformedNodeError(f"unknown node tag 0x{tag:02x}")
+    digest_len = params.digest_len
     body_end = len(data)
-    if tag in _ROOT_TAGS:
+    if tag > TAG_LEAF:
         body_end -= digest_len
         if body_end <= 0:
             raise MalformedNodeError("root node shorter than its prev-root field")
-    if tag in _LEAF_TAGS:
-        if body_end < 2:
-            raise MalformedNodeError("leaf too short")
-        count = data[1] + 1
-        if count > params.k:
-            raise MalformedNodeError(f"leaf holds {count} tuples, limit {params.k}")
-        stride = 2 * digest_len
-        if body_end != 2 + count * stride:
-            raise MalformedNodeError("leaf length does not match its tuple count")
-        for offset in range(2 + stride, body_end, stride):
-            if data[offset:offset + digest_len] <= data[offset - stride:offset - digest_len]:
-                raise MalformedNodeError("leaf tuples not strictly ascending")
-        return tag, body_end, count
-    if tag in _INTERNAL_TAGS:
-        bitmap_len = params.bitmap_len
-        bitmap_end = 1 + bitmap_len
+    if tag & 1:
+        bitmap_end = 1 + params.bitmap_len
         if body_end < bitmap_end:
             raise MalformedNodeError("internal node shorter than its bitmap")
-        bitmap = int.from_bytes(data[1:bitmap_end], "big")
+        # a one-byte bitmap (r <= 8) is its byte: slicing it out and
+        # converting costs as much as every other check of the node
+        bitmap = data[1] if bitmap_end == 2 else int.from_bytes(data[1:bitmap_end], "big")
         if not bitmap:
             raise MalformedNodeError("internal node has no children")
-        # labels >= r are the low 8 * bitmap_len - r bits
-        if bitmap & ((1 << (8 * bitmap_len - params.r)) - 1):
+        if bitmap & params.spare_bits:
             raise MalformedNodeError("bitmap marks a label outside [0, r)")
         if body_end != bitmap_end + bitmap.bit_count() * digest_len:
             raise MalformedNodeError("internal length does not match its bitmap")
         return tag, body_end, bitmap
-    raise MalformedNodeError(f"unknown node tag 0x{tag:02x}")
+    if body_end < 2:
+        raise MalformedNodeError("leaf too short")
+    count = data[1] + 1
+    if count > params.k:
+        raise MalformedNodeError(f"leaf holds {count} tuples, limit {params.k}")
+    stride = 2 * digest_len
+    if body_end != 2 + count * stride:
+        raise MalformedNodeError("leaf length does not match its tuple count")
+    for offset in range(2 + stride, body_end, stride):
+        if data[offset:offset + digest_len] <= data[offset - stride:offset - digest_len]:
+            raise MalformedNodeError("leaf tuples not strictly ascending")
+    return tag, body_end, count
 
 
 def _leaf_entries(data: bytes, body_end: int, params: TrieParams) -> list[tuple[bytes, bytes]]:
     """The (key, value) tuples of a leaf framed by ``_frame``, in stored order."""
-    digest_len = params.alg.output_len
+    digest_len = params.digest_len
     return [
         (data[at:at + digest_len], data[at + digest_len:at + 2 * digest_len])
         for at in range(2, body_end, 2 * digest_len)
@@ -260,7 +266,7 @@ def _leaf_entries(data: bytes, body_end: int, params: TrieParams) -> list[tuple[
 
 def _children(data: bytes, bitmap: int, params: TrieParams) -> list[tuple[int, bytes]]:
     """The (label, child digest) pairs of an internal node framed by ``_frame``."""
-    digest_len = params.alg.output_len
+    digest_len = params.digest_len
     offset = 1 + params.bitmap_len
     last = 8 * params.bitmap_len - 1
     children = []
@@ -276,9 +282,9 @@ def parse_node(data: bytes, params: TrieParams) -> Node:
     """Inverse of serialize_node; raises MalformedNodeError on any deviation."""
     tag, body_end, shape = _frame(data, params)
     prev_root = data[body_end:] or None
-    if tag in _LEAF_TAGS:
-        return LeafNode(tuple(_leaf_entries(data, body_end, params)), prev_root)
-    return InternalNode(tuple(_children(data, shape, params)), prev_root)
+    if tag & 1:
+        return InternalNode(tuple(_children(data, shape, params)), prev_root)
+    return LeafNode(tuple(_leaf_entries(data, body_end, params)), prev_root)
 
 
 def node_digest(node: Node, params: TrieParams) -> bytes:
@@ -291,7 +297,7 @@ def _sorted_pairs(
     assoc, params: TrieParams, none_is_deletion: bool = False
 ) -> list[tuple[bytes, bytes]]:
     items = list(assoc.items()) if hasattr(assoc, "items") else list(assoc)
-    digest_len = params.alg.output_len
+    digest_len = params.digest_len
     seen: set[bytes] = set()
     for key, value in items:
         if value is None:
@@ -336,7 +342,7 @@ class _Builder:
         self.store = store
         self.width = label_width(params.r)
         self.bits = params.alg.bit_length
-        self.digest_len = params.alg.output_len
+        self.digest_len = params.digest_len
         self.bitmap_len = params.bitmap_len
         self.empty = bytes(1 + params.bitmap_len)  # an internal body with no child
 
@@ -369,9 +375,9 @@ class _Builder:
         else:
             data = _load(self.store, digest)
             tag, body_end, shape = _frame(data, params)
-            if depth and tag in _ROOT_TAGS:
+            if depth and tag > TAG_LEAF:
                 raise MalformedNodeError("root-tagged node below the root")
-            if tag in _LEAF_TAGS:
+            if not tag & 1:  # a leaf
                 above = self.bits - depth * self.width  # key bits below this node's labels
                 prefix = ints[lo] >> above
                 merged = {}
@@ -474,7 +480,7 @@ def rechain(prev: TrieVersion) -> TrieVersion:
     """
     data = _load(prev.store, prev.root_digest)
     tag, body_end, _ = _frame(data, prev.params)
-    root_tag = tag if tag in _ROOT_TAGS else tag + 2  # 0x01 -> 0x03, 0x02 -> 0x04
+    root_tag = tag if tag > TAG_LEAF else tag + 2  # 0x01 -> 0x03, 0x02 -> 0x04
     root = prev.store.put(bytes([root_tag]) + data[1:body_end] + prev.root_digest)
     return TrieVersion(prev.params, root, prev.store)
 
@@ -517,7 +523,7 @@ class KeyPath:
         """
         params = self.params
         labels = self.labels
-        digest_len = params.alg.output_len
+        digest_len = params.digest_len
         bitmap_end = 1 + params.bitmap_len
         top = 8 * params.bitmap_len - 1
         trail = []
@@ -525,12 +531,12 @@ class KeyPath:
         while True:
             try:
                 tag, body_end, shape = _frame(data, params)
-                if depth and tag in _ROOT_TAGS:
+                if depth and tag > TAG_LEAF:
                     raise MalformedNodeError("root-tagged node below the root")
             except MalformedNodeError as exc:
                 result = (UNRESOLVED, str(exc))
                 break
-            if tag in _LEAF_TAGS:
+            if not tag & 1:  # a leaf
                 result = _ABSENT
                 for value_at in range(2 + digest_len, body_end, 2 * digest_len):
                     if data.startswith(self.key, value_at - digest_len):
@@ -612,7 +618,7 @@ def associations(version: TrieVersion) -> dict[bytes, bytes]:
     while stack:
         data = _load(version.store, stack.pop())
         tag, body_end, shape = _frame(data, params)
-        if tag in _LEAF_TAGS:
+        if not tag & 1:  # a leaf
             out.update(_leaf_entries(data, body_end, params))
         else:
             stack.extend(digest for _, digest in _children(data, shape, params))
@@ -626,7 +632,7 @@ def _paper_leaf_header_bits(k: int) -> int:
 def stats(version: TrieVersion) -> Measurements:
     """Walk every reachable node once and measure the version's shape."""
     params = version.params
-    digest_bits = 8 * params.alg.output_len
+    digest_bits = 8 * params.digest_len
     header_bits = _paper_leaf_header_bits(params.k)
 
     nodes = 0

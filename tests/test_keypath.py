@@ -1,10 +1,15 @@
-"""The byte-level key-path walker against the node-object search it replaced.
+"""The byte-level key-path walker and node framing against the code they replaced.
 
 ``ref_search`` is the audit's search loop as it stood before ``KeyPath``:
 it parses every node on the path into a node object and recomputes the
 key's label at each depth. Honest tries with one node on a key's path
 replaced by hostile bytes must give the same value and the same
 malformed-or-not verdict from the walker, ``lookup`` and ``audit_ledger``.
+
+``ref_frame`` is ``trie._frame`` before it dispatched on the tag by
+arithmetic. The walker test cannot see a changed framing message, since
+its reference frames through ``_frame`` too, so the framing test compares
+the two on the same honest and hostile nodes directly.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from hypothesis import strategies as st
 
 from harness import label_adding_key
 from trienotary.audit import Status, audit_ledger
-from trienotary.crypto import SHA256, label_at
+from trienotary.crypto import SHA256, SHA512, label_at
 from trienotary.errors import (
     IntegrityError,
     KeyExhaustedError,
@@ -34,6 +39,7 @@ from trienotary.trie import (
     LeafNode,
     TrieParams,
     TrieVersion,
+    _frame,
     build,
     lookup,
     parse_node,
@@ -264,3 +270,85 @@ def test_update_through_a_hostile_node_raises_malformed(r, k, seed, mutation, da
         changes[insert] = rng.randbytes(32)
     with pytest.raises(MalformedNodeError):
         update(TrieVersion(params, root, store), changes)
+
+
+def ref_frame(data: bytes, params: TrieParams) -> tuple[int, int, int]:
+    if not data:
+        raise MalformedNodeError("empty node")
+    digest_len = params.alg.output_len
+    tag = data[0]
+    body_end = len(data)
+    if tag in (0x03, 0x04):
+        body_end -= digest_len
+        if body_end <= 0:
+            raise MalformedNodeError("root node shorter than its prev-root field")
+    if tag in (0x02, 0x04):
+        if body_end < 2:
+            raise MalformedNodeError("leaf too short")
+        count = data[1] + 1
+        if count > params.k:
+            raise MalformedNodeError(f"leaf holds {count} tuples, limit {params.k}")
+        stride = 2 * digest_len
+        if body_end != 2 + count * stride:
+            raise MalformedNodeError("leaf length does not match its tuple count")
+        for offset in range(2 + stride, body_end, stride):
+            if data[offset:offset + digest_len] <= data[offset - stride:offset - digest_len]:
+                raise MalformedNodeError("leaf tuples not strictly ascending")
+        return tag, body_end, count
+    if tag in (0x01, 0x03):
+        bitmap_len = params.bitmap_len
+        bitmap_end = 1 + bitmap_len
+        if body_end < bitmap_end:
+            raise MalformedNodeError("internal node shorter than its bitmap")
+        bitmap = int.from_bytes(data[1:bitmap_end], "big")
+        if not bitmap:
+            raise MalformedNodeError("internal node has no children")
+        if bitmap & ((1 << (8 * bitmap_len - params.r)) - 1):
+            raise MalformedNodeError("bitmap marks a label outside [0, r)")
+        if body_end != bitmap_end + bitmap.bit_count() * digest_len:
+            raise MalformedNodeError("internal length does not match its bitmap")
+        return tag, body_end, bitmap
+    raise MalformedNodeError(f"unknown node tag 0x{tag:02x}")
+
+
+def _framed(frame, data: bytes, params: TrieParams):
+    try:
+        return frame(data, params)
+    except MalformedNodeError as exc:
+        return str(exc)
+
+
+# the mutations above that also apply to a root node
+ROOT_MUTATIONS = [_truncate, _extend, _bad_tag, _flip, _random]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    r=st.sampled_from([2, 4, 16, 256]),
+    k=st.integers(1, 3),
+    alg=st.sampled_from([ALG, SHA512]),
+    seed=st.integers(0, 2**32),
+    data=st.data(),
+)
+def test_frame_agrees_with_reference(r, k, alg, seed, data):
+    params = TrieParams(r, k, alg)
+    rng = random.Random(seed)
+    store = MemoryStore(alg)
+    pairs = {alg.hash(b"id-%d" % i): rng.randbytes(alg.output_len)
+             for i in range(rng.randint(1, 40))}
+    version = build(params, pairs, None, store)
+    root = store.get(version.root_digest)
+    nodes = [content for _, content in store.items()]
+    for node in nodes:  # honest: every node of the trie frames alike
+        assert _frame(node, params) == ref_frame(node, params)
+
+    node = data.draw(st.sampled_from(nodes))
+    if node == root:
+        mutation = data.draw(st.sampled_from(ROOT_MUTATIONS))
+    else:
+        mutation = data.draw(st.sampled_from(MUTATIONS + [_foreign_leaf]))
+    key = alg.hash(b"id-0")
+    if alg is SHA512 and mutation in (_valid_leaf, _foreign_leaf):
+        return  # they build SHA-256-sized tuples
+    hostile = mutation(node, params, key, data.draw)
+    assert _framed(_frame, hostile, params) == _framed(ref_frame, hostile, params)
