@@ -43,10 +43,12 @@ A bundle check (``verify``) makes one pass over the bundle's bytes
 (``decode_audit_proof``), hashes each node once to index the nodes by
 digest, which stands in for the store's read check, then runs the same
 engine over that index. The bundle's proof list names each round once:
-the decoder refuses a round listed twice with different proofs, as
-``proofs.idx`` refuses a conflicting entry, and reads an identical
-repeat as one entry. Node order, repeated nodes and nodes no check reads
-do not change a verdict.
+the decoder, and ``verify_audit_proof`` for a bundle built in memory,
+refuse a round listed twice with different proofs, as ``proofs.idx``
+refuses a conflicting entry, and read an identical repeat as one entry.
+The decoder also refuses bytes left over at the end of a section, so one
+bundle has one encoding up to node order and repeats. Node order,
+repeated nodes and nodes no check reads do not change a verdict.
 
 The root walk compares each root with its round's chain record as it
 goes. A walk fault (a root unresolved, malformed or not a root, a
@@ -431,7 +433,11 @@ def verify_audit_proof(
     Nodes are framed under the bundle's own ``proof.params``: the caller
     must compare them with the deployment's parameters, or a bundle can
     claim a looser shape (say a larger k) than the trie was built with.
+
+    Raises ValueError, as ``decode_audit_proof`` does, when ``proof.proofs``
+    lists a round twice with different blobs.
     """
+    proofs = _proofs_by_round(proof.proofs)
     params = proof.params
     alg = params.alg
     key = alg.hash(ledger_id)
@@ -471,7 +477,7 @@ def verify_audit_proof(
         except KeyError:
             raise NotFoundError(f"bundle lacks node {digest.hex()}") from None
 
-    engine = _Engine(params, key, chain_roots[:covered], get, dict(proof.proofs).get)
+    engine = _Engine(params, key, chain_roots[:covered], get, proofs.get)
     parts = engine.run(_as_digest(claimed, alg), extra_proofs)
     return AuditReport(
         ledger_key=key, covered_rounds=covered, uncovered_rounds=uncovered, **parts
@@ -529,17 +535,35 @@ def _count(data: bytes, pos: int, limit: int, entry_min: int) -> tuple[int, int]
     return count, start
 
 
+def _check_spent(section: str, pos: int, end: int) -> None:
+    """Refuse bytes left between the end of a section's reading and its frame's end."""
+    if pos != end:
+        left = end - pos
+        raise ValueError(f"{left} bytes left over in the {section} section of the audit proof")
+
+
+def _proofs_by_round(proofs) -> dict[int, bytes]:
+    """Round -> proof blob. A round repeated with the same blob counts once;
+    repeated with another blob, the bundle is refused, as ``proofs.idx``
+    refuses a conflicting entry, whichever copy comes first."""
+    by_round: dict[int, bytes] = {}
+    for round_seq, blob in proofs:
+        if by_round.setdefault(round_seq, blob) != blob:
+            raise ValueError(f"audit proof lists round {round_seq} twice with different proofs")
+    return by_round
+
+
 def decode_audit_proof(data: bytes) -> AuditProof:
     """Inverse of ``encode_audit_proof``, in one pass over ``data``.
 
     Raises ValueError at the first fault met in reading order: a
     truncated field, an unknown hash algorithm, invalid trie parameters,
+    bytes left over at the end of the header, node or proof section,
     trailing bytes. A bundle free of those that lists a round twice with
     different proofs raises last; an identical repeat decodes as one
     entry. Every length and count is checked against what is left of its
     section before anything under it is read, so a count no section could
-    hold fails at once. Bytes left over at the end of a section are
-    skipped.
+    hold fails at once.
     """
     from_bytes = int.from_bytes
     pos, header_end = _read_section(data, 0, len(data))
@@ -557,6 +581,7 @@ def decode_audit_proof(data: bytes) -> AuditProof:
         params = TrieParams(r, k, alg)
     except ValueError as exc:
         raise ValueError(f"invalid parameters in audit proof: {exc}") from None
+    _check_spent("header", key_at + alg.output_len, header_end)
 
     section_start, nodes_end = _read_section(data, header_end, len(data))
     count, pos = _count(data, section_start, nodes_end, 4)
@@ -569,11 +594,11 @@ def decode_audit_proof(data: bytes) -> AuditProof:
         if pos > nodes_end:
             raise _truncated()
         nodes.append(data[start:pos])
+    _check_spent("node", pos, nodes_end)
 
     section_start, proofs_end = _read_section(data, nodes_end, len(data))
     count, pos = _count(data, section_start, proofs_end, 12)
-    proofs: dict[int, bytes] = {}
-    conflict = None  # the first round listed again with another blob
+    proofs = []
     for _ in range(count):  # u64 round, u32 length, proof blob
         start = pos + 12
         if start > proofs_end:
@@ -581,13 +606,10 @@ def decode_audit_proof(data: bytes) -> AuditProof:
         end = start + from_bytes(data[pos + 8:start], "little")
         if end > proofs_end:
             raise _truncated()
-        round_seq = from_bytes(data[pos:pos + 8], "little")
-        blob = data[start:end]
-        if proofs.setdefault(round_seq, blob) != blob and conflict is None:
-            conflict = round_seq
+        proofs.append((from_bytes(data[pos:pos + 8], "little"), data[start:end]))
         pos = end
+    _check_spent("proof", pos, proofs_end)
     if proofs_end != len(data):
         raise ValueError("trailing bytes after audit proof")
-    if conflict is not None:
-        raise ValueError(f"audit proof lists round {conflict} twice with different proofs")
-    return AuditProof(ledger_key, up_to_round, params, tuple(nodes), tuple(proofs.items()))
+    by_round = _proofs_by_round(proofs)
+    return AuditProof(ledger_key, up_to_round, params, tuple(nodes), tuple(by_round.items()))

@@ -36,6 +36,17 @@ Appending to an older version forks a new log from a copy of its prefix;
 a fork, like a ledger built from a block tuple, starts with nothing
 remembered and fills its heads in O(n) on first use.
 
+A ledger loaded with its history (``Ledger.from_payloads``, ``read_ledger``)
+costs one hash per block, and its first root one hash per leaf, one per
+complete subtree head and one per fold: 3n - 1 hashes in all for n
+blocks. Past its first pair, that cold fill runs a level at a time: the
+leaf heads in one pass, then each height's heads in one pass, each
+level's new heads added to it at once. Both the block hashing and the
+fill take at most ``_BATCH`` (4,096) blocks or leaves per pass, so the
+short-lived lists they build stay a few hundred KB at any length.
+Afterwards the log remembers the root and the heads of the two leaves of
+the last complete pair.
+
 Proof generation follows the recursive subproof/path definitions; proof
 verification is the independent iterative reconstruction, so a round-trip
 exercises two different formulations of the same tree.
@@ -51,6 +62,10 @@ from .errors import InvalidRangeError
 
 LEAF_PREFIX = b"\x00"
 NODE_PREFIX = b"\x01"
+# Blocks hashed, or leaves filled, per pass of a bulk load: enough to pay
+# the per-pass costs rarely, few enough that the pass's short-lived list of
+# digests stays a few hundred KB however long the ledger is.
+_BATCH = 4096
 
 _LEDGER_HEADER_MAGIC = "ledger v1"
 # export payload encoding name -> (encode, decode)
@@ -135,31 +150,71 @@ class _Log:
         self.prev_index, self.prev_head = -1, b""
 
     def extend(self, payloads) -> None:
-        """Append blocks after the last one, hashing each at its position."""
+        """Append blocks after the last one, hashing each at its position,
+        up to ``_BATCH`` blocks per pass."""
         start = len(self.payloads)
         self.payloads += payloads
-        hashes, hash_, stored = self.hashes, self.alg.hash, self.payloads
-        for index in range(start, len(stored)):
-            hashes += hash_(_block_bytes(index, stored[index]))
+        stored, hash_, end = self.payloads, self.alg.hash, len(self.payloads)
+        if end - start == 1:
+            # an append: a pass's list and join would cost more than the hash
+            self.hashes += hash_(_block_bytes(start, stored[start]))
+            return
+        for lo in range(start, end, _BATCH):
+            self.hashes += b"".join([
+                hash_(_block_bytes(index, stored[index]))
+                for index in range(lo, min(lo + _BATCH, end))
+            ])
 
     def fill(self, size: int) -> "_Log":
-        """Store every complete subtree head within the first ``size`` leaves."""
+        """Store every complete subtree head within the first ``size`` leaves.
+
+        The first new pair of leaves goes through ``leaf``, since its first
+        leaf is the only new one whose head the log may remember, and its
+        head is pushed up every level it completes. The other new pairs are
+        hashed a level at a time, up to ``_BATCH`` leaves per pass: their
+        leaf heads, then each height's new heads, a head left waiting at
+        the end of a level pairing with the first new one. Either way each
+        leaf and each complete subtree head is hashed once, and the log
+        ends up remembering the last pair's two leaf heads.
+        """
         if size < 2:
             return self
         levels = self.levels = self.levels or [bytearray()]
         step = self.step
         hash_ = self.alg.hash
-        # Each odd leaf t completes the pair (t - 1, t) and, through it,
-        # every subtree whose last leaf is t.
-        for t in range(len(levels[0]) // step * 2 + 1, size, 2):
-            head = hash_(NODE_PREFIX + self.leaf(t - 1) + self.leaf(t))
-            for level in levels:
-                level += head
-                if len(level) // step & 1:
-                    break
-                head = hash_(NODE_PREFIX + level[-2 * step:])
-            else:
-                levels.append(bytearray(head))
+        t = len(levels[0]) // step * 2 + 1
+        if t >= size:
+            return self
+        # Leaf t completes the pair (t - 1, t) and, through it, every
+        # subtree whose last leaf is t.
+        head = hash_(NODE_PREFIX + self.leaf(t - 1) + self.leaf(t))
+        for level in levels:
+            level += head
+            if len(level) // step & 1:
+                break
+            head = hash_(NODE_PREFIX + level[-2 * step:])
+        else:
+            levels.append(bytearray(head))
+        end, hashes = size & ~1, self.hashes
+        for lo in range(t + 1, end, _BATCH):
+            hi = min(lo + _BATCH, end)
+            pending = [
+                hash_(LEAF_PREFIX + hashes[at:at + step])
+                for at in range(lo * step, hi * step, step)
+            ]
+            self.prev_index, self.prev_head = hi - 2, pending[-2]
+            self.leaf_index, self.leaf_head = hi - 1, pending[-1]
+            # ``pending`` holds the heads to pair up next, a waiting one first.
+            height = 0
+            while len(pending) > 1:
+                pairs = iter(pending)
+                heads = [hash_(NODE_PREFIX + left + right) for left, right in zip(pairs, pairs)]
+                if height == len(levels):
+                    levels.append(bytearray())
+                level = levels[height]
+                pending = [level[-step:], *heads] if len(level) // step & 1 else heads
+                level += b"".join(heads)
+                height += 1
         return self
 
     def leaf(self, index: int) -> bytes:

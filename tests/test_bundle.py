@@ -4,9 +4,11 @@ replaced, the repeated-round rule, and bundles that are not canonical.
 ``ref_decode`` is ``decode_audit_proof`` as it stood before the one-pass
 decoder: one method call per field, each section sliced out and read by
 its own cursor. The new decoder must return what it returns and raise the
-same ``ValueError`` message where it raises, with one exception: a bundle
-listing one round twice with different proofs, which ``ref_decode``
-accepted and the new decoder refuses.
+same ``ValueError`` message where it raises, with two exceptions that
+``ref_decode`` accepted and the new decoder refuses: bytes left over at
+the end of a section, which ``ref_decode(data, strict=True)`` refuses at
+the same point of its reading, and a bundle listing one round twice with
+different proofs.
 """
 
 from __future__ import annotations
@@ -54,7 +56,13 @@ class _Cursor:
         return int.from_bytes(self.take(8), "little")
 
 
-def ref_decode(data: bytes) -> AuditProof:
+def _spent(section: _Cursor, name: str) -> None:
+    if section.pos != len(section.data):
+        left = len(section.data) - section.pos
+        raise ValueError(f"{left} bytes left over in the {name} section of the audit proof")
+
+
+def ref_decode(data: bytes, strict: bool = False) -> AuditProof:
     outer = _Cursor(data)
     header = _Cursor(outer.take(outer.u32()))
     alg = algorithm_by_wire_id(header.take(1)[0])
@@ -66,17 +74,23 @@ def ref_decode(data: bytes) -> AuditProof:
         params = TrieParams(r, k, alg)
     except ValueError as exc:
         raise ValueError(f"invalid parameters in audit proof: {exc}") from None
+    if strict:
+        _spent(header, "header")
 
     nodes_section = _Cursor(outer.take(outer.u32()))
     nodes = []
     for _ in range(nodes_section.u32()):
         nodes.append(nodes_section.take(nodes_section.u32()))
+    if strict:
+        _spent(nodes_section, "node")
 
     proofs_section = _Cursor(outer.take(outer.u32()))
     proofs = []
     for _ in range(proofs_section.u32()):
         round_seq = proofs_section.u64()
         proofs.append((round_seq, proofs_section.take(proofs_section.u32())))
+    if strict:
+        _spent(proofs_section, "proof")
     if outer.pos != len(data):
         raise ValueError("trailing bytes after audit proof")
     return AuditProof(ledger_key, up_to_round, params, tuple(nodes), tuple(proofs))
@@ -220,7 +234,7 @@ MUTATIONS = [_flip, _truncate, _extend, _splice, _duplicate_section, _duplicate_
 
 def assert_decodes_like_reference(blob: bytes) -> None:
     try:
-        expected = ref_decode(blob)
+        expected = ref_decode(blob, strict=True)
     except ValueError as exc:
         event(f"refused: {str(exc).split(' ')[0]}")
         with pytest.raises(ValueError) as raised:
@@ -313,6 +327,47 @@ class ReadCounting(bytes):
         return super().__getitem__(index)
 
 
+# ------------------------------------------------- bytes left over in a section
+
+def padded(blob: bytes, index: int) -> bytes:
+    """``blob`` with 5 junk bytes after the contents of section ``index``, framed to hold them."""
+    parts = sections(blob)
+    parts[index] = u32(len(parts[index]) + 1) + parts[index][4:] + b"\xaa" * 5
+    return b"".join(parts)
+
+
+@pytest.mark.parametrize("index, name", [(0, "header"), (1, "node"), (2, "proof")])
+def test_bytes_left_over_in_a_section_are_refused(index, name):
+    # The cursor decoder skipped them, so the padded bundle decoded equal
+    # to the honest one and verified.
+    _, _, proof, _ = _changed_round_bundle()
+    blob = padded(encode_audit_proof(proof), index)
+    assert ref_decode(blob) == proof
+    with pytest.raises(ValueError) as raised:
+        decode_audit_proof(blob)
+    assert str(raised.value) == f"5 bytes left over in the {name} section of the audit proof"
+
+
+def test_cli_verify_of_a_padded_bundle_is_inconclusive(tmp_path, capsys):
+    workdir = tmp_path / "run"
+    assert main([
+        "simulate", "--workdir", str(workdir), "--ledgers", "6", "--rounds", "4",
+        "--append-rate", "1.0", "--seed", "11",
+    ]) == 0
+    proof_file = tmp_path / "l2.proof"
+    assert main(["prove", "ledger-2", "--workdir", str(workdir), "--out", str(proof_file)]) == 0
+    proof_file.write_bytes(padded(proof_file.read_bytes(), 1))
+    capsys.readouterr()
+    code = main(["verify", "ledger-2", "--proof", str(proof_file), "--workdir", str(workdir)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "inconclusive: unreadable audit proof "
+        "(5 bytes left over in the node section of the audit proof)\n"
+    )
+
+
 # ------------------------------------------------------ a round listed twice
 
 def _changed_round_bundle():
@@ -334,6 +389,28 @@ def test_a_conflicting_repeated_round_is_refused_in_either_order(order):
     proofs = [*proof.proofs, forged] if order == "appended" else [forged, *proof.proofs]
     with pytest.raises(ValueError, match="lists round 1 twice with different proofs"):
         decode_audit_proof(with_proofs(proof, proofs))
+
+
+@pytest.mark.parametrize("order", ["appended", "prepended"])
+def test_verify_refuses_an_in_memory_conflicting_repeated_round(order):
+    # A hand-built AuditProof never passes through the decoder; read
+    # through a dict, the forged copy appended failed no_forks and
+    # prepended passed.
+    history, roots, proof, forged = _changed_round_bundle()
+    proofs = (*proof.proofs, forged) if order == "appended" else (forged, *proof.proofs)
+    with pytest.raises(ValueError, match="lists round 1 twice with different proofs"):
+        verify_audit_proof(
+            replace(proof, proofs=proofs), b"ledger-2", roots, history.ledgers[b"ledger-2"]
+        )
+
+
+def test_verify_counts_an_in_memory_identical_repeated_round_once():
+    history, roots, proof, _ = _changed_round_bundle()
+    claimed = history.ledgers[b"ledger-2"]
+    repeated = replace(proof, proofs=(*proof.proofs, proof.proofs[0]))
+    report = verify_audit_proof(repeated, b"ledger-2", roots, claimed)
+    assert report == verify_audit_proof(proof, b"ledger-2", roots, claimed)
+    assert report.verdict is Status.PASS
 
 
 def test_an_identical_repeated_round_decodes_as_one_entry():

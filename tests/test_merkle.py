@@ -12,19 +12,23 @@ import gc
 import math
 import random
 import tracemalloc
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trienotary import merkle
 from trienotary.chain import Chain
-from trienotary.crypto import SHA256, SHA512
+from trienotary.crypto import SHA256, SHA512, HashAlg
 from trienotary.errors import InvalidRangeError
 from trienotary.merkle import (
     Block,
     ConsistencyProof,
     InclusionProof,
     Ledger,
+    _Log,
     decode_consistency_proof,
     encode_consistency_proof,
     ledger_root,
@@ -581,6 +585,170 @@ def test_single_mode_hashes_for_a_one_block_append(merkle_hashes):
     merkle_hashes()
     notarize_single(ledger.append(b"next"), (first.trie_root, 1000), chain)
     assert merkle_hashes() == 8
+
+
+# ------------------------------------------------ a level-at-a-time fill
+
+@contextmanager
+def counted_hashes():
+    """Counts every HashAlg.hash call made inside the block."""
+    calls = [0]
+    original = HashAlg.hash
+
+    def counted(alg, data):
+        calls[0] += 1
+        return original(alg, data)
+
+    HashAlg.hash = counted
+    try:
+        yield calls
+    finally:
+        HashAlg.hash = original
+
+
+def ref_fill(self, size):
+    """``_Log.fill`` leaf by leaf: each pair through ``leaf``, its head
+    pushed up every level it completes."""
+    if size < 2:
+        return self
+    levels = self.levels = self.levels or [bytearray()]
+    step = self.step
+    for t in range(len(levels[0]) // step * 2 + 1, size, 2):
+        head = self.alg.hash(b"\x01" + self.leaf(t - 1) + self.leaf(t))
+        for level in levels:
+            level += head
+            if len(level) // step & 1:
+                break
+            head = self.alg.hash(b"\x01" + level[-2 * step:])
+        else:
+            levels.append(bytearray(head))
+    return self
+
+
+@contextmanager
+def leaf_by_leaf():
+    fill = _Log.fill
+    _Log.fill = ref_fill
+    try:
+        yield
+    finally:
+        _Log.fill = fill
+
+
+def ref_levels(leaves: list[bytes], filled: int, memo: dict) -> list[bytes]:
+    """Heads of every complete, aligned subtree of 2**j >= 2 leaves within
+    the first ``filled`` leaves, one bytes string per height."""
+    out, j = [], 1
+    while filled >> j:
+        width = 1 << j
+        out.append(b"".join(
+            ref_head(leaves, i * width, (i + 1) * width, memo) for i in range(filled >> j)
+        ))
+        j += 1
+    return out
+
+
+# An op picks a version and either asks it for a root, a consistency proof
+# or an inclusion proof at sizes drawn as fractions of its length, or
+# appends 1-40 blocks to it, which forks its log unless it is the newest
+# version. Each op runs twice, on the ledger and on a twin whose log fills
+# leaf by leaf.
+_FILL_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["root", "consistency", "inclusion", "append"]),
+        st.integers(0, 60),
+        st.floats(0, 1),
+        st.floats(0, 1),
+        st.integers(1, 40),
+    ),
+    max_size=10,
+)
+
+
+# Passes of 2 and 6 leaves split loads and fills the way 4,096 splits a
+# long export.
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 1100), ops=_FILL_OPS, batch=st.sampled_from([2, 6, 4096]))
+def test_a_level_at_a_time_fill_matches_a_leaf_by_leaf_one(n, ops, batch):
+    with mock.patch.object(merkle, "_BATCH", batch):
+        check_fill(n, ops)
+
+
+def check_fill(n, ops):
+    payloads = [i.to_bytes(2, "big") for i in range(n)]
+    versions = [tuple(Ledger.from_payloads(b"f", payloads, ALG) for _ in range(2))]
+    for op, pick, x, y, count in ops:
+        ledger, twin = versions[pick % len(versions)]
+        size = len(ledger)
+        if op == "append":
+            grown = [(size + i).to_bytes(3, "big") for i in range(count)]
+            with counted_hashes() as calls:
+                for payload in grown:
+                    ledger = ledger.append(payload)
+            with counted_hashes() as twin_calls, leaf_by_leaf():
+                for payload in grown:
+                    twin = twin.append(payload)
+            versions.append((ledger, twin))
+            assert calls == twin_calls == [count]
+            continue
+        # every leaf of the log, which versions longer than this one share
+        leaves = [
+            ALG.hash(b"\x00" + ref_block(i, p).block_hash)
+            for i, p in enumerate(ledger._log.payloads)
+        ]
+        memo: dict = {}
+        if op == "root":
+            m = round(x * size)
+            call = lambda target: root_at(target, m)
+            expected = ref_head(leaves, 0, m, memo)
+        elif size and op == "consistency":
+            m, new_size = sorted((1 + round(x * (size - 1)), 1 + round(y * (size - 1))))
+            call = lambda target: prove_consistency(target, m, new_size)
+            expected = ConsistencyProof(m, new_size, tuple(
+                ref_subproof(leaves, m, 0, new_size, True, memo)
+            ))
+        elif size:
+            index = round(x * (size - 1))
+            call = lambda target: prove_inclusion(target, index)
+            expected = InclusionProof(index, size, tuple(ref_path(leaves, index, 0, size, memo)))
+        else:
+            continue
+        with counted_hashes() as calls:
+            assert call(ledger) == expected
+        with counted_hashes() as twin_calls, leaf_by_leaf():
+            assert call(twin) == expected
+        assert calls == twin_calls
+        filled = len(twin._log.levels[0]) // ALG.output_len * 2 if twin._log.levels else 0
+        assert [bytes(level) for level in ledger._log.levels or ()] == ref_levels(
+            leaves, filled, memo
+        )
+        assert (ledger._log.leaf_index, ledger._log.prev_index) == (
+            twin._log.leaf_index, twin._log.prev_index
+        )
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 1100))
+def test_a_loaded_ledger_costs_three_hashes_per_block_less_one(n):
+    # one per block, one per leaf, and one per head of the n - 1 pairings
+    # that join the leaves into the root
+    with counted_hashes() as calls:
+        ledger_root(Ledger.from_payloads(b"n", [i.to_bytes(2, "big") for i in range(n)], ALG))
+    assert calls == [3 * n - 1]
+
+
+def test_a_long_load_holds_little_short_lived_memory():
+    payloads = [i.to_bytes(4, "big") for i in range(30_000)]
+    tracemalloc.start()
+    try:
+        ledger = Ledger.from_payloads(b"peak", payloads, ALG)
+        ledger_root(ledger)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Passes of at most 4,096 blocks or leaves peak about 0.5 MB above
+    # what the ledger keeps; one pass over all of them, about 3.6 MB here.
+    assert peak - retained < 1_000_000
 
 
 def test_proofs_leave_no_cyclic_garbage():
