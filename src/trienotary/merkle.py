@@ -23,15 +23,19 @@ logs). A block costs one payload reference and one digest's bytes, and no
 object of its own: ``Block`` values are built only when ``Ledger.blocks``
 is read. Appending to the newest version is one block hash and two
 in-place appends; the amortized O(1) head hashes are charged when the next
-root or proof is asked for. The head of any prefix folds the O(log n)
-complete heads that cover it, so ``root_at`` is O(log n) hashes, and
-proofs are O(log^2 n) worst case. The log also remembers its right edge:
-the last root ``root_at`` computed, with its size, and the last two leaf
-heads it hashed, with their indexes. Asked again, these cost no hash. So
-when a notarization round appends one block to an n-block ledger whose
-root it asked for last, the old root, the new root and the proof between
-them hash only the block, its leaf, the subtree heads it completes and
-the folds into the new root: 4 hashes at n = 10, 8 at n = 1000.
+root or proof is asked for. The head of any prefix folds the complete
+heads that cover it, one per set bit of its size, each read from its
+level at an index the bits give, so ``root_at`` is O(log n) hashes. A
+proof reads its heads the same way, from the bits of the old size or the
+leaf index and of the new size, and folds one range, where its path
+leaves the tree's right edge: O(log n) hashes, and no recursion. The log
+also remembers its right edge: the last root ``root_at`` computed, with
+its size, and the last two leaf heads it hashed, with their indexes.
+Asked again, these cost no hash. So when a notarization round appends
+one block to an n-block ledger whose root it asked for last, the old
+root, the new root and the proof between them hash only the block, its
+leaf, the subtree heads it completes and the folds into the new root: 4
+hashes at n = 10, 8 at n = 1000.
 Appending to an older version forks a new log from a copy of its prefix;
 a fork, like a ledger built from a block tuple, starts with nothing
 remembered and fills its heads in O(n) on first use.
@@ -47,9 +51,11 @@ short-lived lists they build stay a few hundred KB at any length.
 Afterwards the log remembers the root and the heads of the two leaves of
 the last complete pair.
 
-Proof generation follows the recursive subproof/path definitions; proof
-verification is the independent iterative reconstruction, so a round-trip
-exercises two different formulations of the same tree.
+Proof generation takes the heads that RFC 9162's recursive SUBPROOF and
+PATH take, in the order they take them, deepest first, so each leaf head
+is hashed or recalled exactly as the recursion would; proof verification
+is the independent iterative reconstruction, so a round-trip exercises
+two different formulations of the same tree.
 """
 
 from __future__ import annotations
@@ -108,11 +114,6 @@ class InclusionProof:
     leaf_index: int
     tree_size: int
     path: tuple[bytes, ...]
-
-
-def _split(n: int) -> int:
-    """Largest power of two smaller than n (so k < n <= 2k)."""
-    return 1 << ((n - 1).bit_length() - 1)
 
 
 class _Log:
@@ -181,10 +182,10 @@ class _Log:
             return self
         levels = self.levels = self.levels or [bytearray()]
         step = self.step
-        hash_ = self.alg.hash
         t = len(levels[0]) // step * 2 + 1
         if t >= size:
             return self
+        hash_ = self.alg.hash
         # Leaf t completes the pair (t - 1, t) and, through it, every
         # subtree whose last leaf is t.
         head = hash_(NODE_PREFIX + self.leaf(t - 1) + self.leaf(t))
@@ -232,46 +233,81 @@ class _Log:
         """Head of leaves [lo, hi), a subtree of the RFC 9162 decomposition.
 
         Such a range starts at a multiple of every power of two not above
-        its length, so it splits into complete, aligned subtrees, largest
-        first, whose heads fold from the right.
+        its length, so it splits into complete, aligned subtrees, one per
+        set bit of ``hi - lo``, largest first. Their heads fold from the
+        right: the fold starts from the piece of the lowest bit and takes
+        each higher bit's piece straight from its level, 2**j leaves from
+        leaf ``lo`` being head ``lo >> j`` of ``levels[j - 1]``.
         """
         if lo == hi:
             return self.alg.hash(b"")
-        pieces = []
-        step = self.step
-        while lo < hi:
-            j = (hi - lo).bit_length() - 1
-            if j == 0:
-                pieces.append(self.leaf(lo))
-            else:
-                at = (lo >> j) * step
-                pieces.append(bytes(self.levels[j - 1][at:at + step]))
-            lo += 1 << j
-        head = pieces.pop()
-        while pieces:
-            head = self.alg.hash(NODE_PREFIX + pieces.pop() + head)
+        levels, step = self.levels, self.step
+        bits = hi - lo
+        low = bits & -bits
+        bits -= low
+        hi -= low
+        j = low.bit_length() - 1
+        if j:
+            at = (hi >> j) * step
+            head = levels[j - 1][at:at + step]
+            if not bits:
+                return bytes(head)
+        else:
+            head = self.leaf(hi)
+        hash_ = self.alg.hash
+        while bits:
+            low = bits & -bits
+            bits -= low
+            hi -= low
+            j = low.bit_length() - 1
+            at = (hi >> j) * step
+            head = hash_(NODE_PREFIX + levels[j - 1][at:at + step] + head)
         return head
 
-    # The two RFC 9162 proof recursions are methods, not closures: a closure
-    # that calls itself is a reference cycle, left for the cyclic collector.
+    def subproof(self, m: int, n: int) -> list[bytes]:
+        """SUBPROOF(m, D[0:n], true) of RFC 9162 section 2.1.4.1.
 
-    def subproof(self, m: int, lo: int, hi: int, complete: bool) -> list[bytes]:
-        """SUBPROOF(m, D[lo:hi], complete) of RFC 9162 section 2.1.4.1."""
-        if m == hi - lo:
-            return [] if complete else [self.head(lo, hi)]
-        k = _split(hi - lo)
-        if m <= k:
-            return self.subproof(m, lo, lo + k, complete) + [self.head(lo + k, hi)]
-        return self.subproof(m - k, lo + k, hi, False) + [self.head(lo, lo + k)]
-
-    def path(self, i: int, lo: int, hi: int) -> list[bytes]:
-        """PATH(i, D[lo:hi]) of RFC 9162 section 2.1.3.1."""
-        if hi - lo == 1:
+        The recursion ends at the largest complete subtree that ends at leaf
+        m, of 2**j leaves where 2**j is the lowest set bit of m; its head
+        comes first unless it starts at leaf 0, and then the path from it
+        to the root.
+        """
+        if m == n:
             return []
-        k = _split(hi - lo)
-        if i - lo < k:
-            return self.path(i, lo, lo + k) + [self.head(lo + k, hi)]
-        return self.path(i, lo + k, hi) + [self.head(lo, lo + k)]
+        low = m & -m
+        proof = [] if m == low else [self.head(m - low, m)]
+        return proof + self.path(m - 1, low.bit_length() - 1, n)
+
+    def path(self, index: int, level: int, n: int) -> list[bytes]:
+        """PATH(index, D[0:n]) of RFC 9162 section 2.1.3.1, from the
+        complete subtree of 2**level leaves over leaf ``index`` up.
+
+        The heads are the recursion's, in the order it takes them, deepest
+        first. The paths to ``index`` and to leaf n - 1 share the nodes
+        above height ``fork``, the highest bit in which the two differ:
+        ``index`` is in the left half of the lowest shared node, of
+        2**(fork + 1) leaves from leaf ``lo``. Below height ``fork`` every
+        sibling is a complete subtree, read from its level as in ``head``.
+        At it the sibling is that node's right half, cut at leaf n, folded
+        by ``head``. Above it every sibling is a complete subtree on the
+        left, one per set bit of ``lo``, lowest bit first.
+        """
+        levels, step = self.levels, self.step
+        fork = (index ^ (n - 1)).bit_length() - 1
+        proof = []
+        for j in range(level, fork):
+            at = ((index >> j) ^ 1) * step
+            proof.append(bytes(levels[j - 1][at:at + step]) if j else self.leaf(index ^ 1))
+        lo = (n - 1) >> (fork + 1) << (fork + 1)
+        if fork >= 0:
+            proof.append(self.head(lo + (1 << fork), n))
+        while lo:
+            low = lo & -lo
+            lo -= low
+            j = low.bit_length() - 1
+            at = (lo >> j) * step
+            proof.append(bytes(levels[j - 1][at:at + step]) if j else self.leaf(lo))
+        return proof
 
 
 class Ledger:
@@ -336,9 +372,9 @@ class Ledger:
 
 def root_at(ledger: Ledger, size: int) -> bytes:
     """Merkle head over the first ``size`` blocks."""
-    if size < 0 or size > len(ledger):
-        raise InvalidRangeError(f"size {size} out of range for ledger of {len(ledger)} blocks")
-    log = ledger._log
+    log, n = ledger._log, ledger._size
+    if size < 0 or size > n:
+        raise InvalidRangeError(f"size {size} out of range for ledger of {n} blocks")
     if size != log.root_size:
         log.root_size, log.root = size, log.fill(size).head(0, size)
     return log.root
@@ -346,16 +382,15 @@ def root_at(ledger: Ledger, size: int) -> bytes:
 
 def ledger_root(ledger: Ledger) -> bytes:
     """The ledger's current state digest (hash of "" for an empty ledger)."""
-    return root_at(ledger, len(ledger))
+    return root_at(ledger, ledger._size)
 
 
 def prove_consistency(ledger: Ledger, old_size: int, new_size: int) -> ConsistencyProof:
     """Consistency proof between the ledger's size-m and size-n states."""
-    if old_size < 1 or old_size > new_size or new_size > len(ledger):
-        raise InvalidRangeError(
-            f"need 0 < m <= n <= {len(ledger)}, got m={old_size} n={new_size}"
-        )
-    path = ledger._log.fill(new_size).subproof(old_size, 0, new_size, True)
+    size = ledger._size
+    if old_size < 1 or old_size > new_size or new_size > size:
+        raise InvalidRangeError(f"need 0 < m <= n <= {size}, got m={old_size} n={new_size}")
+    path = ledger._log.fill(new_size).subproof(old_size, new_size)
     return ConsistencyProof(old_size, new_size, tuple(path))
 
 
@@ -483,12 +518,17 @@ def read_ledger(path) -> Ledger:
         if fields["enc"] not in _PAYLOAD_CODECS:
             raise ValueError(f"unknown payload encoding {fields['enc']!r}")
         dec = _PAYLOAD_CODECS[fields["enc"]][1]
-        payloads = []
-        for number, line in enumerate(lines[1:], start=2):
-            try:
-                payloads.append(dec(line))
-            except ValueError:
-                raise ValueError(f"line {number} is not {fields['enc']}") from None
+        try:
+            payloads = [dec(line) for line in lines[1:]]
+        except ValueError:
+            # only now look for the line that failed, so that a good export
+            # pays no per-line bookkeeping
+            for number, line in enumerate(lines[1:], start=2):
+                try:
+                    dec(line)
+                except ValueError:
+                    raise ValueError(f"line {number} is not {fields['enc']}") from None
+            raise
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     return Ledger.from_payloads(ledger_id, payloads, alg)

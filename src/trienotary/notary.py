@@ -78,13 +78,11 @@ class NotaryState:
             object.__setattr__(self, "last_root", self.params.alg.zero)
 
 
-def _check_extension(ledger: Ledger, old_size: int, old_root: bytes) -> None:
-    """Raise ``LedgerTamperError`` unless ``ledger`` extends the state of
-    ``old_size`` blocks whose root was ``old_root``."""
-    if len(ledger) < old_size:
-        raise LedgerTamperError(
-            f"ledger {ledger.id.hex()} shrank from {old_size} to {len(ledger)} blocks"
-        )
+def _check_extension(ledger: Ledger, size: int, old_size: int, old_root: bytes) -> None:
+    """Raise ``LedgerTamperError`` unless ``ledger``, of ``size`` blocks,
+    extends the state of ``old_size`` blocks whose root was ``old_root``."""
+    if size < old_size:
+        raise LedgerTamperError(f"ledger {ledger.id.hex()} shrank from {old_size} to {size} blocks")
     if root_at(ledger, old_size) != old_root:
         raise LedgerTamperError(f"ledger {ledger.id.hex()} rewrote history before block {old_size}")
 
@@ -129,14 +127,14 @@ def notarize_round(
             # last round's ledger the check reads back the root computed
             # then, and the new root is the one kept for the next round.
             key = entry.key
-            _check_extension(ledger, len(entry.ledger), entry.digest)
+            old_size, size = len(entry.ledger), len(ledger)
+            _check_extension(ledger, size, old_size, entry.digest)
         digest = ledger_root(ledger)
         registry[ledger_id] = Notarized(key, digest, ledger)
         if entry is not None:
             if digest == entry.digest:
                 continue
-            old_size = len(entry.ledger)
-            proof = prove_consistency(ledger, old_size, len(ledger))
+            proof = prove_consistency(ledger, old_size, size)
             store.index_proof(key, state.round, store.put(encode_consistency_proof(proof)))
         changes[key] = digest
 
@@ -163,13 +161,14 @@ def notarize_single(
     ``prev`` is the (root, size) pair from the previous record, or None for
     the first notarization (which carries an empty note).
     """
+    size = len(ledger)
     if prev is not None:
         prev_root, prev_size = prev
-        _check_extension(ledger, prev_size, prev_root)
+        _check_extension(ledger, size, prev_size, prev_root)
     root = ledger_root(ledger)
     note = b""
     if prev is not None and root != prev_root:
-        note = encode_consistency_proof(prove_consistency(ledger, prev_size, len(ledger)))
+        note = encode_consistency_proof(prove_consistency(ledger, prev_size, size))
     record = NotarizationRecord(chain.height, root, note)
     chain.publish(record)
     return record

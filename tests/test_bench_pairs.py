@@ -58,6 +58,54 @@ def test_a_run_without_a_report_counts_as_a_failure_and_drops_its_pair():
     assert block["metrics"]["setup_s"]["runs"]["change"] == [None, 1.0]
 
 
+def summary_of(parent: list, change: list) -> dict:
+    """The metric blocks of pairs (setup_s, rate) of parent and change values."""
+    runs = {
+        "parent": [report(setup_s, rate) for setup_s, rate in parent],
+        "change": [report(setup_s, rate) for setup_s, rate in change],
+    }
+    return bench_pairs.summarize(SPEC, runs)["w"]["metrics"]
+
+
+@pytest.mark.parametrize(
+    "change_setup_s, change_rate, met",
+    [
+        # 9 of 10 pairs won, the medians far beyond the parent's quartiles
+        ([0.8] * 9 + [1.2], [6.0] * 9 + [4.0], True),
+        # 8 of 10 won
+        ([0.8] * 8 + [1.2] * 2, [6.0] * 8 + [4.0] * 2, False),
+        # 10 of 10 won, but by less than the parent's quartile spread
+        ([v - 0.01 for v in [0.95, 0.97, 0.98, 1.0, 1.0, 1.0, 1.0, 1.02, 1.03, 1.05]],
+         [v + 0.01 for v in [4.9, 4.92, 4.95, 4.97, 5.0, 5.0, 5.03, 5.05, 5.08, 5.1]], False),
+    ],
+)
+def test_the_claim_rule_needs_nine_tenths_of_the_pairs_and_a_gap_beyond_the_spread(
+    change_setup_s, change_rate, met
+):
+    parent = list(zip(
+        [0.95, 0.97, 0.98, 1.0, 1.0, 1.0, 1.0, 1.02, 1.03, 1.05],
+        [4.9, 4.92, 4.95, 4.97, 5.0, 5.0, 5.03, 5.05, 5.08, 5.1],
+    ))
+    metrics = summary_of(parent, list(zip(change_setup_s, change_rate)))
+    assert metrics["setup_s"]["claim_rule_met"] is met
+    assert metrics["rate"]["claim_rule_met"] is met
+
+
+@pytest.mark.parametrize(
+    "change, worse",
+    [
+        ((1.3, 5.0), (True, False)),  # setup_s 30% worse, against a 0.25 bound
+        ((1.2, 5.0), (False, False)),
+        ((1.0, 4.4), (False, True)),  # rate 12% lower, against a 0.1 bound
+        ((1.0, 4.6), (False, False)),
+        ((0.5, 9.0), (False, False)),  # better is never worse than the bound
+    ],
+)
+def test_worse_than_bound_compares_the_medians_in_the_metrics_direction(change, worse):
+    metrics = summary_of([(1.0, 5.0)] * 3, [change] * 3)
+    assert (metrics["setup_s"]["worse_than_bound"], metrics["rate"]["worse_than_bound"]) == worse
+
+
 @pytest.mark.parametrize("text, seeds", [("1801-1803", [1801, 1802, 1803]), ("5,7", [5, 7])])
 def test_seed_lists(text, seeds):
     assert bench_pairs.parse_seeds(text) == seeds

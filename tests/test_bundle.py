@@ -1,5 +1,6 @@
 """The audit-bundle wire form: the decoder against the cursor decoder it
-replaced, the repeated-round rule, and bundles that are not canonical.
+replaced, the repeated-round rule, bundles that are not canonical, and the
+exit code of CLI ``verify`` on a bundle with one byte flipped.
 
 ``ref_decode`` is ``decode_audit_proof`` as it stood before the one-pass
 decoder: one method call per field, each section sliced out and read by
@@ -13,7 +14,9 @@ different proofs.
 
 from __future__ import annotations
 
+import io
 import random
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from functools import cache
 
@@ -366,6 +369,66 @@ def test_cli_verify_of_a_padded_bundle_is_inconclusive(tmp_path, capsys):
         "inconclusive: unreadable audit proof "
         "(5 bytes left over in the node section of the audit proof)\n"
     )
+
+
+# ------------------------------------------- CLI verify of a flipped bundle
+
+# In a bundle file, the header section's frame and its alg, r and k fields
+# take 9 bytes; up_to_round, 8 bytes little-endian, follows them.
+_UP_TO_ROUND = slice(9, 17)
+
+
+@pytest.fixture(scope="module")
+def cli_bundle(tmp_path_factory):
+    """A seeded 6-ledger, 4-round workdir and its honest ``ledger-2`` bundle."""
+    tmp = tmp_path_factory.mktemp("flips")
+    workdir = tmp / "run"
+    with redirect_stdout(io.StringIO()):
+        assert main([
+            "simulate", "--workdir", str(workdir), "--ledgers", "6", "--rounds", "4",
+            "--append-rate", "1.0", "--seed", "11",
+        ]) == 0
+        proof_file = tmp / "l2.proof"
+        assert main(["prove", "ledger-2", "--workdir", str(workdir), "--out", str(proof_file)]) == 0
+    return workdir, proof_file, proof_file.read_bytes()
+
+
+def verify_flipped(cli_bundle, position: int, mask: int) -> int:
+    """``verify`` of the honest bundle with ``mask`` flipped into one byte.
+
+    Every flip exits 0, 1 or 2 and raises nothing; a flip in the node or
+    proof section never exits 0; the only exit 0 is a lowered
+    ``up_to_round``, whose later rounds ``verify`` reports as not covered.
+    """
+    workdir, proof_file, honest = cli_bundle
+    flipped = bytearray(honest)
+    flipped[position] ^= mask
+    proof_file.write_bytes(flipped)
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main(["verify", "ledger-2", "--proof", str(proof_file), "--workdir", str(workdir)])
+    assert code in (0, 1, 2)
+    if position >= len(sections(honest)[0]):
+        assert code in (1, 2)
+    if code == 0:
+        lowered = int.from_bytes(flipped[_UP_TO_ROUND], "little")
+        assert lowered < int.from_bytes(honest[_UP_TO_ROUND], "little")
+        assert "not covered" in out.getvalue()
+    return code
+
+
+def test_cli_verify_of_a_bundle_with_a_header_bit_flipped(cli_bundle):
+    header = len(sections(cli_bundle[2])[0])
+    codes = [verify_flipped(cli_bundle, position, 0x01) for position in range(header)]
+    # round 3 becomes round 2
+    assert [p for p, code in enumerate(codes) if code == 0] == [_UP_TO_ROUND.start]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_cli_verify_of_a_bundle_with_a_byte_flipped(cli_bundle, data):
+    position = data.draw(st.integers(0, len(cli_bundle[2]) - 1))
+    verify_flipped(cli_bundle, position, data.draw(st.integers(1, 255)))
 
 
 # ------------------------------------------------------ a round listed twice

@@ -751,6 +751,106 @@ def test_a_long_load_holds_little_short_lived_memory():
     assert peak - retained < 1_000_000
 
 
+# ------------------------------------------- proofs read by the bits of a range
+
+def ref_split(n: int) -> int:
+    """Largest power of two smaller than n (so k < n <= 2k)."""
+    return 1 << ((n - 1).bit_length() - 1)
+
+
+def ref_log_head(self, lo, hi):
+    """``_Log.head`` as a list of pieces, largest first, folded from the right."""
+    if lo == hi:
+        return self.alg.hash(b"")
+    pieces = []
+    step = self.step
+    while lo < hi:
+        j = (hi - lo).bit_length() - 1
+        if j == 0:
+            pieces.append(self.leaf(lo))
+        else:
+            at = (lo >> j) * step
+            pieces.append(bytes(self.levels[j - 1][at:at + step]))
+        lo += 1 << j
+    head = pieces.pop()
+    while pieces:
+        head = self.alg.hash(b"\x01" + pieces.pop() + head)
+    return head
+
+
+def ref_log_subproof(self, m, lo, hi, complete):
+    """``_Log.subproof`` as the RFC 9162 recursion, on the log's heads."""
+    if m == hi - lo:
+        return [] if complete else [ref_log_head(self, lo, hi)]
+    k = ref_split(hi - lo)
+    if m <= k:
+        return ref_log_subproof(self, m, lo, lo + k, complete) + [ref_log_head(self, lo + k, hi)]
+    return ref_log_subproof(self, m - k, lo + k, hi, False) + [ref_log_head(self, lo, lo + k)]
+
+
+def ref_log_path(self, i, lo, hi):
+    """``_Log.path`` as the RFC 9162 recursion, on the log's heads."""
+    if hi - lo == 1:
+        return []
+    k = ref_split(hi - lo)
+    if i - lo < k:
+        return ref_log_path(self, i, lo, lo + k) + [ref_log_head(self, lo + k, hi)]
+    return ref_log_path(self, i, lo + k, hi) + [ref_log_head(self, lo, lo + k)]
+
+
+@contextmanager
+def recursive_proofs():
+    """``_Log`` reads heads and proofs through the recursive forms above."""
+    saved = _Log.head, _Log.subproof, _Log.path
+    _Log.head = ref_log_head
+    _Log.subproof = lambda self, m, n: ref_log_subproof(self, m, 0, n, True)
+    _Log.path = lambda self, index, level, n: ref_log_path(self, index, 0, n)
+    try:
+        yield
+    finally:
+        _Log.head, _Log.subproof, _Log.path = saved
+
+
+def edge(ledger: Ledger) -> tuple[int, int, int]:
+    log = ledger._log
+    return log.root_size, log.leaf_index, log.prev_index
+
+
+# Ops as for the fill oracle above; each runs on the ledger and on a twin
+# whose log reads heads and proofs through the recursion.
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(0, 1100), ops=_FILL_OPS)
+def test_heads_and_proofs_read_by_bits_match_the_recursion(n, ops):
+    payloads = [i.to_bytes(2, "big") for i in range(n)]
+    versions = [tuple(Ledger.from_payloads(b"b", payloads, ALG) for _ in range(2))]
+    for op, pick, x, y, count in ops:
+        ledger, twin = versions[pick % len(versions)]
+        size = len(ledger)
+        if op == "append":
+            for payload in [(size + i).to_bytes(3, "big") for i in range(count)]:
+                ledger, twin = ledger.append(payload), twin.append(payload)
+            versions.append((ledger, twin))
+            continue
+        if op == "root":
+            m = round(x * size)
+            call = lambda target: root_at(target, m)
+        elif size and op == "consistency":
+            m, new_size = sorted((1 + round(x * (size - 1)), 1 + round(y * (size - 1))))
+            call = lambda target: prove_consistency(target, m, new_size)
+        elif size:
+            index = round(x * (size - 1))
+            call = lambda target: prove_inclusion(target, index)
+        else:
+            continue
+        with counted_hashes() as calls:
+            got = call(ledger)
+        with counted_hashes() as twin_calls, recursive_proofs():
+            expected = call(twin)
+        assert got == expected
+        assert calls == twin_calls
+        assert edge(ledger) == edge(twin)
+
+
 def test_proofs_leave_no_cyclic_garbage():
     # A round proves every changed ledger; garbage that only the cyclic
     # collector can free would make rounds pay for collections.
@@ -787,6 +887,19 @@ def test_ledger_export_header_names_algorithm(tmp_path):
     write_ledger(ledger, path)
     first = path.read_text().splitlines()[0]
     assert first == "ledger v1 alg=sha256 enc=hex id=78"
+
+
+@pytest.mark.parametrize("encoding, bad", [("hex", "0g"), ("base64", "AA=A")])
+def test_an_undecodable_payload_line_is_named_by_its_number(tmp_path, encoding, bad):
+    path = tmp_path / "bad.ledger"
+    ledger = Ledger.from_payloads(b"bad", [bytes([i]) for i in range(8)], SHA256)
+    write_ledger(ledger, path, encoding)
+    lines = path.read_text().splitlines()
+    lines[4] = lines[7] = bad  # payloads 3 and 6, on lines 5 and 8
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as raised:
+        read_ledger(path)
+    assert str(raised.value) == f"{path}: line 5 is not {encoding}"
 
 
 def test_ledger_export_empty_payload_round_trip(tmp_path):

@@ -17,7 +17,12 @@ For every workload and every end-to-end metric that ``BENCHMARK.json``
 names, the output holds each side's value per seed, in seed order, their
 median and inclusive quartiles, the ratio of the medians, how many pairs
 the change won and lost (strictly better or worse, in the metric's
-direction), and the metric's bound. ``--note`` lines are kept as written.
+direction), and the metric's bound. Two verdicts follow from these:
+``claim_rule_met``, when the change won at least nine tenths of the pairs
+and its median is better than the parent's by more than the parent's
+quartile spread, and ``worse_than_bound``, when the change's median is
+worse than the parent's by more than ``bound`` times the parent's median.
+``--note`` lines are kept as written.
 ``--raw PATH`` also saves every run's reports, and ``--from-raw PATH``
 writes the summary from such a file without running anything, so notes
 can be added after a run.
@@ -120,6 +125,8 @@ def summarize(spec: dict, runs: dict) -> dict:
             sign = 1 if metric["better"] == "lower" else -1
             parent = spread([p for p, _ in pairs])
             change = spread([c for _, c in pairs])
+            better = sum(sign * (c - p) < 0 for p, c in pairs)
+            gain = sign * (parent["median"] - change["median"])
             block["metrics"][name] = {
                 "unit": metric["unit"],
                 "parent": parent,
@@ -127,9 +134,13 @@ def summarize(spec: dict, runs: dict) -> dict:
                 "change_over_parent": (
                     change["median"] / parent["median"] if parent["median"] else None
                 ),
-                "pairs_change_better": sum(sign * (c - p) < 0 for p, c in pairs),
+                "pairs_change_better": better,
                 "pairs_change_worse": sum(sign * (c - p) > 0 for p, c in pairs),
                 "bound": metric["bound"],
+                "claim_rule_met": (
+                    10 * better >= 9 * len(pairs) and gain > parent["q3"] - parent["q1"]
+                ),
+                "worse_than_bound": -gain > metric["bound"] * abs(parent["median"]),
                 "runs": values,
             }
         out[workload] = block
