@@ -38,7 +38,6 @@ from .merkle import (
 )
 from .notary import NotaryState, notarize_round, notarize_single
 from .store import DirectoryStore, MemoryStore, ObjectStore
-from .structure import measure_keys
 from .trie import (
     InternalNode,
     LeafNode,
@@ -57,6 +56,17 @@ from .trie import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # ``measure_keys`` needs numpy, which no notarization or audit path
+    # uses, so it is imported on first use rather than with the package.
+    if name == "measure_keys":
+        from .structure import measure_keys
+
+        return measure_keys
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AuditProof",

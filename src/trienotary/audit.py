@@ -428,7 +428,9 @@ def verify_audit_proof(
 
     Verifies rounds up to ``proof.up_to_round``; chain records published
     after the bundle was built are reported as uncovered, not verified
-    (the bundle is a static snapshot).
+    (the bundle is a static snapshot). A bundle claiming rounds beyond
+    ``chain_roots`` is inconclusive and covers no round, and no round is
+    reported as published after it.
 
     Nodes are framed under the bundle's own ``proof.params``: the caller
     must compare them with the deployment's parameters, or a bundle can
@@ -454,8 +456,7 @@ def verify_audit_proof(
             check = CheckResult(
                 Status.INCONCLUSIVE, None, "audit proof claims rounds beyond the provided chain"
             )
-            covered = 0
-            uncovered = tuple(range(len(chain_roots)))
+            covered, uncovered = 0, ()  # nothing verified, and no round published late
         return AuditReport(
             ledger_key=key,
             chain_match=check,

@@ -10,6 +10,8 @@ publicly readable digest sequence) as a human-auditable text file:
 
 one record per line, LF endings, written strictly append-only through the
 one reader and writer of every workdir file, ``store._read_lines`` and ``_append``.
+A file-backed ``Chain`` is, like ``DirectoryStore``, a single-writer building
+block: ``trienotary.workdir.Workdir`` holds the lock that keeps it to one.
 """
 
 from __future__ import annotations

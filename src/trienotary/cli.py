@@ -1,18 +1,12 @@
 """Command-line driver: simulation, notarization artifacts, audits, benchmarks.
 
-A working directory holds one deployment's public artifacts:
-
-    chain.log     append-only journal of notarization records
-    objects.pack  content-addressed storage (trie nodes, proofs), one
-                  append-only record file
-    proofs.idx    (ledger key, round) -> proof address index
-    ledgers/      ledger exports (the data a producer would disclose)
-    config.json   hash algorithm and trie parameters, written by ``simulate``;
-                  ``audit``, ``prove``, ``verify`` and ``tamper`` take them
-                  from here only
-
-One process writes a workdir at a time (``simulate``, ``tamper``); see
-``trienotary.store`` for the pack format and its torn-tail rule.
+Every command but ``bench`` works on one deployment's workdir, opened
+through ``trienotary.workdir.Workdir``, which holds its layout and its
+writer lock: ``simulate`` and ``tamper`` write, and a second writer is
+refused with one ``error:`` line; ``audit``, ``prove``, ``verify`` and
+``print-chain`` only read, take no lock, and take the trie parameters from
+the workdir's ``config.json``. See ``trienotary.store`` for the pack format
+and its torn-tail rule.
 
 ``audit`` and ``verify`` exit 0 when every check passes, 1 when a check
 proves a violation, and 2 when storage gaps leave the audit inconclusive.
@@ -24,7 +18,6 @@ of its five fault kinds, shared with the test harness and the demos.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import random
@@ -41,53 +34,15 @@ from .audit import (
 )
 from .chain import Chain, format_record
 from .crypto import ALGORITHM_NAMES, HashAlg, algorithm
-from .errors import CannotConstructError, MalformedArtifactError, TrienotaryError
+from .errors import CannotConstructError, TrienotaryError, WorkdirExistsError
 from .faults import KINDS, inject
 from .merkle import Ledger, read_ledger, write_ledger
 from .notary import NotaryState, notarize_round
-from .store import PACK_NAME, PROOF_INDEX_NAME, DirectoryStore, ObjectStore
-from .structure import keys_to_array, measure_keys
+from .store import ObjectStore
 from .trie import TrieParams
+from .workdir import CHAIN_NAME, CONFIG_NAME, Workdir
 
 CSV_HEADER = "r,k,ledgers,nodes,path_min,path_max,path_avg,total_bytes,total_paper_bits,path_avg_bytes"
-
-CONFIG_NAME = "config.json"
-CHAIN_NAME = "chain.log"
-LEDGER_DIR_NAME = "ledgers"
-
-
-# ----------------------------------------------------------------- workdir
-
-def _write_config(workdir: Path, params: TrieParams) -> None:
-    config = {"hash": params.alg.name, "r": params.r, "k": params.k}
-    (workdir / CONFIG_NAME).write_text(json.dumps(config, sort_keys=True) + "\n")
-
-
-def _load_params(workdir: Path) -> TrieParams:
-    """The workdir's trie parameters, read from its config.json only."""
-    try:
-        config = json.loads((workdir / CONFIG_NAME).read_text(encoding="ascii"))
-        return TrieParams(config["r"], config["k"], algorithm(config["hash"]))
-    except KeyError as exc:
-        raise MalformedArtifactError(f"{CONFIG_NAME}: missing key {exc}") from None
-    except (OSError, ValueError, TypeError, AttributeError) as exc:
-        raise MalformedArtifactError(f"{CONFIG_NAME}: {exc}") from None
-
-
-def _ledger_path(workdir: Path, ledger_id: bytes) -> Path:
-    return workdir / LEDGER_DIR_NAME / f"{ledger_id.hex()}.ledger"
-
-
-def _open_chain(workdir: Path) -> Chain:
-    if not (workdir / CHAIN_NAME).exists():
-        raise FileNotFoundError(f"no {CHAIN_NAME} under {workdir}")
-    return Chain(workdir / CHAIN_NAME)
-
-
-def _open_workdir(args) -> tuple[Path, TrieParams, Chain]:
-    workdir = Path(args.workdir)
-    chain = _open_chain(workdir)
-    return workdir, _load_params(workdir), chain
 
 
 def _error(message) -> int:
@@ -150,28 +105,20 @@ def _cmd_simulate(args) -> int:
             raise ValueError(f"append rate must be finite and >= 0, got {args.append_rate}")
     except ValueError as exc:
         return _error(exc)
-    workdir = Path(args.workdir)
-    if (workdir / CHAIN_NAME).exists():
-        if not args.force:
-            return _error(f"{workdir} already holds a simulation (use --force)")
-        import shutil
-
-        for name in (CHAIN_NAME, PACK_NAME, PROOF_INDEX_NAME, CONFIG_NAME):
-            (workdir / name).unlink(missing_ok=True)
-        shutil.rmtree(workdir / LEDGER_DIR_NAME, ignore_errors=True)
-    workdir.mkdir(parents=True, exist_ok=True)
-    _write_config(workdir, params)
-    chain = Chain(workdir / CHAIN_NAME)
-    with DirectoryStore(workdir, params.alg) as store:
+    try:
+        workdir = Workdir.create(args.workdir, params, replace=args.force)
+    except WorkdirExistsError as exc:
+        return _error(f"{exc} (use --force)")
+    with workdir:
         _, ledgers = run_simulation(
-            args.ledgers, args.rounds, args.append_rate, args.seed, params, store, chain
+            args.ledgers, args.rounds, args.append_rate, args.seed, params,
+            workdir.store, workdir.chain,
         )
-    (workdir / LEDGER_DIR_NAME).mkdir(exist_ok=True)
-    for lid, ledger in ledgers.items():
-        write_ledger(ledger, _ledger_path(workdir, lid), args.enc)
+        for lid, ledger in ledgers.items():
+            write_ledger(ledger, workdir.ledger_path(lid), args.enc)
     print(
         f"simulated {args.ledgers} ledgers over {args.rounds} rounds "
-        f"({_describe(params)}) in {workdir}"
+        f"({_describe(params)}) in {workdir.path}"
     )
     return 0
 
@@ -180,6 +127,8 @@ def _cmd_simulate(args) -> int:
 
 def run_bench(r_values, k_values, n_values, seed: int, alg: HashAlg, out) -> None:
     """Parameter sweep: one CSV row of trie measurements per (r, k, n) cell."""
+    from .structure import keys_to_array, measure_keys  # numpy, loaded for a sweep only
+
     print(CSV_HEADER, file=out)
     key_cache: dict[int, object] = {}
     for n in n_values:
@@ -242,55 +191,58 @@ def _inconclusive(reason: str) -> int:
 
 
 def _cmd_audit(args) -> int:
-    workdir, params, chain = _open_workdir(args)
-    ledger_id = args.id.encode()
-    ledger_file = _ledger_path(workdir, ledger_id)
-    if not ledger_file.exists():
-        return _inconclusive(f"no disclosed data for ledger id {args.id!r}")
-    roots = chain.read_roots()
-    if not roots:
-        return _inconclusive(f"{CHAIN_NAME} is empty; nothing to audit")
-    try:
-        claimed = read_ledger(ledger_file)
-    except (OSError, ValueError) as exc:
-        return _inconclusive(f"disclosed data for ledger id {args.id!r} is unreadable ({exc})")
-    if claimed.alg != params.alg:
-        return _inconclusive(
-            f"disclosed data for ledger id {args.id!r} uses {claimed.alg.name}, "
-            f"{CONFIG_NAME} says {params.alg.name}"
-        )
-    with DirectoryStore(workdir, params.alg) as store:
-        report = audit_ledger(ledger_id, claimed, roots, store, params)
+    with Workdir.open(args.workdir) as workdir:
+        params = workdir.params
+        ledger_id = args.id.encode()
+        ledger_file = workdir.ledger_path(ledger_id)
+        if not ledger_file.exists():
+            return _inconclusive(f"no disclosed data for ledger id {args.id!r}")
+        roots = workdir.chain.read_roots()
+        if not roots:
+            return _inconclusive(f"{CHAIN_NAME} is empty; nothing to audit")
+        try:
+            claimed = read_ledger(ledger_file)
+        except (OSError, ValueError) as exc:
+            return _inconclusive(f"disclosed data for ledger id {args.id!r} is unreadable ({exc})")
+        if claimed.alg != params.alg:
+            return _inconclusive(
+                f"disclosed data for ledger id {args.id!r} uses {claimed.alg.name}, "
+                f"{CONFIG_NAME} says {params.alg.name}"
+            )
+        report = audit_ledger(ledger_id, claimed, roots, workdir.store, params)
     _print_report(report)
     return report.exit_code
 
 
 def _cmd_prove(args) -> int:
-    workdir, params, chain = _open_workdir(args)
-    ledger_id = args.id.encode()
-    up_to = chain.height - 1 if args.round is None else args.round
-    new_file = not os.path.lexists(args.out)
-    # Opened before the audit, so an unusable --out fails first; opened for
-    # appending, so an existing file keeps its bytes until the bundle is built.
-    with open(args.out, "ab") as out:
-        try:
-            with DirectoryStore(workdir, params.alg) as store:
-                proof = make_audit_proof(ledger_id, up_to, chain.read_roots(), store, params)
-        except BaseException as exc:
-            if new_file:  # a bundle that cannot be built leaves no file behind
-                os.unlink(args.out)
-            if isinstance(exc, (CannotConstructError, ValueError)):
-                return _error(exc)
-            raise
-        blob = encode_audit_proof(proof)
-        out.truncate(0)
-        out.write(blob)
+    with Workdir.open(args.workdir) as workdir:
+        chain = workdir.chain
+        ledger_id = args.id.encode()
+        up_to = chain.height - 1 if args.round is None else args.round
+        new_file = not os.path.lexists(args.out)
+        # Opened before the audit, so an unusable --out fails first; opened for
+        # appending, so an existing file keeps its bytes until the bundle is built.
+        with open(args.out, "ab") as out:
+            try:
+                proof = make_audit_proof(
+                    ledger_id, up_to, chain.read_roots(), workdir.store, workdir.params
+                )
+            except BaseException as exc:
+                if new_file:  # a bundle that cannot be built leaves no file behind
+                    os.unlink(args.out)
+                if isinstance(exc, (CannotConstructError, ValueError)):
+                    return _error(exc)
+                raise
+            blob = encode_audit_proof(proof)
+            out.truncate(0)
+            out.write(blob)
     print(f"wrote audit proof for rounds 0..{up_to} ({len(blob)} bytes) to {args.out}")
     return 0
 
 
 def _cmd_verify(args) -> int:
-    _, params, chain = _open_workdir(args)
+    with Workdir.open(args.workdir) as workdir:  # the store is never opened
+        params, roots = workdir.params, workdir.chain.read_roots()
     try:
         proof = decode_audit_proof(Path(args.proof).read_bytes())
     except (OSError, ValueError) as exc:
@@ -300,13 +252,15 @@ def _cmd_verify(args) -> int:
             f"audit proof parameters ({_describe(proof.params)}) "
             f"differ from {CONFIG_NAME} ({_describe(params)})"
         )
-    report = verify_audit_proof(proof, args.id.encode(), chain.read_roots())
+    report = verify_audit_proof(proof, args.id.encode(), roots)
     _print_report(report)
     return report.exit_code
 
 
 def _cmd_print_chain(args) -> int:
-    for record in _open_chain(Path(args.workdir)).records():
+    with Workdir.open(args.workdir) as workdir:
+        records = workdir.chain.records()
+    for record in records:
         print(format_record(record))
     return 0
 
@@ -314,14 +268,14 @@ def _cmd_print_chain(args) -> int:
 # ------------------------------------------------------------------ tamper
 
 def _cmd_tamper(args) -> int:
-    workdir, params, chain = _open_workdir(args)
-    ledger_id = args.id.encode() if args.id else None
-    records = chain.records()
-    with DirectoryStore(workdir, params.alg) as store:
-        tampered = inject(args.kind, params, store, records, ledger_id, random.Random(args.seed))
-    if tampered != records:
-        lines = [format_record(record) for record in tampered]
-        (workdir / CHAIN_NAME).write_text("\n".join(lines) + "\n", encoding="ascii")
+    with Workdir.open(args.workdir, write=True) as workdir:
+        ledger_id = args.id.encode() if args.id else None
+        records = workdir.chain.records()
+        tampered = inject(
+            args.kind, workdir.params, workdir.store, records, ledger_id, random.Random(args.seed)
+        )
+        if tampered != records:
+            workdir.rewrite_chain(tampered)
     print(f"injected fault: {args.kind}")
     return 0
 

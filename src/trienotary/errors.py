@@ -72,3 +72,11 @@ class LedgerTamperError(TrienotaryError):
 
 class CannotConstructError(TrienotaryError):
     """Public storage is missing data needed to assemble an audit proof."""
+
+
+class WorkdirBusyError(TrienotaryError):
+    """Another writer, in this process or another, holds the workdir's lock."""
+
+
+class WorkdirExistsError(TrienotaryError):
+    """A workdir was to be created where one already exists."""

@@ -18,9 +18,12 @@ content``; the first record for an address wins. Every workdir file,
 write that ``_read_lines`` and ``_append`` hold. Writes are queued and made
 in one batch by ``commit``: the pack's records first, then the index lines,
 so an index line never names a record that is not yet in the pack. The
-notary commits once per round, before the round's journal line. One
-process writes a directory at a time, and another process that opens it
-sees only what was committed.
+notary commits once per round, before the round's journal line.
+``DirectoryStore`` takes no lock: it is a single-writer building block,
+since a second writer's stale committed length would make it cut the
+first one's records as a torn tail. ``trienotary.workdir.Workdir`` holds
+the writer lock that guards it; a reader that opens the directory takes
+no lock and sees only what was committed.
 """
 
 from __future__ import annotations

@@ -431,6 +431,38 @@ def test_cli_verify_of_a_bundle_with_a_byte_flipped(cli_bundle, data):
     verify_flipped(cli_bundle, position, data.draw(st.integers(1, 255)))
 
 
+def test_a_bundle_claiming_rounds_beyond_the_chain_covers_none():
+    # flipping bit 0 of byte 10 adds 256 to up_to_round: no round was
+    # verified, and none was published after the bundle was built
+    history = honest_history()
+    roots = history.chain.read_roots()
+    proof = make_audit_proof(b"ledger-2", len(roots) - 1, roots, history.store, history.params)
+    flipped = bytearray(encode_audit_proof(proof))
+    flipped[10] ^= 0x01
+    decoded = decode_audit_proof(bytes(flipped))
+    assert decoded.up_to_round == proof.up_to_round + 256
+    report = verify_audit_proof(decoded, b"ledger-2", roots)
+    assert report.verdict is Status.INCONCLUSIVE
+    assert (report.covered_rounds, report.uncovered_rounds) == (0, ())
+
+
+def test_cli_verify_of_a_bundle_claiming_rounds_beyond_the_chain(cli_bundle):
+    workdir, proof_file, honest = cli_bundle
+    flipped = bytearray(honest)
+    flipped[10] ^= 0x01
+    proof_file.write_bytes(flipped)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(["verify", "ledger-2", "--proof", str(proof_file), "--workdir", str(workdir)])
+    assert code == 2
+    reason = "inconclusive: audit proof claims rounds beyond the provided chain"
+    checks = ["chain_match", "no_alternative_histories", "no_removal", "no_forks",
+              "disclosed_data_match"]
+    assert out.getvalue().splitlines() == [
+        *(f"{check}: {reason}" for check in checks), "verdict: inconclusive",
+    ]
+
+
 # ------------------------------------------------------ a round listed twice
 
 def _changed_round_bundle():
