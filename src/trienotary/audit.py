@@ -470,7 +470,7 @@ def verify_audit_proof(
             uncovered_rounds=uncovered,
         )
 
-    nodes = dict(zip(map(alg.hash, proof.nodes), proof.nodes))
+    nodes = dict(zip(alg.hash_each(proof.nodes), proof.nodes))
 
     def get(digest: bytes) -> bytes:
         try:

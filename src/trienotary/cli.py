@@ -136,7 +136,7 @@ def run_bench(r_values, k_values, n_values, seed: int, alg: HashAlg, out) -> Non
         ids = [f"ledger-{i}" for i in range(n)]
         rng.shuffle(ids)
         key_cache[n] = keys_to_array(
-            [alg.hash(ledger_id.encode()) for ledger_id in ids], alg.output_len
+            alg.hash_each([ledger_id.encode() for ledger_id in ids]), alg.output_len
         )
     for r in r_values:
         for k in k_values:

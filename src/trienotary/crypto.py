@@ -1,7 +1,10 @@
 """Hash-function selection and bit extraction over digests.
 
 Every digest in the system (node references, search keys, ledger roots)
-comes from one hash algorithm fixed per deployment. Digests are plain
+comes from one hash algorithm fixed per deployment, through one of its two
+entry points: ``HashAlg.hash`` for one input, ``HashAlg.hash_each`` for a
+pass of independent inputs (a ledger's blocks, a level of Merkle heads, a
+bundle's nodes), which pays the method call once per pass. Digests are plain
 ``bytes`` of the algorithm's output length; the all-zero digest is reserved
 as the "no previous version" sentinel and never occurs as a real hash
 output in practice.
@@ -26,7 +29,9 @@ class HashAlg:
     """A named cryptographic hash with a fixed output length in bytes.
 
     ``wire_id`` is the one-byte algorithm id written into audit-proof
-    bundles. ``hash`` is the only hashing entry point of the library.
+    bundles. ``hash`` and ``hash_each`` are the only hashing entry points
+    of the library: ``hash_each(items)`` is ``[hash(x) for x in items]``
+    in one call.
     """
 
     name: str
@@ -40,6 +45,11 @@ class HashAlg:
 
     def hash(self, data: bytes) -> bytes:
         return self._new(data).digest()
+
+    def hash_each(self, items) -> list[bytes]:
+        """The digest of each input, in order."""
+        new = self._new
+        return [new(x).digest() for x in items]
 
     @property
     def zero(self) -> bytes:

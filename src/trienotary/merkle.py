@@ -47,9 +47,14 @@ blocks. Past its first pair, that cold fill runs a level at a time: the
 leaf heads in one pass, then each height's heads in one pass, each
 level's new heads added to it at once. Both the block hashing and the
 fill take at most ``_BATCH`` (4,096) blocks or leaves per pass, so the
-short-lived lists they build stay a few hundred KB at any length.
+short-lived lists they build stay a few hundred KB at any length. Each
+pass (a run of block hashes, of leaf heads or of one height's heads)
+hashes a list of its inputs in one ``HashAlg.hash_each`` call; only the
+fill's first pair, the root's folds and an odd last leaf go through
+``HashAlg.hash``, 2 + popcount(n) + (n & 1) of the 3n - 1 for n >= 2.
 Afterwards the log remembers the root and the heads of the two leaves of
-the last complete pair.
+the last complete pair. Appends, roots and proofs hash one input at a
+time.
 
 Proof generation takes the heads that RFC 9162's recursive SUBPROOF and
 PATH take, in the order they take them, deepest first, so each leaf head
@@ -152,19 +157,19 @@ class _Log:
 
     def extend(self, payloads) -> None:
         """Append blocks after the last one, hashing each at its position,
-        up to ``_BATCH`` blocks per pass."""
+        up to ``_BATCH`` blocks per ``hash_each`` pass."""
         start = len(self.payloads)
         self.payloads += payloads
-        stored, hash_, end = self.payloads, self.alg.hash, len(self.payloads)
+        stored, end = self.payloads, len(self.payloads)
         if end - start == 1:
             # an append: a pass's list and join would cost more than the hash
-            self.hashes += hash_(_block_bytes(start, stored[start]))
+            self.hashes += self.alg.hash(_block_bytes(start, stored[start]))
             return
+        hash_each = self.alg.hash_each
         for lo in range(start, end, _BATCH):
-            self.hashes += b"".join([
-                hash_(_block_bytes(index, stored[index]))
-                for index in range(lo, min(lo + _BATCH, end))
-            ])
+            self.hashes += b"".join(hash_each([
+                _block_bytes(index, stored[index]) for index in range(lo, min(lo + _BATCH, end))
+            ]))
 
     def fill(self, size: int) -> "_Log":
         """Store every complete subtree head within the first ``size`` leaves.
@@ -173,10 +178,11 @@ class _Log:
         leaf is the only new one whose head the log may remember, and its
         head is pushed up every level it completes. The other new pairs are
         hashed a level at a time, up to ``_BATCH`` leaves per pass: their
-        leaf heads, then each height's new heads, a head left waiting at
-        the end of a level pairing with the first new one. Either way each
-        leaf and each complete subtree head is hashed once, and the log
-        ends up remembering the last pair's two leaf heads.
+        leaf heads, then each height's new heads, each in one ``hash_each``
+        call, a head left waiting at the end of a level pairing with the
+        first new one. Either way each leaf and each complete subtree head
+        is hashed once, and the log ends up remembering the last pair's two
+        leaf heads.
         """
         if size < 2:
             return self
@@ -196,20 +202,19 @@ class _Log:
             head = hash_(NODE_PREFIX + level[-2 * step:])
         else:
             levels.append(bytearray(head))
-        end, hashes = size & ~1, self.hashes
+        end, hashes, hash_each = size & ~1, self.hashes, self.alg.hash_each
         for lo in range(t + 1, end, _BATCH):
             hi = min(lo + _BATCH, end)
-            pending = [
-                hash_(LEAF_PREFIX + hashes[at:at + step])
-                for at in range(lo * step, hi * step, step)
-            ]
+            pending = hash_each([
+                LEAF_PREFIX + hashes[at:at + step] for at in range(lo * step, hi * step, step)
+            ])
             self.prev_index, self.prev_head = hi - 2, pending[-2]
             self.leaf_index, self.leaf_head = hi - 1, pending[-1]
             # ``pending`` holds the heads to pair up next, a waiting one first.
             height = 0
             while len(pending) > 1:
                 pairs = iter(pending)
-                heads = [hash_(NODE_PREFIX + left + right) for left, right in zip(pairs, pairs)]
+                heads = hash_each([NODE_PREFIX + left + right for left, right in zip(pairs, pairs)])
                 if height == len(levels):
                     levels.append(bytearray())
                 level = levels[height]

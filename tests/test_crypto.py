@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from trienotary.crypto import (
     SHA256,
@@ -31,6 +33,20 @@ SHA512_EMPTY = bytes.fromhex(
 def test_empty_string_vectors():
     assert SHA256.hash(b"") == SHA256_EMPTY
     assert SHA512.hash(b"") == SHA512_EMPTY
+
+
+# Each item is bytes, a bytearray or a memoryview, in a list or a tuple.
+_ITEMS = st.lists(
+    st.tuples(st.binary(max_size=200), st.sampled_from([bytes, bytearray, memoryview]))
+).map(lambda drawn: [kind(data) for data, kind in drawn])
+
+
+@given(alg=st.sampled_from([SHA256, SHA512]), items=_ITEMS, container=st.sampled_from([list, tuple]))
+@example(alg=SHA256, items=[], container=list)
+@example(alg=SHA512, items=[], container=tuple)
+def test_hash_each_is_hash_of_each_item_in_order(alg, items, container):
+    items = container(items)
+    assert alg.hash_each(items) == [alg.hash(x) for x in items]
 
 
 def test_hash_is_deterministic_and_sized():

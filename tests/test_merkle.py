@@ -12,6 +12,7 @@ import gc
 import math
 import random
 import tracemalloc
+from collections import Counter
 from contextlib import contextmanager
 from unittest import mock
 
@@ -590,20 +591,38 @@ def test_single_mode_hashes_for_a_one_block_append(merkle_hashes):
 # ------------------------------------------------ a level-at-a-time fill
 
 @contextmanager
-def counted_hashes():
-    """Counts every HashAlg.hash call made inside the block."""
-    calls = [0]
-    original = HashAlg.hash
+def hashes_by_entry():
+    """Counts the digests made inside the block by entry point: HashAlg.hash
+    calls under "hash", items of HashAlg.hash_each calls under "hash_each"."""
+    counts = Counter()
+    original, original_each = HashAlg.hash, HashAlg.hash_each
 
     def counted(alg, data):
-        calls[0] += 1
+        counts["hash"] += 1
         return original(alg, data)
 
-    HashAlg.hash = counted
+    def counted_each(alg, items):
+        digests = original_each(alg, items)
+        counts["hash_each"] += len(digests)
+        return digests
+
+    HashAlg.hash, HashAlg.hash_each = counted, counted_each
     try:
-        yield calls
+        yield counts
     finally:
-        HashAlg.hash = original
+        HashAlg.hash, HashAlg.hash_each = original, original_each
+
+
+@contextmanager
+def counted_hashes():
+    """Counts every digest made inside the block: each HashAlg.hash call
+    and each item of a HashAlg.hash_each call."""
+    calls = [0]
+    with hashes_by_entry() as counts:
+        try:
+            yield calls
+        finally:
+            calls[0] = counts.total()
 
 
 def ref_fill(self, size):
@@ -735,6 +754,21 @@ def test_a_loaded_ledger_costs_three_hashes_per_block_less_one(n):
     with counted_hashes() as calls:
         ledger_root(Ledger.from_payloads(b"n", [i.to_bytes(2, "big") for i in range(n)], ALG))
     assert calls == [3 * n - 1]
+
+
+# Of those 3n - 1 digests, a cold load makes only these through ``hash``:
+# the fill's first pair, whose two leaf heads and their head go through
+# ``leaf`` (3); the folds of the root's popcount(n) complete heads
+# (popcount(n) - 1); and for odd n the head of leaf n - 1, which no pair
+# covers (1). That is 2 + popcount(n) + (n & 1) <= bit_length(n) + 3, so
+# O(log n): 8 at n = 1,000 and 7 at n = 5,000, which takes two passes.
+# Every other block, leaf and subtree head goes through ``hash_each``.
+@pytest.mark.parametrize("n", [1000, 5000])
+def test_a_cold_load_hashes_its_passes_in_batches(n):
+    with hashes_by_entry() as counts:
+        ledger_root(Ledger.from_payloads(b"cold", [i.to_bytes(4, "big") for i in range(n)], ALG))
+    assert counts.total() == 3 * n - 1
+    assert counts["hash"] == 2 + bin(n).count("1") + (n & 1) <= n.bit_length() + 3
 
 
 def test_a_long_load_holds_little_short_lived_memory():
