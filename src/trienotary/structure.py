@@ -2,12 +2,15 @@
 
 The trie's structure is a pure function of (r, k, key set): once keys are
 sorted, every subtree covers a contiguous slice, and the nodes at depth d
-are exactly the maximal runs of equal (d+1)-label prefixes nested inside
-internal nodes of depth d-1. That makes the full set of measurements that
-``trie.stats`` extracts from a stored version computable level by level
-with numpy run-length operations, without hashing or materializing a
-single node, which is what makes multi-million-key parameter sweeps
-practical.
+are exactly the maximal runs of equal d-label prefixes nested inside
+internal nodes of depth d-1 (the root, at depth 0, holds every key). One
+array fixes those runs, as an LCP array fixes the trie of a sorted string
+set: the number of leading bits each pair of adjacent sorted keys shares.
+A run at depth d splits wherever that count is below d+1 labels. That
+makes the full set of measurements that ``trie.stats`` extracts from a
+stored version computable level by level with numpy run-length
+operations, without hashing or materializing a single node, which is
+what makes multi-million-key parameter sweeps practical.
 
 ``measure_keys`` returns the same ``Measurements`` that building the trie
 and calling ``trie.stats`` on it would produce (the equivalence is pinned
@@ -34,11 +37,21 @@ def keys_to_array(keys, key_len: int) -> np.ndarray:
     return np.frombuffer(joined, dtype=np.uint8).reshape(-1, key_len)
 
 
-def _lex_sorted_columns(arr: np.ndarray) -> np.ndarray:
-    """Keys as lexicographically sorted big-endian uint64 columns."""
-    cols = arr.view(">u8").astype(np.uint64)
-    order = np.lexsort(tuple(cols[:, j] for j in range(cols.shape[1] - 1, -1, -1)))
-    return cols[order]
+def _shared_prefix_bits(arr: np.ndarray) -> np.ndarray:
+    """Sort the keys as byte strings; entry i is the number of leading bits
+    that sorted keys i and i+1 share (the full key length for a duplicate)."""
+    key_len = arr.shape[1]
+    words = arr[np.argsort(arr.view(f"S{key_len}")[:, 0])].view(">u8")
+    shared = np.full(len(arr) - 1, 8 * key_len, dtype=np.int64)
+    # last word first, so the first word in which a pair differs decides
+    for j in range(words.shape[1] - 1, -1, -1):
+        diff = words[1:, j] ^ words[:-1, j]
+        # bit lengths from float exponents, exact on 32-bit halves
+        hi_len = np.frexp((diff >> np.uint64(32)).astype(np.float64))[1]
+        lo_len = np.frexp((diff & np.uint64(0xFFFFFFFF)).astype(np.float64))[1]
+        bit_len = np.where(hi_len > 0, hi_len + 32, lo_len)
+        shared = np.where(diff != 0, 64 * (j + 1) - bit_len, shared)
+    return shared
 
 
 def measure_keys(params: TrieParams, keys) -> Measurements:
@@ -48,32 +61,9 @@ def measure_keys(params: TrieParams, keys) -> Measurements:
     n = arr.shape[0]
     if n == 0:
         raise ValueError("cannot measure an empty key set")
-    cols = _lex_sorted_columns(arr)
-    ncols = cols.shape[1]
-
-    # neq[i] = keys i and i+1 differ within the column; built lazily as
-    # levels consume columns, with finished columns folded into an
-    # accumulated mask.
-    acc_full = np.zeros(n - 1, dtype=bool)
-    folded_cols = 0
-
-    def changed_after(t_bits: int) -> np.ndarray:
-        """Mask over adjacent pairs: first t_bits of the keys differ."""
-        nonlocal acc_full, folded_cols
-        full, rem = divmod(t_bits, 64)
-        while folded_cols < full:
-            acc_full |= cols[1:, folded_cols] != cols[:-1, folded_cols]
-            folded_cols += 1
-        if rem == 0:
-            return acc_full
-        shifted = cols[:, full] >> np.uint64(64 - rem)
-        return acc_full | (shifted[1:] != shifted[:-1])
-
-    if not bool(changed_after(8 * key_len).all()):
+    shared = _shared_prefix_bits(arr)
+    if (shared == 8 * key_len).any():
         raise DuplicateKeyError("duplicate search key in measured set")
-    # reset lazy state consumed by the duplicate check
-    acc_full = np.zeros(n - 1, dtype=bool)
-    folded_cols = 0
 
     w = params.r.bit_length() - 1
     digest_len = key_len
@@ -126,7 +116,7 @@ def measure_keys(params: TrieParams, keys) -> Measurements:
                 f"keys not separable within {max_levels} labels of {w} bits"
             )
 
-        child_changed = changed_after((depth + 1) * w)
+        child_changed = shared < (depth + 1) * w
         child_starts = np.flatnonzero(np.concatenate(([True], child_changed)))
         parents = np.searchsorted(starts, child_starts, side="right") - 1
         child_counts = np.bincount(parents, minlength=len(starts))

@@ -590,6 +590,22 @@ def test_bench_csv_schema_and_determinism(tmp_path):
     assert out_file.read_text() == first[1]
 
 
+@pytest.mark.parametrize("args,digest", [
+    (
+        ["--r", "2,4,16", "--k", "1,3,8", "--ledgers", "500,3000", "--seed", "9"],
+        "bd6981d6b2dcba84f5aa0adc7835c703f61d2767ed6e801986fb45dc06ed2d53",
+    ),
+    (
+        ["--hash", "sha512", "--r", "2,256", "--k", "1,4", "--ledgers", "700", "--seed", "3"],
+        "f4f20813359001d5f9d65dfbee4804869f059c78905b124a68c12da3f8860313",
+    ),
+], ids=["sha256", "sha512"])
+def test_bench_output_is_pinned(args, digest):
+    code, out = run_captured("bench", *args)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_bench_single_ledger_row():
     out = io.StringIO()
     run_bench([2], [1], [1], 0, SHA256, out)

@@ -6,9 +6,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trienotary.crypto import SHA256, SHA512
-from trienotary.errors import DuplicateKeyError
+from trienotary.errors import DuplicateKeyError, KeyExhaustedError
 from trienotary.store import MemoryStore
 from trienotary.structure import keys_to_array, measure_keys
 from trienotary.trie import TrieParams, build, stats
@@ -96,3 +98,61 @@ def test_depth_scaling_is_logarithmic():
     # doubling n adds one level, within statistical slack
     assert avg[11] - avg[10] == pytest.approx(1.0, abs=0.35)
     assert avg[12] - avg[11] == pytest.approx(1.0, abs=0.35)
+
+
+def _sharing(base: bytes, cut: int, tail: bytes) -> bytes:
+    """A key whose first ``cut`` bits are base's, whose next bit is not, and
+    whose remaining bits are tail's."""
+    shift = 8 * len(base) - cut - 1
+    head = (int.from_bytes(base, "big") >> shift ^ 1) << shift
+    return (head | int.from_bytes(tail, "big") & ((1 << shift) - 1)).to_bytes(len(base), "big")
+
+
+def _outcome(measure, params, keys):
+    try:
+        return measure(params, keys)
+    except KeyExhaustedError:
+        return KeyExhaustedError
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    alg=st.sampled_from([SHA256, SHA512]),
+    r=st.sampled_from([2, 4, 8, 16, 32, 64, 128, 256]),
+    k=st.integers(1, 8),
+    data=st.data(),
+)
+def test_measurements_at_word_edges(alg, r, k, data):
+    # prefixes shared up to, across and just past each 64-bit word edge; zero
+    # bytes inside and at the end of keys, where a byte-string sort could go
+    # wrong; and all-ones runs after the first differing bit, which round up
+    # to the next power of two in a float
+    length = alg.output_len
+    edges = [0, 63, 64, 65, 127, 128, 191, 192, 255] + ([511] if length == 64 else [])
+    any_bytes = st.one_of(
+        st.sampled_from([bytes(length), b"\xff" * length]),
+        st.binary(min_size=length, max_size=length),
+    )
+    base = data.draw(any_bytes, label="base")
+    drawn = data.draw(st.lists(st.tuples(st.sampled_from(edges), any_bytes), min_size=1, max_size=8))
+    keys = list({base} | {_sharing(base, cut, tail) for cut, tail in drawn})
+    params = TrieParams(r, k, alg)
+    assert _outcome(measure_keys, params, keys) == _outcome(build_stats, params, keys)
+
+
+@pytest.mark.parametrize(
+    "r,exhausted",
+    [(2, False), (4, False), (8, True), (16, False), (32, True), (64, True), (128, True), (256, False)],
+)
+def test_last_bit_pair_exhausts_iff_label_width_leaves_bits_over(r, exhausted):
+    # when the label width does not divide 256, the last bit lies beyond the
+    # last whole label, so keys differing only there cannot be separated
+    base = SHA256.hash(b"last bit")
+    keys = [base, (int.from_bytes(base, "big") ^ 1).to_bytes(32, "big")]
+    params = TrieParams(r, 1, SHA256)
+    if exhausted:
+        for measure in (measure_keys, build_stats):
+            with pytest.raises(KeyExhaustedError):
+                measure(params, keys)
+    else:
+        assert measure_keys(params, keys) == build_stats(params, keys)
