@@ -127,21 +127,21 @@ def _cmd_simulate(args) -> int:
 
 def run_bench(r_values, k_values, n_values, seed: int, alg: HashAlg, out) -> None:
     """Parameter sweep: one CSV row of trie measurements per (r, k, n) cell."""
-    from .structure import keys_to_array, measure_keys  # numpy, loaded for a sweep only
+    from .structure import measure_shared, shared_prefixes  # numpy, loaded for a sweep only
 
     print(CSV_HEADER, file=out)
-    key_cache: dict[int, object] = {}
+    shared_cache: dict[int, object] = {}
     for n in n_values:
         rng = random.Random(seed)
         ids = [f"ledger-{i}" for i in range(n)]
         rng.shuffle(ids)
-        key_cache[n] = keys_to_array(
+        shared_cache[n] = shared_prefixes(
             alg.hash_each([ledger_id.encode() for ledger_id in ids]), alg.output_len
         )
     for r in r_values:
         for k in k_values:
             for n in n_values:
-                m = measure_keys(TrieParams(r, k, alg), key_cache[n])
+                m = measure_shared(TrieParams(r, k, alg), shared_cache[n])
                 print(
                     f"{r},{k},{n},{m.nodes_count},{m.path_len_min},{m.path_len_max},"
                     f"{m.path_len_avg:.4f},{m.total_size_bytes},{m.total_size_paper_bits},"

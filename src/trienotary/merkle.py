@@ -37,10 +37,10 @@ root, the new root and the proof between them hash only the block, its
 leaf, the subtree heads it completes and the folds into the new root: 4
 hashes at n = 10, 8 at n = 1000.
 Appending to an older version forks a new log from a copy of its prefix;
-a fork, like a ledger built from a block tuple, starts with nothing
-remembered and fills its heads in O(n) on first use.
+a fork, like a newly built ledger, starts with nothing remembered and
+fills its heads in O(n) on first use.
 
-A ledger loaded with its history (``Ledger.from_payloads``, ``read_ledger``)
+A ledger built with its history (``Ledger``, ``read_ledger``)
 costs one hash per block, and its first root one hash per leaf, one per
 complete subtree head and one per fold: 3n - 1 hashes in all for n
 blocks. Past its first pair, that cold fill runs a level at a time: the
@@ -96,7 +96,8 @@ def _block_bytes(index: int, payload: bytes) -> bytes:
 
 @dataclass(frozen=True, slots=True)
 class Block:
-    """One ledger entry; ``block_hash`` covers both payload and position."""
+    """One ledger entry, as ``Ledger.blocks`` reads it; ``block_hash`` covers
+    both payload and position."""
 
     index: int
     payload: bytes
@@ -319,39 +320,27 @@ class Ledger:
     """An immutable append-only block sequence; ``append`` returns a new version.
 
     A version is the first ``len`` blocks of its chain's shared ``_Log``:
-    appending to the newest version extends the log in place, and appending
-    to an older one forks a new log from a copy of its prefix. ``blocks``
-    builds its ``Block`` values on each read; no other path makes one.
+    the constructor hashes its payloads into a new log, appending to the
+    newest version extends the log in place, and appending to an older one
+    forks a new log from a copy of its prefix. So every block hash is one
+    the log computed from its payload and position. ``blocks`` builds its
+    ``Block`` values on each read; no other path makes one.
     """
 
     __slots__ = ("id", "alg", "_log", "_size")
 
-    def __init__(self, ledger_id: bytes, blocks: tuple[Block, ...] = (), alg: HashAlg = SHA256):
-        """Copy payloads and block hashes out of ``blocks``, trusting the hashes.
-
-        Raises ``ValueError`` for a block whose ``index`` is not its position
-        or whose hash is not one digest of ``alg``: the log stores neither.
-        """
+    def __init__(self, ledger_id: bytes, payloads=(), alg: HashAlg = SHA256):
+        """A ledger of ``payloads`` on a new log, each block hashed at its position."""
         self.id = ledger_id
         self.alg = alg
-        self._log = log = _Log([], bytearray(), alg)
-        for position, block in enumerate(blocks):
-            if block.index != position or len(block.block_hash) != log.step:
-                raise ValueError(
-                    f"block at position {position} has index {block.index} and a "
-                    f"{len(block.block_hash)}-byte hash; need index {position} and "
-                    f"a {log.step}-byte {alg.name} hash"
-                )
-            log.payloads.append(block.payload)
-            log.hashes += block.block_hash
-        self._size = len(log.payloads)
+        self._log = _Log([], bytearray(), alg)
+        self._log.extend(payloads)
+        self._size = len(self._log.payloads)
 
     @classmethod
     def from_payloads(cls, ledger_id: bytes, payloads, alg: HashAlg = SHA256) -> "Ledger":
-        ledger = cls(ledger_id, (), alg)
-        ledger._log.extend(payloads)
-        ledger._size = len(ledger._log.payloads)
-        return ledger
+        """The constructor, by the name its callers know."""
+        return cls(ledger_id, payloads, alg)
 
     @property
     def blocks(self) -> tuple[Block, ...]:
@@ -536,4 +525,4 @@ def read_ledger(path) -> Ledger:
             raise
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    return Ledger.from_payloads(ledger_id, payloads, alg)
+    return Ledger(ledger_id, payloads, alg)

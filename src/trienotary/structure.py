@@ -14,7 +14,9 @@ what makes multi-million-key parameter sweeps practical.
 
 ``measure_keys`` returns the same ``Measurements`` that building the trie
 and calling ``trie.stats`` on it would produce (the equivalence is pinned
-by tests).
+by tests). It is two steps: ``shared_prefixes`` checks the keys and builds
+their array, and ``measure_shared`` runs the level loop over it, so a
+sweep over (r, k) builds each key set's array once.
 """
 
 from __future__ import annotations
@@ -56,15 +58,29 @@ def _shared_prefix_bits(arr: np.ndarray) -> np.ndarray:
 
 def measure_keys(params: TrieParams, keys) -> Measurements:
     """Measurements of the trie that ``trie.build`` would produce over ``keys``."""
-    key_len = params.alg.output_len
+    return measure_shared(params, shared_prefixes(keys, params.alg.output_len))
+
+
+def shared_prefixes(keys, key_len: int) -> np.ndarray:
+    """The shared-prefix array of a set of ``key_len``-byte keys, which
+    depends on no trie parameter, so a sweep computes it once per key set.
+
+    Raises ``ValueError`` for an empty set and ``DuplicateKeyError`` for a
+    repeated key."""
     arr = keys_to_array(keys, key_len)
-    n = arr.shape[0]
-    if n == 0:
+    if arr.shape[0] == 0:
         raise ValueError("cannot measure an empty key set")
     shared = _shared_prefix_bits(arr)
     if (shared == 8 * key_len).any():
         raise DuplicateKeyError("duplicate search key in measured set")
+    return shared
 
+
+def measure_shared(params: TrieParams, shared: np.ndarray) -> Measurements:
+    """``measure_keys`` over the keys whose ``shared_prefixes`` array is
+    ``shared``, built for keys of ``params.alg``'s digest length."""
+    key_len = params.alg.output_len
+    n = len(shared) + 1
     w = params.r.bit_length() - 1
     digest_len = key_len
     digest_bits = 8 * key_len

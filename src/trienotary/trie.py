@@ -81,6 +81,9 @@ class TrieParams:
     spare_bits: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # a float or bool k passes the range check and fails far later
+        if type(self.r) is not int or type(self.k) is not int:
+            raise ValueError(f"r and k must be integers, got r={self.r!r} k={self.k!r}")
         label_width(self.r)  # validates r
         if not 1 <= self.k <= 256:
             raise ValueError(f"k must be in [1, 256], got {self.k}")

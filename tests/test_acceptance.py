@@ -178,7 +178,7 @@ def test_06_merkle_proof_suite():
                 assert not verify_consistency(bytes(bad_old), roots[n], proof, ALG)
                 assert not verify_consistency(roots[m], bytes(bad_new), proof, ALG)
     for n in range(1, 65):
-        sub = Ledger(b"acc", ledger.blocks[:n], ALG)
+        sub = Ledger(b"acc", [block.payload for block in ledger.blocks[:n]], ALG)
         for index in range(n):
             proof = prove_inclusion(sub, index)
             assert verify_inclusion(roots[n], sub.blocks[index].block_hash, proof, ALG)

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import trienotary
+from trienotary import structure
 from trienotary.cli import build_parser, main, run_bench
 from trienotary.crypto import ALGORITHM_NAMES, SHA256
 from trienotary.store import DirectoryStore
@@ -435,6 +436,9 @@ CONFIG_DAMAGE = {
     "missing key": '{"hash": "sha256", "r": 2}',
     "unknown hash": '{"hash": "md5", "k": 1, "r": 2}',
     "invalid r": '{"hash": "sha256", "k": 1, "r": 3}',
+    "float k": '{"hash": "sha256", "k": 2.5, "r": 2}',
+    "integral float k": '{"hash": "sha256", "k": 2.0, "r": 2}',
+    "bool k": '{"hash": "sha256", "k": true, "r": 2}',
 }
 
 
@@ -614,6 +618,19 @@ def test_bench_single_ledger_row():
     assert row[3] == "1"
     assert row[4] == row[5] == "1"
     assert float(row[6]) == 1.0
+
+
+def test_bench_builds_each_key_sets_shared_prefixes_once(monkeypatch):
+    # the array depends on the keys only, not on the (r, k) cell
+    calls, original = [], structure._shared_prefix_bits
+
+    def counted(arr):
+        calls.append(len(arr))
+        return original(arr)
+
+    monkeypatch.setattr(structure, "_shared_prefix_bits", counted)
+    run_bench([2, 4], [1, 2], [16, 64], 0, SHA256, io.StringIO())
+    assert sorted(calls) == [16, 64]
 
 
 def test_workdir_from_environment(tmp_path, monkeypatch):

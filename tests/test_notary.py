@@ -11,7 +11,6 @@ from trienotary.chain import Chain
 from trienotary.crypto import SHA256
 from trienotary.errors import LedgerTamperError, NoRemovalViolationError, OversizeNoteError
 from trienotary.merkle import (
-    Block,
     Ledger,
     decode_consistency_proof,
     ledger_root,
@@ -112,11 +111,12 @@ def test_rewrite_by_forking_a_superseded_version_rejected():
 
 def forgeries(base: Ledger, honest: Ledger) -> dict[str, Ledger]:
     """Two rewrites of block 4 that grow to ``honest``'s length: a fork of
-    ``base`` (3 blocks) and ``Ledger(id, blocks)`` with one hash changed."""
+    ``base`` (3 blocks) and a new ``Ledger`` of ``honest``'s payloads with
+    payload 4 replaced."""
     fork = base.append(b"3").append(b"X").append(b"5").append(b"6").append(b"7")
-    blocks = list(honest.blocks)
-    blocks[4] = Block(4, blocks[4].payload, ALG.hash(b"X"))
-    return {"fork": fork, "rebuilt": Ledger(b"a", tuple(blocks), ALG)}
+    payloads = [block.payload for block in honest.blocks]
+    payloads[4] = b"X"
+    return {"fork": fork, "rebuilt": Ledger(b"a", payloads, ALG)}
 
 
 # ``notarized`` extends ``base`` on the same log, so once it is notarized

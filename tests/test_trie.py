@@ -282,6 +282,12 @@ def test_build_rejects_bad_input():
         build(params(), {b"short": digest_of(b"v")}, None, store)
 
 
+@pytest.mark.parametrize("r, k", [(4, 2.0), (4, 2.5), (4, True), (4.0, 2), (True, 2)])
+def test_params_must_be_integers(r, k):
+    with pytest.raises(ValueError, match="r and k must be integers"):
+        TrieParams(r, k, ALG)
+
+
 def test_build_rejects_keys_that_share_every_label():
     # r=8 reads 85 three-bit labels; keys differing only in bit 255 never split
     keys = [key_from_bits("0" * 255 + bit) for bit in "01"]
