@@ -395,9 +395,17 @@ def verify_consistency(
 
     Reconstructs both roots from the proof path by walking the implied node
     coordinates from the old tree's right edge up to the new tree's head.
+
+    The empty tree is a prefix of every tree, so a proof from size 0 holds
+    exactly when its path is empty and ``old_root`` is the empty tree's
+    root, the hash of "", whatever ``new_root`` is. The old size comes from
+    the proof, which may be untrusted, so a size-0 proof offered for any
+    other old root is refused.
     """
     m, n = proof.old_size, proof.new_size
-    if m < 1 or m > n:
+    if m == 0:
+        return not proof.path and old_root == alg.hash(b"")
+    if m < 0 or m > n:
         return False
     if m == n:
         return not proof.path and old_root == new_root

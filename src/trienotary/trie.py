@@ -30,18 +30,20 @@ the audit all descend through it. It reads node bytes in place, checked
 by the same framing rules as ``parse_node``, without building node objects.
 
 The writer (``build``, ``update``, ``rechain``) reads the nodes it patches
-through ``_frame`` too. ``build`` and ``update`` are one recursion: build
-writes into an empty subtree, update into the stored root. An internal
-node is spliced, never encoded: its stored bytes, or an empty body with
-no bitmap bit, get each changed child's digest overwritten at the offset
-its bitmap gives and each new child's digest inserted with its bitmap bit
-set. Only leaves are encoded, by ``serialize_node``, which checks their
-order; a stored leaf's tuples are merged with the changes first.
-``rechain`` puts a new prev-root behind the root's body. Each key is read
-as an integer once per call, so a label is a shift and a mask. ``update``
-reads only the nodes on the changed keys' paths, and rejects a stored
-node that breaks the wire format or could not sit where it was found
-with MalformedNodeError.
+through ``_frame`` too. ``build`` and ``update`` are one write entry,
+``_write``, and one recursion: build writes into an empty subtree, update
+into the stored root. Both take one input rule: no key twice, every key
+and value a digest, and a key mapped to None, an attempted deletion,
+raises DeletionNotSupportedError. An internal node is spliced, never
+encoded: its stored bytes, or an empty body with no bitmap bit, get each
+changed child's digest overwritten at the offset its bitmap gives and
+each new child's digest inserted with its bitmap bit set. Only leaves
+are encoded, by ``serialize_node``, which checks their order; a stored
+leaf's tuples are merged with the changes first. ``rechain`` puts a new
+prev-root behind the root's body. Each key is read as an integer once per
+call, so a label is a shift and a mask. ``update`` reads only the nodes
+on the changed keys' paths, and rejects a stored node that breaks the
+wire format or could not sit where it was found with MalformedNodeError.
 """
 
 from __future__ import annotations
@@ -296,19 +298,13 @@ def node_digest(node: Node, params: TrieParams) -> bytes:
 
 # ------------------------------------------------------------- construction
 
-def _sorted_pairs(
-    assoc, params: TrieParams, none_is_deletion: bool = False
-) -> list[tuple[bytes, bytes]]:
+def _sorted_pairs(assoc, params: TrieParams) -> list[tuple[bytes, bytes]]:
     items = list(assoc.items()) if hasattr(assoc, "items") else list(assoc)
     digest_len = params.digest_len
     seen: set[bytes] = set()
     for key, value in items:
         if value is None:
-            if none_is_deletion:
-                raise DeletionNotSupportedError(
-                    f"key {key.hex()} maps to None; keys cannot be removed"
-                )
-            raise ValueError("association value is None")
+            raise DeletionNotSupportedError(f"key {key.hex()} maps to None; keys cannot be removed")
         if len(key) != digest_len or len(value) != digest_len:
             raise ValueError("keys and values must be digests of the configured length")
         if key in seen:
@@ -436,6 +432,20 @@ class _Builder:
         return self.store.put(bytes(out))
 
 
+def _write(
+    params: TrieParams, store: ObjectStore, root: bytes | None, assoc, prev_root: bytes
+) -> TrieVersion:
+    """The one write entry of ``build`` and ``update``: place ``assoc`` into
+    the subtree at ``root`` (None: empty) and chain the result to
+    ``prev_root``."""
+    pairs = _sorted_pairs(assoc, params)
+    if not pairs:
+        raise ValueError("a trie write needs at least one association")
+    builder = _Builder(params, store)
+    digest = builder.write(root, pairs, _key_ints(pairs), 0, len(pairs), 0, prev_root)
+    return TrieVersion(params, digest, store)
+
+
 def build(params: TrieParams, assoc, prev_root: bytes | None, store: ObjectStore) -> TrieVersion:
     """Construct a trie version over the full association set.
 
@@ -444,14 +454,7 @@ def build(params: TrieParams, assoc, prev_root: bytes | None, store: ObjectStore
     nodes are emitted to ``store``; ``prev_root`` (the all-zero sentinel
     for a first version) is embedded in the root node.
     """
-    pairs = _sorted_pairs(assoc, params)
-    if not pairs:
-        raise ValueError("cannot build a trie over an empty association set")
-    if prev_root is None:
-        prev_root = params.alg.zero
-    builder = _Builder(params, store)
-    root = builder.write(None, pairs, _key_ints(pairs), 0, len(pairs), 0, prev_root)
-    return TrieVersion(params, root, store)
+    return _write(params, store, None, assoc, params.alg.zero if prev_root is None else prev_root)
 
 
 def update(prev: TrieVersion, changes) -> TrieVersion:
@@ -462,16 +465,10 @@ def update(prev: TrieVersion, changes) -> TrieVersion:
     paths touched by ``changes`` are re-emitted; every other node is shared
     with ``prev``, whose own nodes all remain resolvable.
 
-    Mapping a key to None is an attempted deletion and is rejected.
+    Mapping a key to None is an attempted deletion and is rejected, as it
+    is by ``build``.
     """
-    pairs = _sorted_pairs(changes, prev.params, none_is_deletion=True)
-    if not pairs:
-        raise ValueError("update requires at least one change")
-    builder = _Builder(prev.params, prev.store)
-    root = builder.write(
-        prev.root_digest, pairs, _key_ints(pairs), 0, len(pairs), 0, prev.root_digest
-    )
-    return TrieVersion(prev.params, root, prev.store)
+    return _write(prev.params, prev.store, prev.root_digest, changes, prev.root_digest)
 
 
 def rechain(prev: TrieVersion) -> TrieVersion:

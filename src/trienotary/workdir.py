@@ -166,5 +166,6 @@ def _read_config(path: Path) -> TrieParams:
         return TrieParams(config["r"], config["k"], algorithm(config["hash"]))
     except KeyError as exc:
         raise MalformedArtifactError(f"{CONFIG_NAME}: missing key {exc}") from None
-    except (OSError, ValueError, TypeError, AttributeError) as exc:
+    # a deeply nested document exhausts json's recursion limit
+    except (OSError, ValueError, TypeError, AttributeError, RecursionError) as exc:
         raise MalformedArtifactError(f"{CONFIG_NAME}: {exc}") from None

@@ -439,6 +439,7 @@ CONFIG_DAMAGE = {
     "float k": '{"hash": "sha256", "k": 2.5, "r": 2}',
     "integral float k": '{"hash": "sha256", "k": 2.0, "r": 2}',
     "bool k": '{"hash": "sha256", "k": true, "r": 2}',
+    "deeply nested": "[" * 100_000,
 }
 
 

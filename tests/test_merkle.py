@@ -262,6 +262,22 @@ def test_consistency_rejects_bad_sizes():
     assert not verify_consistency(root, root, ConsistencyProof(4, 4, (root,)), ALG)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    new_size=st.integers(0, 2**63),
+    path=st.lists(st.binary(min_size=32, max_size=32), max_size=3),
+    old_root=st.one_of(st.just(ALG.hash(b"")), st.binary(min_size=32, max_size=32)),
+    new_root=st.one_of(st.just(ALG.hash(b"")), st.binary(min_size=32, max_size=32)),
+)
+def test_a_proof_from_size_zero_holds_iff_empty_and_from_the_empty_root(
+    new_size, path, old_root, new_root
+):
+    # the empty tree is a prefix of every tree, so the new root is not read
+    proof = ConsistencyProof(0, new_size, tuple(path))
+    expected = not path and old_root == ALG.hash(b"")
+    assert verify_consistency(old_root, new_root, proof, ALG) is expected
+
+
 def test_prove_consistency_range_errors():
     ledger = make_ledger(4)
     with pytest.raises(InvalidRangeError):

@@ -5,20 +5,32 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from trienotary.audit import audit_ledger
+from trienotary.audit import (
+    CheckResult,
+    Status,
+    audit_ledger,
+    decode_audit_proof,
+    encode_audit_proof,
+    make_audit_proof,
+    verify_audit_proof,
+)
 from trienotary.chain import Chain
 from trienotary.crypto import SHA256
 from trienotary.errors import LedgerTamperError, NoRemovalViolationError, OversizeNoteError
 from trienotary.merkle import (
+    ConsistencyProof,
     Ledger,
     decode_consistency_proof,
+    encode_consistency_proof,
     ledger_root,
     verify_consistency,
 )
 from trienotary.notary import NotaryState, notarize_round, notarize_single
 from trienotary.store import DirectoryStore, MemoryStore
-from trienotary.trie import TrieParams, TrieVersion, lookup, parse_node
+from trienotary.trie import TrieParams, TrieVersion, associations, build, lookup, parse_node
 
 ALG = SHA256
 PARAMS = TrieParams(2, 1, ALG)
@@ -413,6 +425,84 @@ def test_fresh_objects_with_same_blocks_only_rechain_then_cost_nothing(merkle_ha
     state, _ = notarize_round(state, again, store, chain)
     assert merkle_hashes() == 0
     assert store._proofs == proofs
+
+
+# ------------------------------------------------------------ empty ledgers
+
+def test_a_ledger_registered_empty_grows_and_audits():
+    state, store, chain = fresh()
+    ledgers = {b"e": Ledger(b"e", (), ALG), b"f": Ledger.from_payloads(b"f", [b"y"], ALG)}
+    state, _ = notarize_round(state, dict(ledgers), store, chain)
+    for round_seq in range(1, 4):
+        ledgers[b"e"] = ledgers[b"e"].append(bytes([round_seq]))
+        state, _ = notarize_round(state, dict(ledgers), store, chain)
+    growth = store.get(store.find_proof(ALG.hash(b"e"), 1))
+    assert decode_consistency_proof(growth, ALG) == ConsistencyProof(0, 1, ())
+    roots = chain.read_roots()
+    report = audit_ledger(b"e", ledgers[b"e"], roots, store, PARAMS)
+    assert all(check.status is Status.PASS for check in report.checks().values()), report
+    bundle = make_audit_proof(b"e", len(roots) - 1, roots, store, PARAMS)
+    replayed = verify_audit_proof(decode_audit_proof(encode_audit_proof(bundle)), b"e", roots)
+    assert replayed.exit_code == 0
+    assert replayed.history == report.history
+
+
+def test_single_mode_growth_from_empty_carries_a_proof_of_no_hashes():
+    chain = Chain()
+    empty = Ledger(b"e", (), ALG)
+    first = notarize_single(empty, None, chain)
+    grown = empty.append(b"x").append(b"y")
+    second = notarize_single(grown, (ALG.hash(b""), 0), chain)
+    proof = decode_consistency_proof(second.note, ALG)
+    assert proof == ConsistencyProof(0, 2, ())
+    assert verify_consistency(first.trie_root, second.trie_root, proof, ALG)
+
+
+def test_a_size_zero_proof_for_a_rewritten_value_does_not_verify():
+    # The final round rewrites ledger a's value, which was notarized
+    # non-empty, and indexes a size-0 proof for the change: the empty tree's
+    # proof says nothing about a ledger that already held blocks.
+    state, store, chain = fresh()
+    ledgers = {lid: Ledger.from_payloads(lid, [lid], ALG) for lid in (b"a", b"b")}
+    for _ in range(3):
+        state, _ = notarize_round(state, dict(ledgers), store, chain)
+    roots = chain.read_roots()
+    last, key = len(roots) - 1, ALG.hash(b"a")
+    assoc = associations(TrieVersion(PARAMS, roots[last], store))
+    assoc[key] = ALG.hash(b"forged")
+    forged = encode_consistency_proof(ConsistencyProof(0, 2, ()))
+    store.index_proof(key, last, store.put(forged))
+    roots[last] = build(PARAMS, assoc, roots[last - 1], store).root_digest
+    report = audit_ledger(b"a", None, roots, store, PARAMS)
+    assert report.no_forks == CheckResult(
+        Status.FAIL, last, "published consistency proof does not verify"
+    )
+    assert report.exit_code == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(start=st.integers(0, 5), steps=st.lists(st.integers(0, 3), min_size=1, max_size=6))
+def test_single_mode_publishes_what_a_one_ledger_round_stores(start, steps):
+    """Both procedures run one step: at every step the single record's root
+    is the round's registry digest, and its note is the proof the round
+    indexed, or empty where it indexed none."""
+    payloads = [bytes([i]) for i in range(start)]
+    # one ledger object per procedure, so neither reads what the other hashed
+    in_round, single = Ledger(b"solo", payloads, ALG), Ledger(b"solo", payloads, ALG)
+    key = ALG.hash(b"solo")
+    state, store, chain = fresh()
+    single_chain = Chain()
+    prev = None
+    for round_seq, grow in enumerate([0, *steps]):
+        for _ in range(grow):
+            payload = bytes([len(in_round)])
+            in_round, single = in_round.append(payload), single.append(payload)
+        state, _ = notarize_round(state, {b"solo": in_round}, store, chain)
+        record = notarize_single(single, prev, single_chain)
+        assert record.trie_root == state.registry[b"solo"].digest
+        address = store.find_proof(key, round_seq)
+        assert record.note == (b"" if address is None else store.get(address))
+        prev = (record.trie_root, len(single))
 
 
 # ------------------------------------------------------------ single ledger

@@ -624,6 +624,15 @@ def test_update_rejects_deletion():
         update(v0, {next(iter(assoc)): None})
 
 
+def test_build_rejects_deletion_as_update_does():
+    key = digest_of(b"k")
+    with pytest.raises(DeletionNotSupportedError):
+        build(params(2, 1), {key: None}, None, MemoryStore(ALG))
+    pairs = [(digest_of(b"j"), digest_of(b"v")), (key, None)]
+    with pytest.raises(DeletionNotSupportedError):
+        build(params(2, 1), pairs, None, MemoryStore(ALG))
+
+
 def test_historical_versions_stay_readable():
     rng = random.Random(55)
     store = MemoryStore(ALG)
