@@ -27,7 +27,11 @@ published after that are reported as not covered rather than verified.
 
 Cost model: one run (an audit, a bundle build or a bundle check) reads
 one source, nodes by digest and proofs by round, and records each read
-in order; the record of a storage-backed run is the bundle. A run
+in order; the record of a storage-backed run is the bundle. A read
+returns None for whatever the source lacks, which is ``KeyPath.walk``'s
+fetch contract: the store's source turns a missing or corrupted object
+into None in one place, and a bundle's source is its own dicts. Each run
+returns one ``AuditReport``. A run
 fetches and validates each distinct node once, except that a version
 root is checked twice: the root walk parses it for its prev-root link,
 and the key's path is then read from it by ``trie.KeyPath``. A per-run
@@ -153,11 +157,11 @@ class AuditProof:
 class _Engine:
     """One audit run over one source, keeping a record of what it read.
 
-    ``get(digest)`` returns node bytes and ``proof_at(round)`` a stored
-    proof blob or None; either may raise NotFoundError or IntegrityError.
-    ``fetch_node`` and ``fetch_proof`` are the only readers, and they
-    record each successful read in ``nodes`` (digest -> bytes) and
-    ``proofs`` (round -> blob), in read order.
+    ``get(digest)`` returns node bytes and ``proof_at(round)`` a proof
+    blob, each None for what the source lacks. ``fetch_node`` and
+    ``fetch_proof`` are the only readers, and they record each read that
+    found something in ``nodes`` (digest -> bytes) and ``proofs`` (round
+    -> blob), in read order.
     """
 
     def __init__(self, params, ledger_key, chain_roots, get, proof_at):
@@ -171,18 +175,13 @@ class _Engine:
         self.proofs: dict[int, bytes] = {}
 
     def fetch_node(self, digest: bytes) -> bytes | None:
-        try:
-            data = self.get(digest)
-        except (NotFoundError, IntegrityError):
-            return None
-        self.nodes[digest] = data
+        data = self.get(digest)
+        if data is not None:
+            self.nodes[digest] = data
         return data
 
     def fetch_proof(self, round_seq: int) -> bytes | None:
-        try:
-            blob = self.proof_at(round_seq)
-        except (NotFoundError, IntegrityError):
-            return None
+        blob = self.proof_at(round_seq)
         if blob is not None:
             self.proofs[round_seq] = blob
         return blob
@@ -225,7 +224,9 @@ class _Engine:
         detail = "lineage has more versions than chain records"
         return CheckResult(Status.FAIL, 0, detail), roots_by_round
 
-    def run(self, claimed: bytes | None, extra_proofs) -> dict:
+    def run(self, claimed: bytes | None, extra_proofs, uncovered=()) -> AuditReport:
+        """The report on the chain's rounds; ``uncovered`` lists the rounds
+        published after them."""
         chain_match, roots_by_round = self.walk_roots()
         height = len(self.chain_roots)
 
@@ -261,17 +262,20 @@ class _Engine:
         if unresolved:
             gaps = CheckResult(Status.INCONCLUSIVE, unresolved[0], "history has gaps")
 
-        return {
-            "chain_match": chain_match,
-            "no_alternative_histories": alternative,
-            "no_removal": self._check_no_removal(values, definite, gaps),
-            "no_forks": self._check_no_forks(values, changes, gaps),
-            "disclosed_data_match": self._check_disclosed(
+        return AuditReport(
+            ledger_key=self.path.key,
+            chain_match=chain_match,
+            no_alternative_histories=alternative,
+            no_removal=self._check_no_removal(values, definite, gaps),
+            no_forks=self._check_no_forks(values, changes, gaps),
+            disclosed_data_match=self._check_disclosed(
                 claimed, values, changes, unresolved, extra_proofs
             ),
-            "history": tuple(None if v is UNRESOLVED else v for v in values),
-            "unresolved_rounds": unresolved,
-        }
+            history=tuple(None if v is UNRESOLVED else v for v in values),
+            unresolved_rounds=unresolved,
+            covered_rounds=height,
+            uncovered_rounds=uncovered,
+        )
 
     def _check_no_removal(self, values, definite, gaps) -> CheckResult:
         seen_value = False
@@ -346,13 +350,20 @@ def _as_digest(claimed, alg: HashAlg) -> bytes | None:
 
 
 def _store_engine(params: TrieParams, key: bytes, chain_roots, store: ObjectStore) -> _Engine:
-    """An engine reading public storage: nodes by digest, proofs by index."""
+    """An engine reading public storage: nodes by digest, proofs by index,
+    None for an object missing or failing its read check."""
+
+    def get(address: bytes) -> bytes | None:
+        try:
+            return store.get(address)
+        except (NotFoundError, IntegrityError):
+            return None
 
     def proof_at(round_seq: int) -> bytes | None:
         address = store.find_proof(key, round_seq)
-        return None if address is None else store.get(address)
+        return None if address is None else get(address)
 
-    return _Engine(params, key, chain_roots, store.get, proof_at)
+    return _Engine(params, key, chain_roots, get, proof_at)
 
 
 def audit_ledger(
@@ -372,12 +383,8 @@ def audit_ledger(
     if not chain_roots:
         raise ValueError("chain is empty; nothing to audit")
     key = params.alg.hash(ledger_id)
-    parts = _store_engine(params, key, chain_roots, store).run(
-        _as_digest(claimed, params.alg), extra_proofs
-    )
-    return AuditReport(
-        ledger_key=key, covered_rounds=len(chain_roots), uncovered_rounds=(), **parts
-    )
+    engine = _store_engine(params, key, chain_roots, store)
+    return engine.run(_as_digest(claimed, params.alg), extra_proofs)
 
 
 def make_audit_proof(
@@ -398,12 +405,8 @@ def make_audit_proof(
         )
     key = params.alg.hash(ledger_id)
     engine = _store_engine(params, key, chain_roots[: up_to_round + 1], store)
-    parts = engine.run(None, ())
-    gaps = [
-        name
-        for name, check in parts.items()
-        if isinstance(check, CheckResult) and check.status is Status.INCONCLUSIVE
-    ]
+    checks = engine.run(None, ()).checks()
+    gaps = [name for name, check in checks.items() if check.status is Status.INCONCLUSIVE]
     if gaps:
         raise CannotConstructError(
             f"public storage is missing data needed for the bundle ({', '.join(gaps)})"
@@ -471,18 +474,8 @@ def verify_audit_proof(
         )
 
     nodes = dict(zip(alg.hash_each(proof.nodes), proof.nodes))
-
-    def get(digest: bytes) -> bytes:
-        try:
-            return nodes[digest]
-        except KeyError:
-            raise NotFoundError(f"bundle lacks node {digest.hex()}") from None
-
-    engine = _Engine(params, key, chain_roots[:covered], get, proofs.get)
-    parts = engine.run(_as_digest(claimed, alg), extra_proofs)
-    return AuditReport(
-        ledger_key=key, covered_rounds=covered, uncovered_rounds=uncovered, **parts
-    )
+    engine = _Engine(params, key, chain_roots[:covered], nodes.get, proofs.get)
+    return engine.run(_as_digest(claimed, alg), extra_proofs, uncovered)
 
 
 # --------------------------------------------------------- bundle wire form

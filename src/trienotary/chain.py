@@ -10,8 +10,11 @@ publicly readable digest sequence) as a human-auditable text file:
 
 one record per line, LF endings, written strictly append-only through the
 one reader and writer of every workdir file, ``store._read_lines`` and ``_append``.
-A file-backed ``Chain`` is, like ``DirectoryStore``, a single-writer building
-block: ``trienotary.workdir.Workdir`` holds the lock that keeps it to one.
+A record decodes only from the form ``format_record`` writes (``store._fields``).
+A file-backed ``Chain``, like ``DirectoryStore``, holds no open file: each
+publish opens the journal in ``_append`` and closes it there. It is also a
+single-writer building block: ``trienotary.workdir.Workdir`` holds the lock
+that keeps it to one.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import MalformedArtifactError, NonContiguousSeqError, OversizeNoteError
-from .store import _append, _read_lines
+from .store import _append, _fields, _read_lines
 
 NOTE_CAPACITY = 1024
 
@@ -57,8 +60,7 @@ class Chain:
             )
         if self._path is not None:
             line = (format_record(record) + "\n").encode("ascii")
-            with open(self._path, "ab", buffering=0) as fh:
-                self._end = _append(fh, line, self._end, self._path)
+            self._end = _append(self._path, line, self._end)
         self._records.append(record)
         return record.seq
 
@@ -72,7 +74,7 @@ class Chain:
 
 def _parse_record(path: Path, number: int, line: bytes) -> NotarizationRecord:
     try:
-        seq_str, root_hex, note_hex = line.decode("ascii").split(" ")
+        seq_str, root_hex, note_hex = _fields(line, 0)
         record = NotarizationRecord(int(seq_str), bytes.fromhex(root_hex), bytes.fromhex(note_hex))
     except ValueError:
         raise MalformedArtifactError(f"{path}:{number}: malformed chain record") from None

@@ -15,7 +15,10 @@ tests and simulation, and a directory holding one append-only pack file
 deployments. A pack record is ``address || u32 big-endian length ||
 content``; the first record for an address wins. Every workdir file,
 ``chain.log`` included, keeps the one rule for a torn tail and a failed
-write that ``_read_lines`` and ``_append`` hold. Writes are queued and made
+write that ``_read_lines`` and ``_append`` hold: ``_append`` is the one
+opener of a workdir file for writing, and it opens the file for each append
+and closes it before it returns. Journal and index fields have one form,
+the writer's, which ``_fields`` checks. Writes are queued and made
 in one batch by ``commit``: the pack's records first, then the index lines,
 so an index line never names a record that is not yet in the pack. The
 notary commits once per round, before the round's journal line.
@@ -41,6 +44,7 @@ PROOF_INDEX_NAME = "proofs.idx"
 _LENGTH_BYTES = 4  # u32 big-endian content length after each record's address
 _LENGTH_MASK = (1 << 32) - 1
 _QUEUE_BYTES = 1 << 20  # queued pack bytes past which a put writes the queue early
+_LINE_BYTES = b"0123456789abcdef "  # every byte a journal or index line holds before its LF
 
 
 class ObjectStore:
@@ -180,10 +184,13 @@ class DirectoryStore(ObjectStore):
     next put writes the queued records early; index lines wait for
     ``commit``, so they always follow the records they point to. Both
     files are appended through ``_append``, and a write it refuses keeps
-    the queue for the next commit. Both files are opened for appending at
-    the first commit that writes, not before, so a read-only use such as an
-    audit never edits them. Index lines are ``<hex ledger key> <decimal
-    round> <hex address>`` with LF endings, in registration order.
+    the queue for the next commit. The store holds no open file, only its
+    mapping: the pack is opened read-only just long enough to map it, and
+    each append opens and closes its file. The first pack write makes the
+    directory and both files, so a read-only use such as an audit creates
+    and edits nothing, and ``close`` is a commit, then an unmap. Index
+    lines are ``<hex ledger key> <decimal round> <hex address>`` with LF
+    endings, in registration order.
     """
 
     def __init__(self, root, alg: HashAlg = SHA256):
@@ -196,11 +203,10 @@ class DirectoryStore(ObjectStore):
         self._queue = bytearray()  # records to be written at _end
         self._lines = bytearray()  # index lines to be written after them
         self._map: mmap.mmap | None = None  # the pack's first bytes, at most _end
-        self._reader = self._pack_writer = self._index_writer = None
         lines, self._index_end = _read_lines(self._index_path)  # proofs.idx as committed
         for number, line in enumerate(lines, 1):
             try:
-                key_hex, round_str, addr_hex = line.decode("ascii").split(" ")
+                key_hex, round_str, addr_hex = _fields(line, 1)
                 slot = (bytes.fromhex(key_hex), int(round_str))
                 address = bytes.fromhex(addr_hex)
             except ValueError:
@@ -212,15 +218,15 @@ class DirectoryStore(ObjectStore):
                     f"{self._index_path}:{number}: conflicting proof index entry"
                 )
         if self._pack_path.exists():
-            self._reader = open(self._pack_path, "rb")
             self._scan()
 
     def _scan(self) -> None:
         """Index every complete record; stop at a torn tail."""
-        size = os.fstat(self._reader.fileno()).st_size
-        if not size:
-            return
-        view = mmap.mmap(self._reader.fileno(), size, access=mmap.ACCESS_READ)
+        with open(self._pack_path, "rb") as pack:
+            size = os.fstat(pack.fileno()).st_size
+            if not size:
+                return
+            view = mmap.mmap(pack.fileno(), size, access=mmap.ACCESS_READ)
         address_len = self.alg.output_len
         header_len = address_len + _LENGTH_BYTES
         end = 0
@@ -242,16 +248,9 @@ class DirectoryStore(ObjectStore):
         if self._map is not None:
             self._map.close()
             self._map = None  # a failed mmap must not leave a closed mapping here
-        self._map = mmap.mmap(self._reader.fileno(), self._end, access=mmap.ACCESS_READ)
+        with open(self._pack_path, "rb") as pack:
+            self._map = mmap.mmap(pack.fileno(), self._end, access=mmap.ACCESS_READ)
         return self._map
-
-    def _open_writers(self) -> None:
-        """Open both files for appending."""
-        self.root.mkdir(parents=True, exist_ok=True)
-        self._pack_writer = open(self._pack_path, "ab", buffering=0)
-        self._index_writer = open(self._index_path, "ab", buffering=0)
-        if self._reader is None:
-            self._reader = open(self._pack_path, "rb")
 
     def _read(self, address: bytes) -> bytes:
         entry = self._objects[address]
@@ -293,34 +292,30 @@ class DirectoryStore(ObjectStore):
         self._lines += f"{ledger_key.hex()} {round_seq} {address.hex()}\n".encode("ascii")
 
     def _write_pack(self) -> None:
-        if self._pack_writer is None:
-            self._open_writers()
-        self._end = _append(self._pack_writer, self._queue, self._end, self._pack_path)
+        if not self._end:  # the first records make the directory, and proofs.idx beside the pack
+            self.root.mkdir(parents=True, exist_ok=True)
+            self._index_path.touch()
+        self._end = _append(self._pack_path, self._queue, self._end)
         self._queue.clear()
 
     def commit(self) -> None:
         """Write the queued records to the pack in one write, then the queued
         index lines to ``proofs.idx`` in one write."""
-        if self._queue:
+        if self._queue or self._lines and not self._end:  # index lines alone make both files too
             self._write_pack()
         if self._lines:
-            if self._index_writer is None:
-                self._open_writers()
-            self._index_end = _append(
-                self._index_writer, self._lines, self._index_end, self._index_path
-            )
+            self._index_end = _append(self._index_path, self._lines, self._index_end)
             self._lines.clear()
 
     def close(self) -> None:
-        """Commit, then release the mapping and close both files, even if the
-        commit raises; the store is not used afterwards."""
+        """Commit, then unmap, even if the commit raises; the store is not
+        used afterwards."""
         try:
             self.commit()
         finally:
-            for handle in (self._map, self._reader, self._pack_writer, self._index_writer):
-                if handle is not None:
-                    handle.close()
-            self._map = self._reader = self._pack_writer = self._index_writer = None
+            if self._map is not None:
+                self._map.close()
+                self._map = None
 
     def __enter__(self) -> DirectoryStore:
         return self
@@ -330,32 +325,48 @@ class DirectoryStore(ObjectStore):
 
 
 def _read_lines(path: Path) -> tuple[list[bytes], int]:
-    """The complete lines of ``path`` (none if it is missing) and their
-    length, the committed length. A final line with no LF is an append that
-    did not finish: it is skipped, and the file is left as it is."""
+    """The complete lines of ``path`` (none if it is missing), split at LF
+    only, and their length, the committed length. A final line with no LF
+    is an append that did not finish: it is skipped, and the file is left
+    as it is."""
     try:
         data = path.read_bytes()
     except FileNotFoundError:
         return [], 0
-    end = data.rfind(b"\n") + 1
-    return data[:end].splitlines(), end
+    return data.split(b"\n")[:-1], data.rfind(b"\n") + 1
 
 
-def _append(handle, data: bytes, end: int, path: Path) -> int:
-    """Append ``data`` to the file ``handle`` writes, whose committed length
-    is ``end``; returns the new one. A torn tail past ``end`` is cut off
-    first. A write that fails or stops short (a full disk) cuts the file
-    back to ``end`` and raises OSError. Nothing is fsynced."""
-    fd = handle.fileno()
-    error = None
-    if os.fstat(fd).st_size <= end:  # no torn tail to cut off first
+def _fields(line: bytes, decimal: int) -> list[str]:
+    """The three fields of a journal or index ``line``, split at single
+    spaces, if the line has the form the writer makes: lowercase hex, and at
+    index ``decimal`` a decimal with no sign, underscore or leading zero.
+    ValueError otherwise, so two different lines never decode alike. The
+    caller decodes the fields, which refuses odd-length hex and a letter in
+    the decimal."""
+    fields = line.decode("ascii").split(" ")
+    if (
+        len(fields) != 3
+        or line.translate(None, _LINE_BYTES)
+        or fields[decimal][:1] == "0" != fields[decimal]  # a leading zero
+    ):
+        raise ValueError("not in the form the writer makes")
+    return fields
+
+
+def _append(path: Path, data: bytes, end: int) -> int:
+    """Append ``data`` to ``path``, whose committed length is ``end``;
+    returns the new one. The file is opened here for this one append and
+    closed before the return. A torn tail past ``end`` is cut off first. A
+    write that fails or stops short (a full disk) cuts the file back to
+    ``end`` and raises OSError. Nothing is fsynced."""
+    with open(path, "ab", buffering=0) as handle:
+        fd = handle.fileno()
+        if os.fstat(fd).st_size > end:  # a torn tail
+            os.ftruncate(fd, end)
         try:
-            if handle.write(data) == len(data):
-                return end + len(data)
-            raise OSError(f"short write to {path}")
-        except OSError as failed:
-            error = failed
-    os.ftruncate(fd, end)
-    if error is not None:
-        raise error
-    return _append(handle, data, end, path)
+            if handle.write(data) != len(data):
+                raise OSError(f"short write to {path}")
+        except OSError:
+            os.ftruncate(fd, end)
+            raise
+    return end + len(data)

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import io
 import sys
 from collections import Counter
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
+from trienotary import store as store_module
 from trienotary.crypto import HashAlg
 
 
@@ -47,3 +50,36 @@ def merkle_hashes():
             return count
 
         yield taken
+
+
+class _HalfFile(io.FileIO):
+    """A workdir file on a full disk: each write stops halfway."""
+
+    def write(self, data):
+        return super().write(data[: len(data) // 2])
+
+
+class Appends:
+    """Stands in for ``open`` in ``trienotary.store``, where ``_append`` opens
+    every workdir file it writes: ``log`` gets the file name of each append,
+    in order, and an append to a file named in ``short`` stops halfway."""
+
+    def __init__(self):
+        self.log: list[str] = []
+        self.short: set[str] = set()
+
+    def open(self, path, mode="r", *args, **kwargs):
+        if "a" in mode:
+            name = Path(path).name
+            self.log.append(name)
+            if name in self.short:
+                return _HalfFile(path, mode)
+        return open(path, mode, *args, **kwargs)
+
+
+@pytest.fixture
+def appends(monkeypatch):
+    """The workdir appends of the test, logged and breakable (``Appends``)."""
+    helper = Appends()
+    monkeypatch.setattr(store_module, "open", helper.open, raising=False)
+    return helper

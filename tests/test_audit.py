@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harness import CountingStore, History, as_chain, run_history
 from trienotary.audit import (
@@ -18,7 +20,7 @@ from trienotary.audit import (
 )
 from trienotary.chain import Chain
 from trienotary.crypto import SHA256, SHA512
-from trienotary.errors import CannotConstructError
+from trienotary.errors import CannotConstructError, TrienotaryError
 from trienotary.faults import inject
 from trienotary.merkle import Ledger, prove_consistency, root_at
 from trienotary.store import MemoryStore
@@ -409,6 +411,40 @@ def test_cannot_construct_from_incomplete_storage():
         make_audit_proof(
             b"ledger-0", 2, history.chain.read_roots(), history.store, history.params
         )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 1 << 16),
+    fault=st.sampled_from([None, "corrupt-node", "corrupt-proof", "fork-value"]),
+    data=st.data(),
+)
+def test_make_audit_proof_refuses_exactly_when_the_storage_audit_is_inconclusive(
+    seed, fault, data
+):
+    """The three entry points run one engine: the bundle is refused exactly
+    when the storage audit of the same rounds has an inconclusive check,
+    and otherwise the bundle's check reports what that audit reports."""
+    history = run_history(seed, n_ledgers=3, rounds=3, p_append=0.7)
+    lid = data.draw(st.sampled_from(sorted(history.ledgers)), label="ledger")
+    records = history.chain.records()
+    if fault is not None:
+        try:
+            records = inject(fault, history.params, history.store, records, lid)
+        except TrienotaryError:  # no stored proof to corrupt: the history stays honest
+            pass
+    roots = [record.trie_root for record in records]
+    up_to_round = data.draw(st.integers(0, len(roots) - 1), label="up_to_round")
+    covered = roots[: up_to_round + 1]
+    report = audit_ledger(lid, None, covered, history.store, history.params)
+    inconclusive = any(c.status is Status.INCONCLUSIVE for c in report.checks().values())
+    try:
+        proof = make_audit_proof(lid, up_to_round, roots, history.store, history.params)
+    except CannotConstructError:
+        assert inconclusive
+        return
+    assert not inconclusive
+    assert verify_audit_proof(proof, lid, covered) == report
 
 
 def test_proof_size_grows_linearly_with_rounds():

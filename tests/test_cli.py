@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -342,6 +343,45 @@ def test_malformed_artifact_is_one_error_line(simulated, tmp_path, command, dama
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert proc.stderr.rstrip().endswith(expected)
+
+
+def _upper_first_letter(field: str) -> str:
+    """Flip bit 5 of the field's first hex letter: ``a`` becomes ``A``."""
+    return re.sub("[a-f]", lambda letter: letter.group().upper(), field, count=1)
+
+
+# (file, line number, field index, edit): each edit leaves a line that the
+# lenient parsers of int() and bytes.fromhex() would read as the original
+NONCANONICAL_FIELDS = {
+    "journal root case flip": ("chain.log", 2, 1, _upper_first_letter),
+    "journal seq +1": ("chain.log", 2, 0, lambda seq: "+" + seq),
+    "journal seq 0_2": ("chain.log", 3, 0, lambda seq: "0_" + seq),
+    "journal seq 01": ("chain.log", 2, 0, lambda seq: "0" + seq),
+    "journal CRLF ending": ("chain.log", 2, 2, lambda note: note + "\r"),
+    "upper-case journal root": ("chain.log", 1, 1, str.upper),
+    "index key case flip": ("proofs.idx", 1, 0, _upper_first_letter),
+    "index round +0_1": ("proofs.idx", 1, 1, lambda round_str: "+0_" + round_str),
+    "upper-case index key": ("proofs.idx", 2, 0, str.upper),
+    "upper-case index address": ("proofs.idx", 2, 2, str.upper),
+}
+
+
+@pytest.mark.parametrize("name, number, field, edit", NONCANONICAL_FIELDS.values(),
+                         ids=list(NONCANONICAL_FIELDS))
+def test_a_field_in_another_form_than_the_writers_is_one_error_line(
+    simulated, capsys, name, number, field, edit
+):
+    path = simulated / name
+    lines = path.read_text().split("\n")
+    fields = lines[number - 1].split(" ")
+    fields[field] = edit(fields[field])
+    lines[number - 1] = " ".join(fields)
+    path.write_text("\n".join(lines))
+    kind = "chain record" if name == "chain.log" else "proof index entry"
+    assert run("audit", "ledger-1", "--workdir", simulated) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.rstrip().endswith(f"{name}:{number}: malformed {kind}")
 
 
 def test_audit_skips_a_torn_final_chain_line(simulated):

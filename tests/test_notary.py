@@ -287,43 +287,12 @@ def test_failed_round_leaves_state_unchanged_and_retry_matches_clean_run():
     assert store._proofs == clean_store._proofs
 
 
-class _Writer:
-    """Stands in for one of a DirectoryStore's file writers: logs each write
-    as ``name`` and stops it halfway (a full disk) while ``short`` is set."""
-
-    def __init__(self, name, real, log):
-        self.name, self.real, self.log, self.short = name, real, log, False
-
-    def write(self, data):
-        self.log.append(self.name)
-        return self.real.write(data[: len(data) // 2] if self.short else data)
-
-    def fileno(self):
-        return self.real.fileno()
-
-    def close(self):
-        self.real.close()
-
-
-class _LoggedChain(Chain):
-    def __init__(self, path, log):
-        super().__init__(path)
-        self.log = log
-
-    def publish(self, record):
-        self.log.append("journal")
-        return super().publish(record)
-
-
-def _start_directory_run(workdir, log):
-    """Round 0 of a seeded history on a DirectoryStore and file chain in
-    ``workdir``; afterwards the store's writers are ``_Writer``s."""
+def _start_directory_run(workdir):
+    """Round 0 of a seeded history on a DirectoryStore and file chain in ``workdir``."""
     rng = random.Random(5)
     ledgers = {bytes([i]): Ledger.from_payloads(bytes([i]), [rng.randbytes(5)], ALG) for i in range(8)}
-    store, chain = DirectoryStore(workdir, ALG), _LoggedChain(workdir / "chain.log", log)
+    store, chain = DirectoryStore(workdir, ALG), Chain(workdir / "chain.log")
     state, _ = notarize_round(NotaryState(PARAMS), dict(ledgers), store, chain)
-    store._pack_writer = _Writer("pack", store._pack_writer, log)
-    store._index_writer = _Writer("index", store._index_writer, log)
     return rng, ledgers, store, chain, state
 
 
@@ -332,33 +301,33 @@ def _append_to_all(rng, ledgers):
     return {lid: ledger.append(rng.randbytes(5)) for lid, ledger in ledgers.items()}
 
 
-def test_directory_round_commits_pack_then_index_then_journal(tmp_path):
-    log = []
-    rng, ledgers, store, chain, state = _start_directory_run(tmp_path, log)
+def test_directory_round_commits_pack_then_index_then_journal(tmp_path, appends):
+    log = appends.log
+    rng, ledgers, store, chain, state = _start_directory_run(tmp_path)
     with store:
         for _ in range(4):
             ledgers = _append_to_all(rng, ledgers)
             log.clear()
             state, _ = notarize_round(state, ledgers, store, chain)
-            assert log == ["pack", "index", "journal"]
+            assert log == ["objects.pack", "proofs.idx", "chain.log"]
 
 
-def test_failed_commit_raises_before_publish_and_retry_matches_clean_run(tmp_path):
+def test_failed_commit_raises_before_publish_and_retry_matches_clean_run(tmp_path, appends):
     def files(workdir):
         return [(workdir / name).read_bytes() for name in ("objects.pack", "proofs.idx", "chain.log")]
 
     def run(workdir, tear):
         workdir.mkdir()
-        rng, ledgers, store, chain, state = _start_directory_run(workdir, [])
+        rng, ledgers, store, chain, state = _start_directory_run(workdir)
         with store:
             for _ in range(2):
                 ledgers = _append_to_all(rng, ledgers)
                 before = files(workdir)
-                for writer in (store._pack_writer, store._index_writer) if tear else ():
-                    writer.short = True
+                for name in ("objects.pack", "proofs.idx") if tear else ():
+                    appends.short = {name}
                     with pytest.raises(OSError, match="short write"):
                         notarize_round(state, ledgers, store, chain)
-                    writer.short = False
+                    appends.short = set()
                     assert files(workdir)[1:] == before[1:]  # no index line, no journal line
                     assert chain.height == state.round
                 state, _ = notarize_round(state, ledgers, store, chain)

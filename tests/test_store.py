@@ -2,19 +2,22 @@
 
 from __future__ import annotations
 
+import gc
 import os
 import random
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trienotary import chain as chain_module
 from trienotary import store as store_module
 from trienotary.chain import Chain, NotarizationRecord
 from trienotary.crypto import SHA256
+from trienotary.merkle import Ledger
+from trienotary.notary import NotaryState, notarize_round
 from trienotary.errors import (
     IntegrityError,
     MalformedArtifactError,
@@ -23,6 +26,7 @@ from trienotary.errors import (
     TrienotaryError,
 )
 from trienotary.store import DirectoryStore, MemoryStore
+from trienotary.trie import TrieParams
 
 
 @pytest.fixture(params=["memory", "directory"])
@@ -191,51 +195,28 @@ def test_a_second_store_sees_only_the_last_commit(tmp_path):
         assert (reopened.get(second), reopened.find_proof(key, 1)) == (b"second", second)
 
 
-class HalfWriter:
-    """Stands in for a workdir file writer, a DirectoryStore's or the one
-    ``Chain.publish`` opens, on a full disk: each write stops halfway."""
-
-    def __init__(self, real):
-        self.real = real
-
-    def write(self, data):
-        return self.real.write(data[: len(data) // 2])
-
-    def fileno(self):
-        return self.real.fileno()
-
-    def close(self):
-        self.real.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
-
-
-def test_short_write_raises_and_leaves_no_silent_damage(tmp_path, monkeypatch):
+def test_short_write_raises_and_leaves_no_silent_damage(tmp_path, appends):
     pack, index, journal = (tmp_path / name for name in WORKDIR_FILES)
     with DirectoryStore(tmp_path, SHA256) as store:
         first = store.put(b"first")
         store.index_proof(first, 0, first)
-        store.commit()  # opens the writers
+        store.commit()  # creates the files
         pack_size, index_size = pack.stat().st_size, index.stat().st_size
         second = store.put(b"second")
-        store._pack_writer = HalfWriter(store._pack_writer)
+        appends.short = {"objects.pack"}
         with pytest.raises(OSError):
             store.commit()
         assert pack.stat().st_size == pack_size  # cut back to the last commit
         assert store.get(second) == b"second"  # still queued
-        store._pack_writer = store._pack_writer.real
+        appends.short = set()
         store.index_proof(first, 1, second)
-        store._index_writer = HalfWriter(store._index_writer)
+        appends.short = {"proofs.idx"}
         with pytest.raises(OSError):
             store.commit()  # the pack write is retried and lands; the index write stops short
         assert pack.stat().st_size == pack_size + HEADER_LEN + len(b"second")
         assert index.stat().st_size == index_size  # no torn line left behind
         assert store.find_proof(first, 1) == second  # still queued
-        store._index_writer = store._index_writer.real
+        appends.short = set()
         store.commit()  # the retry
     with DirectoryStore(tmp_path, SHA256) as store:
         assert (store.get(first), store.get(second)) == (b"first", b"second")
@@ -243,31 +224,41 @@ def test_short_write_raises_and_leaves_no_silent_damage(tmp_path, monkeypatch):
     chain = Chain(journal)
     chain.publish(NotarizationRecord(0, first))
     journal_bytes = journal.read_bytes()
-
-    def half_open(*args, **kwargs):  # Chain.publish opens its file afresh each time
-        return HalfWriter(open(*args, **kwargs))
-
-    with monkeypatch.context() as patch:
-        patch.setattr(chain_module, "open", half_open, raising=False)
-        with pytest.raises(OSError, match="short write"):
-            chain.publish(NotarizationRecord(1, second))
+    appends.short = {"chain.log"}  # Chain.publish appends through store._append too
+    with pytest.raises(OSError, match="short write"):
+        chain.publish(NotarizationRecord(1, second))
+    appends.short = set()
     assert journal.read_bytes() == journal_bytes  # no torn line left behind
     assert chain.height == 1
     assert chain.publish(NotarizationRecord(1, second)) == 1  # the retry
     assert Chain(journal).records() == chain.records()
 
 
-def test_close_releases_everything_even_when_its_commit_fails(tmp_path):
+def test_close_releases_everything_even_when_its_commit_fails(tmp_path, appends):
     store = DirectoryStore(tmp_path, SHA256)
     first = store.put(b"first")
     store.commit()
     assert store.get(first) == b"first"  # maps the pack
     store.put(b"second")
-    store._pack_writer = HalfWriter(store._pack_writer)
+    appends.short = {"objects.pack"}
     with pytest.raises(OSError, match="short write"):
         store.close()
-    assert (store._map, store._reader, store._pack_writer, store._index_writer) == (None,) * 4
+    assert store._map is None
     assert (tmp_path / "objects.pack").stat().st_size == HEADER_LEN + len(b"first")
+
+
+def test_a_dropped_store_leaks_no_file(tmp_path):
+    """A store dropped unclosed after a round and a read that maps the pack
+    leaves no open file for the collector to warn about."""
+    ledgers = {lid: Ledger.from_payloads(lid, [lid * 4], SHA256) for lid in (b"a", b"b")}
+    store, chain = DirectoryStore(tmp_path, SHA256), Chain(tmp_path / "chain.log")
+    notarize_round(NotaryState(TrieParams(2, 1, SHA256)), ledgers, store, chain)
+    store.get(chain.read_roots()[-1])  # maps the pack
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        del store, chain
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_a_full_queue_writes_records_early_and_index_lines_wait(tmp_path, monkeypatch):
@@ -291,6 +282,15 @@ def test_a_full_queue_writes_records_early_and_index_lines_wait(tmp_path, monkey
         assert [store.get(a) for a in addresses[:2]] == [bytes(8), b"\x01" * 8]
         assert store.find_proof(key, 0) == addresses[0]
         assert addresses[2] not in store
+
+
+def test_index_lines_alone_make_the_directory_and_both_files(tmp_path):
+    root, key, address = tmp_path / "s", SHA256.hash(b"lid"), SHA256.hash(b"never stored")
+    with DirectoryStore(root, SHA256) as store:
+        store.index_proof(key, 1, address)
+    assert sorted(p.name for p in root.iterdir()) == ["objects.pack", "proofs.idx"]
+    with DirectoryStore(root, SHA256) as store:
+        assert store.find_proof(key, 1) == address
 
 
 def test_directory_read_only_use_creates_nothing(tmp_path):
