@@ -34,7 +34,9 @@ into None in one place, and a bundle's source is its own dicts. Each run
 returns one ``AuditReport``. A run
 fetches and validates each distinct node once, except that a version
 root is checked twice: the root walk parses it for its prev-root link,
-and the key's path is then read from it by ``trie.KeyPath``. A per-run
+and the key's path is then read from it by ``trie.KeyPath``, which takes
+each label from the key when the walk reaches its depth: no per-run work
+scales with the key's bit length, only with the nodes read. A per-run
 memo maps (child digest, depth) to what the walk below that child found:
 the value, absence, or unresolved with any malformation detail. A later
 round that reaches a memoized child stops there, and a memoized

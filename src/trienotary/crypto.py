@@ -11,8 +11,7 @@ output in practice.
 
 Search keys are digests read as bit strings, most-significant bit first.
 ``label_at`` extracts the fixed-width chunk of a key that selects the
-outgoing edge at a given trie depth; ``key_labels`` extracts all of them
-at once.
+outgoing edge at a given trie depth.
 """
 
 from __future__ import annotations
@@ -115,9 +114,3 @@ def label_at(key: bytes, depth: int, r: int) -> int:
     window = int.from_bytes(key[byte0:byte0 + 2].ljust(2, b"\x00"), "big")
     return (window >> (16 - bit0 - w)) & (r - 1)
 
-
-def key_labels(key: bytes, r: int) -> tuple[int, ...]:
-    """Every full label of ``key``, depth 0 first: ``label_at`` for each depth."""
-    w = label_width(r)
-    bits = int.from_bytes(key, "big")
-    return tuple((bits >> shift) & (r - 1) for shift in range(8 * len(key) - w, -1, -w))

@@ -190,7 +190,8 @@ class DirectoryStore(ObjectStore):
     directory and both files, so a read-only use such as an audit creates
     and edits nothing, and ``close`` is a commit, then an unmap. Index
     lines are ``<hex ledger key> <decimal round> <hex address>`` with LF
-    endings, in registration order.
+    endings, in registration order; a key or address that is not a digest
+    of the store's algorithm makes the line malformed.
     """
 
     def __init__(self, root, alg: HashAlg = SHA256):
@@ -204,11 +205,14 @@ class DirectoryStore(ObjectStore):
         self._lines = bytearray()  # index lines to be written after them
         self._map: mmap.mmap | None = None  # the pack's first bytes, at most _end
         lines, self._index_end = _read_lines(self._index_path)  # proofs.idx as committed
+        digest_len = alg.output_len
         for number, line in enumerate(lines, 1):
             try:
                 key_hex, round_str, addr_hex = _fields(line, 1)
-                slot = (bytes.fromhex(key_hex), int(round_str))
-                address = bytes.fromhex(addr_hex)
+                key, address = bytes.fromhex(key_hex), bytes.fromhex(addr_hex)
+                if len(key) != digest_len or len(address) != digest_len:
+                    raise ValueError("a ledger key or proof address that is not a digest")
+                slot = (key, int(round_str))
             except ValueError:
                 raise MalformedArtifactError(
                     f"{self._index_path}:{number}: malformed proof index entry"

@@ -52,7 +52,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import partial
 
-from .crypto import HashAlg, key_labels, label_width
+from .crypto import HashAlg, label_width
 from .errors import (
     CanonicalizationError,
     DeletionNotSupportedError,
@@ -495,8 +495,12 @@ class KeyPath:
     """The single walk down one search key's path, over node bytes.
 
     ``lookup``, ``search_path`` and the audit all descend through this
-    class. The key's edge labels are computed once, when it is created,
-    so one instance serves every version walked for that key. Each node is
+    class. The key is held as one integer, and the label at a depth is a
+    shift and a mask taken when the walk reaches that depth, as in
+    ``_Builder``; so a walk costs the nodes it reads, not the key's bit
+    length, and one instance serves every version walked for that key. A
+    node at or past depth ``max_depth(len(key), r)`` would need bits the
+    key lacks, and ends the walk unresolved. Each node is
     checked by the same framing rules as ``parse_node``; an internal node
     yields only the child the key needs (found by popcount over the
     bitmap) and a leaf is scanned in place, so no node objects are built.
@@ -505,7 +509,9 @@ class KeyPath:
     def __init__(self, params: TrieParams, key: bytes):
         self.params = params
         self.key = key
-        self.labels = key_labels(key, params.r)
+        self.number = int.from_bytes(key, "big")
+        self.width = label_width(params.r)
+        self.first_shift = 8 * len(key) - self.width  # brings the label at depth 0 low
 
     def walk(self, data: bytes, fetch, memo: dict | None = None, path: list | None = None):
         """Decide the key from the root node ``data`` downwards.
@@ -522,7 +528,10 @@ class KeyPath:
         label taken) per node visited, the label None for the deciding node.
         """
         params = self.params
-        labels = self.labels
+        number = self.number
+        width = self.width
+        mask = params.r - 1
+        shift = self.first_shift
         digest_len = params.digest_len
         bitmap_end = 1 + params.bitmap_len
         top = 8 * params.bitmap_len - 1
@@ -543,11 +552,11 @@ class KeyPath:
                         result = (data[value_at:value_at + digest_len], "")
                         break
                 label = None  # the deciding node
-            elif depth >= len(labels):
+            elif shift < 0:
                 result = (UNRESOLVED, "trie deeper than the key has bits")
                 break
             else:
-                label = labels[depth]
+                label = number >> shift & mask
                 bit = top - label
                 if not shape >> bit & 1:
                     result = _ABSENT
@@ -559,6 +568,7 @@ class KeyPath:
             offset = bitmap_end + (shape >> bit >> 1).bit_count() * digest_len
             child = data[offset:offset + digest_len]
             depth += 1
+            shift -= width
             step = (child, depth)
             if memo is not None:
                 result = memo.get(step)

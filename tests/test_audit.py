@@ -244,6 +244,50 @@ def test_overdeep_malicious_trie_fails_instead_of_crashing():
     assert report.exit_code == 1
 
 
+def _unary_trie(params: TrieParams, key: bytes, value: bytes, depth: int, store) -> bytes:
+    """The root of a one-version lineage: unary internal nodes at depths
+    0..depth-1 on ``key``'s labels (label 0 past its last full label), over
+    a leaf holding ``key``."""
+    from trienotary.crypto import label_at, max_depth
+    from trienotary.trie import InternalNode, LeafNode, serialize_node
+
+    current = store.put(serialize_node(LeafNode(((key, value),)), params))
+    last = max_depth(len(key), params.r)
+    for d in range(depth - 1, -1, -1):
+        label = label_at(key, d, params.r) if d < last else 0
+        node = InternalNode(((label, current),), params.alg.zero if d == 0 else None)
+        current = store.put(serialize_node(node, params))
+    return current
+
+
+@pytest.mark.parametrize("alg", [SHA256, SHA512], ids=lambda alg: alg.name)
+@pytest.mark.parametrize("r", [2, 4, 8, 16, 32, 64, 128, 256])
+def test_the_walk_reads_the_keys_last_full_label_and_no_further(r, alg):
+    """A hostile trie exactly as deep as the key has full labels decides the
+    key at its leaf, so the walk took the last full label, also where the
+    label width leaves bits over; one level deeper is malformed."""
+    from trienotary.crypto import max_depth
+
+    params = TrieParams(r, 1, alg)
+    store = MemoryStore(alg)
+    lid = b"victim"
+    key = alg.hash(lid)
+    value = alg.hash(b"value")
+    deepest = max_depth(len(key), r)
+
+    root = _unary_trie(params, key, value, deepest, store)
+    report = audit_ledger(lid, None, [root], store, params)
+    assert report.exit_code == 0, report.checks()
+    assert report.history == (value,)
+
+    root = _unary_trie(params, key, value, deepest + 1, store)
+    report = audit_ledger(lid, None, [root], store, params)
+    assert report.no_alternative_histories == CheckResult(
+        Status.FAIL, 0, "malformed node: trie deeper than the key has bits"
+    )
+    assert report.exit_code == 1
+
+
 def test_indexed_proof_with_missing_object_is_inconclusive():
     history = run_history(16, n_ledgers=2, rounds=3, p_append=1.0)
     key = history.key_of(b"ledger-0")

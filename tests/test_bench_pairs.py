@@ -109,3 +109,16 @@ def test_worse_than_bound_compares_the_medians_in_the_metrics_direction(change, 
 @pytest.mark.parametrize("text, seeds", [("1801-1803", [1801, 1802, 1803]), ("5,7", [5, 7])])
 def test_seed_lists(text, seeds):
     assert bench_pairs.parse_seeds(text) == seeds
+
+
+def test_one_summary_line_per_workload_and_metric():
+    runs = {
+        "parent": [report(1.0, 5.0), report(2.0, 5.0), report(3.0, 5.0)],
+        "change": [report(0.5, 6.0), report(2.0, 4.0), report(3.5, 6.0)],
+    }
+    assert bench_pairs.summary_lines(bench_pairs.summarize(SPEC, runs)) == [
+        "w setup_s: median parent 2 s change 2 s, change/parent 1.000, pairs won 1 lost 1,"
+        " claim_rule_met False, worse_than_bound False",
+        "w rate: median parent 5 1/s change 6 1/s, change/parent 1.200, pairs won 2 lost 1,"
+        " claim_rule_met False, worse_than_bound False",
+    ]

@@ -9,15 +9,19 @@ import os
 import re
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trienotary
 from trienotary import structure
+from trienotary.chain import Chain, format_record
 from trienotary.cli import build_parser, main, run_bench
 from trienotary.crypto import ALGORITHM_NAMES, SHA256
+from trienotary.errors import MalformedArtifactError
 from trienotary.store import DirectoryStore
 
 
@@ -37,15 +41,19 @@ def run_captured(*argv) -> tuple[int, str]:
     return code, out.getvalue()
 
 
-@pytest.fixture
-def simulated(tmp_path):
-    workdir = tmp_path / "run"
+def simulate_into(parent: Path) -> Path:
+    workdir = parent / "run"
     code = run(
         "simulate", "--workdir", workdir, "--ledgers", 6, "--rounds", 3,
         "--append-rate", 1.0, "--seed", 11,
     )
     assert code == 0
     return workdir
+
+
+@pytest.fixture
+def simulated(tmp_path):
+    return simulate_into(tmp_path)
 
 
 def test_simulate_creates_the_documented_layout(tmp_path):
@@ -351,7 +359,9 @@ def _upper_first_letter(field: str) -> str:
 
 
 # (file, line number, field index, edit): each edit leaves a line that the
-# lenient parsers of int() and bytes.fromhex() would read as the original
+# lenient parsers of int() and bytes.fromhex() would read as the original,
+# or, in the cut and extended rows, an index key or address that decodes to
+# bytes but is not a digest
 NONCANONICAL_FIELDS = {
     "journal root case flip": ("chain.log", 2, 1, _upper_first_letter),
     "journal seq +1": ("chain.log", 2, 0, lambda seq: "+" + seq),
@@ -363,6 +373,10 @@ NONCANONICAL_FIELDS = {
     "index round +0_1": ("proofs.idx", 1, 1, lambda round_str: "+0_" + round_str),
     "upper-case index key": ("proofs.idx", 2, 0, str.upper),
     "upper-case index address": ("proofs.idx", 2, 2, str.upper),
+    "index key cut": ("proofs.idx", 1, 0, lambda key: key[:-2]),
+    "index key extended": ("proofs.idx", 1, 0, lambda key: key + "00"),
+    "index address cut": ("proofs.idx", 1, 2, lambda address: address[:-2]),
+    "index address extended": ("proofs.idx", 1, 2, lambda address: address + "00"),
 }
 
 
@@ -382,6 +396,99 @@ def test_a_field_in_another_form_than_the_writers_is_one_error_line(
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert err.rstrip().endswith(f"{name}:{number}: malformed {kind}")
+
+
+@pytest.fixture(scope="module")
+def journaled(tmp_path_factory):
+    """The ``simulated`` workdir, made once for the tests that restore what they edit."""
+    return simulate_into(tmp_path_factory.mktemp("journaled"))
+
+
+@st.composite
+def mutated(draw, line: bytes) -> bytes:
+    """``line`` with one edit: a byte flipped, a field cut or extended, a hex
+    letter's case changed, a sign or a leading zero put before a field, or
+    a space doubled."""
+    kind = draw(st.sampled_from(["flip", "cut", "extend", "case", "prefix", "space"]))
+    if kind == "flip":
+        at = draw(st.integers(0, len(line) - 1))
+        byte = draw(st.integers(0, 255).filter(lambda b: b != line[at]))
+        return line[:at] + bytes([byte]) + line[at + 1:]
+    if kind == "case":
+        at = draw(st.sampled_from([at for at, b in enumerate(line) if b in b"abcdef"]))
+        return line[:at] + line[at:at + 1].upper() + line[at + 1:]
+    if kind == "space":
+        at = draw(st.sampled_from([at for at, b in enumerate(line) if b == 0x20]))
+        return line[:at] + b" " + line[at:]
+    fields = line.split(b" ")
+    i = draw(st.sampled_from([i for i, field in enumerate(fields) if field or kind == "extend"]))
+    field = fields[i]
+    if kind == "cut":
+        n = draw(st.integers(1, len(field)))
+        fields[i] = field[n:] if draw(st.booleans()) else field[:-n]
+    elif kind == "extend":
+        fields[i] = field + bytes(draw(st.lists(st.sampled_from(b"0123456789abcdef"),
+                                                min_size=1, max_size=3)))
+    else:
+        fields[i] = draw(st.sampled_from([b"+", b"-", b"0"])) + field
+    return b" ".join(fields)
+
+
+def decoded_lines(workdir: Path, name: str) -> list[bytes]:
+    """The lines of ``name`` as decoding and formatting again make them, one
+    per distinct entry; MalformedArtifactError where a line does not decode."""
+    if name == "chain.log":
+        records = Chain(workdir / name).records()
+        return [format_record(record).encode("ascii") for record in records]
+    with DirectoryStore(workdir, SHA256) as store:
+        return [
+            f"{key.hex()} {round_seq} {address.hex()}".encode("ascii")
+            for (key, round_seq), address in store._proofs.items()
+        ]
+
+
+ONE_LINE_ERRORS = (
+    "malformed chain record",
+    "malformed proof index entry",
+    "conflicting proof index entry",
+    r"record seq \d+ is not its line index \d+",
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_a_mutated_journal_or_index_line_decodes_as_written_or_is_one_error_line(
+    journaled, data
+):
+    """One line of ``chain.log`` or ``proofs.idx`` edited as in ``mutated``:
+    the audit prints one ``error:`` line naming the file and line and exits
+    1, or, where every line decodes, formatting the decoded fields again
+    gives the file's lines back and the audit exits 0, 1 or 2 with no
+    traceback."""
+    name = data.draw(st.sampled_from(["chain.log", "proofs.idx"]))
+    path = journaled / name
+    original = path.read_bytes()
+    lines = original.split(b"\n")[:-1]
+    number = data.draw(st.integers(1, len(lines)))
+    lines[number - 1] = data.draw(mutated(lines[number - 1]))
+    path.write_bytes(b"".join(line + b"\n" for line in lines))
+    try:
+        err = io.StringIO()
+        with redirect_stderr(err), redirect_stdout(io.StringIO()):
+            code = run("audit", f"ledger-{data.draw(st.integers(0, 5))}", "--workdir", journaled)
+        err = err.getvalue()
+        try:
+            decoded = decoded_lines(journaled, name)
+        except MalformedArtifactError as exc:
+            assert (code, err) == (1, f"error: {exc}\n")
+            assert re.fullmatch(
+                rf"error: {re.escape(str(path))}:\d+: ({'|'.join(ONE_LINE_ERRORS)})\n", err
+            )
+        else:
+            assert decoded == list(dict.fromkeys(path.read_bytes().split(b"\n")[:-1]))
+            assert code in (0, 1, 2) and not err
+    finally:
+        path.write_bytes(original)
 
 
 def test_audit_skips_a_torn_final_chain_line(simulated):

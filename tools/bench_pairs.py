@@ -22,7 +22,9 @@ direction), and the metric's bound. Two verdicts follow from these:
 and its median is better than the parent's by more than the parent's
 quartile spread, and ``worse_than_bound``, when the change's median is
 worse than the parent's by more than ``bound`` times the parent's median.
-``--note`` lines are kept as written.
+``--note`` lines are kept as written. After writing the file, the script
+prints one line per workload and metric to stdout, as ``summary_lines``
+formats it, so a claim can be read without opening the JSON.
 ``--raw PATH`` also saves every run's reports, and ``--from-raw PATH``
 writes the summary from such a file without running anything, so notes
 can be added after a run.
@@ -147,6 +149,23 @@ def summarize(spec: dict, runs: dict) -> dict:
     return out
 
 
+def summary_lines(workloads: dict) -> list[str]:
+    """One line per workload and metric of a ``summarize`` result: both
+    medians, their ratio, the pairs won and lost, and the two verdicts."""
+    lines = []
+    for workload, block in workloads.items():
+        for name, m in block["metrics"].items():
+            ratio = m["change_over_parent"]
+            lines.append(
+                f"{workload} {name}: median parent {m['parent']['median']:.6g} {m['unit']}"
+                f" change {m['change']['median']:.6g} {m['unit']},"
+                f" change/parent {'n/a' if ratio is None else f'{ratio:.3f}'},"
+                f" pairs won {m['pairs_change_better']} lost {m['pairs_change_worse']},"
+                f" claim_rule_met {m['claim_rule_met']}, worse_than_bound {m['worse_than_bound']}"
+            )
+    return lines
+
+
 def cpu_model() -> str:
     try:
         for line in Path("/proc/cpuinfo").read_text().splitlines():
@@ -226,6 +245,7 @@ def main(argv=None) -> int:
     out = root / "BENCH_perfbench.json"
     out.write_text(json.dumps(bench, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)
+    print("\n".join(summary_lines(bench["workloads"])))
     return 0
 
 
