@@ -36,12 +36,18 @@ class NotarizationRecord:
 
 
 class Chain:
-    """Append-only record journal; file-backed when ``path`` is given."""
+    """Append-only record journal; file-backed when ``path`` is given.
 
-    def __init__(self, path=None):
+    ``digest_len``, when given, is the deployment's digest length, and a
+    journal record whose trie root has another length does not decode.
+    """
+
+    def __init__(self, path=None, digest_len: int | None = None):
         self._path = None if path is None else Path(path)
         lines, self._end = ([], 0) if path is None else _read_lines(self._path)
-        self._records = [_parse_record(self._path, n, line) for n, line in enumerate(lines, 1)]
+        self._records = [
+            _parse_record(self._path, n, line, digest_len) for n, line in enumerate(lines, 1)
+        ]
 
     @property
     def height(self) -> int:
@@ -72,10 +78,14 @@ class Chain:
         return list(self._records)
 
 
-def _parse_record(path: Path, number: int, line: bytes) -> NotarizationRecord:
+def _parse_record(
+    path: Path, number: int, line: bytes, digest_len: int | None
+) -> NotarizationRecord:
     try:
         seq_str, root_hex, note_hex = _fields(line, 0)
         record = NotarizationRecord(int(seq_str), bytes.fromhex(root_hex), bytes.fromhex(note_hex))
+        if digest_len is not None and len(record.trie_root) != digest_len:
+            raise ValueError("trie root is not a digest")
     except ValueError:
         raise MalformedArtifactError(f"{path}:{number}: malformed chain record") from None
     if record.seq != number - 1:

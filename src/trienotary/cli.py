@@ -204,6 +204,10 @@ def _cmd_audit(args) -> int:
             claimed = read_ledger(ledger_file)
         except (OSError, ValueError) as exc:
             return _inconclusive(f"disclosed data for ledger id {args.id!r} is unreadable ({exc})")
+        if claimed.id != ledger_id:
+            return _inconclusive(
+                f"disclosed data for ledger id {args.id!r} is the export of id {claimed.id.hex()}"
+            )
         if claimed.alg != params.alg:
             return _inconclusive(
                 f"disclosed data for ledger id {args.id!r} uses {claimed.alg.name}, "

@@ -487,14 +487,16 @@ def decode_consistency_proof(data: bytes, alg: HashAlg) -> ConsistencyProof:
     return ConsistencyProof(old_size, new_size, path)
 
 
+def _export_header(alg_name: str, encoding: str, ledger_id: bytes) -> str:
+    return f"{_LEDGER_HEADER_MAGIC} alg={alg_name} enc={encoding} id={ledger_id.hex()}"
+
+
 def write_ledger(ledger: Ledger, path, encoding: str = "hex") -> None:
     """Export a ledger as newline-delimited encoded payloads under a one-line header."""
     if encoding not in _PAYLOAD_CODECS:
         raise ValueError(f"encoding must be 'hex' or 'base64', got {encoding!r}")
     enc = _PAYLOAD_CODECS[encoding][0]
-    lines = [
-        f"{_LEDGER_HEADER_MAGIC} alg={ledger.alg.name} enc={encoding} id={ledger.id.hex()}"
-    ]
+    lines = [_export_header(ledger.alg.name, encoding, ledger.id)]
     lines.extend(map(enc, ledger._log.payloads[:len(ledger)]))
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -503,34 +505,42 @@ def write_ledger(ledger: Ledger, path, encoding: str = "hex") -> None:
 def read_ledger(path) -> Ledger:
     """Load a ledger export, recomputing every block hash from its payload.
 
-    Raises ``ValueError`` naming ``path`` for anything that does not decode
-    as an export: non-ASCII bytes, a bad header, a header without ``alg=``,
-    ``enc=`` or ``id=``, or a payload line that is not in its encoding.
+    Only the form ``write_ledger`` writes decodes: ASCII lines, each ended
+    by LF; the header ``ledger v1 alg=<name> enc=<enc> id=<lowercase hex>``
+    with each field once and in that order; and payload lines each equal to
+    the encoding of what it decodes to. Anything else raises ``ValueError``
+    naming ``path`` and, for a payload, its line number.
     """
     with open(path, "rb") as fh:
         content = fh.read()
     try:
-        lines = content.decode("ascii").splitlines()
-        if not lines or not lines[0].startswith(_LEDGER_HEADER_MAGIC + " "):
+        text = content.decode("ascii")
+        if not text.endswith("\n"):
             raise ValueError("not a ledger export")
-        fields = dict(part.split("=", 1) for part in lines[0].split(" ")[2:])
-        if not {"alg", "enc", "id"} <= fields.keys():
-            raise ValueError("header lacks one of alg=, enc=, id=")
-        alg, ledger_id = algorithm(fields["alg"]), bytes.fromhex(fields["id"])
-        if fields["enc"] not in _PAYLOAD_CODECS:
-            raise ValueError(f"unknown payload encoding {fields['enc']!r}")
-        dec = _PAYLOAD_CODECS[fields["enc"]][1]
+        header, *lines = text[:-1].split("\n")
+        fields = dict(part.partition("=")[::2] for part in header.split(" ")[2:])
         try:
-            payloads = [dec(line) for line in lines[1:]]
+            alg, ledger_id = algorithm(fields["alg"]), bytes.fromhex(fields["id"])
+            enc, dec = _PAYLOAD_CODECS[fields["enc"]]
+            if header != _export_header(alg.name, fields["enc"], ledger_id):
+                raise ValueError
+        except (KeyError, ValueError):
+            raise ValueError("line 1 is not a ledger export header") from None
+        try:
+            payloads = [dec(line) for line in lines]
+            canonical = list(map(enc, payloads)) == lines
         except ValueError:
+            canonical = False
+        if not canonical:
             # only now look for the line that failed, so that a good export
             # pays no per-line bookkeeping
-            for number, line in enumerate(lines[1:], start=2):
+            for number, line in enumerate(lines, start=2):
                 try:
-                    dec(line)
+                    if enc(dec(line)) == line:
+                        continue
                 except ValueError:
-                    raise ValueError(f"line {number} is not {fields['enc']}") from None
-            raise
+                    pass
+                raise ValueError(f"line {number} is not {fields['enc']}")
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     return Ledger(ledger_id, payloads, alg)

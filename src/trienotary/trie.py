@@ -51,6 +51,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import partial
+from operator import itemgetter
 
 from .crypto import HashAlg, label_width
 from .errors import (
@@ -310,7 +311,7 @@ def _sorted_pairs(assoc, params: TrieParams) -> list[tuple[bytes, bytes]]:
         if key in seen:
             raise DuplicateKeyError(f"duplicate search key {key.hex()}")
         seen.add(key)
-    items.sort(key=lambda pair: pair[0])
+    items.sort(key=itemgetter(0))
     return items
 
 
@@ -333,17 +334,29 @@ class _Builder:
     big-endian integers, so the label at a depth is a shift and a mask.
     The pairs under one node share the labels above it and are sorted, so
     each child's run of pairs ends where the integers reach the next
-    label, found by bisection.
+    label, found by bisection; the last run needs none.
+
+    One internal node written costs what its wire format and its checks
+    need: one ``store.get`` (which re-hashes the bytes) and one ``_frame``
+    of a stored node, one copy of its bytes, one overwrite or insert per
+    changed child, the tag byte only for a root and the bitmap only when
+    a label was added, and one ``store.put``. A leaf costs the same read
+    and check, its merge and one ``serialize_node``.
     """
 
     def __init__(self, params: TrieParams, store: ObjectStore):
         self.params = params
-        self.store = store
+        self.get = store.get
+        self.put = store.put
+        self.k = params.k
         self.width = label_width(params.r)
         self.bits = params.alg.bit_length
         self.digest_len = params.digest_len
         self.bitmap_len = params.bitmap_len
-        self.empty = bytes(1 + params.bitmap_len)  # an internal body with no child
+        self.bitmap_end = 1 + params.bitmap_len
+        self.top = 8 * params.bitmap_len - 1  # the bit of label 0
+        self.mask = params.r - 1
+        self.empty = bytes([TAG_INTERNAL]) + bytes(params.bitmap_len)  # a body with no child
 
     def write(
         self,
@@ -365,14 +378,16 @@ class _Builder:
         params = self.params
         digest_len = self.digest_len
         if digest is None:
-            if hi - lo <= params.k:
-                leaf = LeafNode(tuple(pairs[lo:hi]), prev_root)
-                return self.store.put(serialize_node(leaf, params))
+            if hi - lo <= self.k:
+                return self.put(serialize_node(LeafNode(tuple(pairs[lo:hi]), prev_root), params))
             data = self.empty
             body_end = len(data)
             shape = 0
         else:
-            data = _load(self.store, digest)
+            try:
+                data = self.get(digest)
+            except NotFoundError:
+                raise MissingNodeError(f"node {digest.hex()} not resolvable") from None
             tag, body_end, shape = _frame(data, params)
             if depth and tag > TAG_LEAF:
                 raise MalformedNodeError("root-tagged node below the root")
@@ -387,9 +402,8 @@ class _Builder:
                     merged[key] = data[at + digest_len:at + 2 * digest_len]
                 merged.update(pairs[lo:hi])
                 entries = sorted(merged.items())
-                if len(entries) <= params.k:
-                    leaf = LeafNode(tuple(entries), prev_root)
-                    return self.store.put(serialize_node(leaf, params))
+                if len(entries) <= self.k:
+                    return self.put(serialize_node(LeafNode(tuple(entries), prev_root), params))
                 n = len(entries)
                 return self.write(None, entries, _key_ints(entries), 0, n, depth, prev_root)
         shift = self.bits - (depth + 1) * self.width  # brings the label at depth low
@@ -399,21 +413,21 @@ class _Builder:
             raise KeyExhaustedError(
                 f"{hi - lo} keys share all {depth * self.width} label bits at depth {depth}"
             )
-        # Patch a copy of the body: a changed child's digest is overwritten
+        # Patch a copy of the node: a changed child's digest is overwritten
         # where it stands, and a new label sets its bitmap bit and inserts
         # a digest at its offset. Offsets come from the stored bitmap by
-        # popcount.
-        bitmap_len = self.bitmap_len
-        bitmap_end = 1 + bitmap_len
-        top = 8 * bitmap_len - 1  # the bit of label 0
-        mask = params.r - 1
+        # popcount. A stored non-root node already carries its tag.
+        bitmap_end = self.bitmap_end
+        top = self.top
+        mask = self.mask
         bitmap = shape
-        out = bytearray(data[:body_end])
+        out = bytearray(data)
         grown = 0  # labels arrive ascending: every insert so far lies ahead
+        last = ints[hi - 1] >> shift
         i = lo
         while i < hi:
             prefix = ints[i] >> shift
-            j = bisect_left(ints, (prefix + 1) << shift, i + 1, hi)
+            j = hi if prefix == last else bisect_left(ints, (prefix + 1) << shift, i + 1, hi)
             bit = top - (prefix & mask)
             offset = bitmap_end + (shape >> bit >> 1).bit_count() * digest_len
             at = offset + grown
@@ -425,11 +439,15 @@ class _Builder:
                 out[at:at] = self.write(None, pairs, ints, i, j, depth + 1, None)
                 grown += digest_len
             i = j
-        out[0] = TAG_INTERNAL if prev_root is None else TAG_ROOT_INTERNAL
-        out[1:bitmap_end] = bitmap.to_bytes(bitmap_len, "big")
+        if bitmap != shape:  # a label was added
+            if bitmap_end == 2:  # a one-byte bitmap (r <= 8) is its byte
+                out[1] = bitmap
+            else:
+                out[1:bitmap_end] = bitmap.to_bytes(self.bitmap_len, "big")
         if prev_root is not None:
-            out += prev_root
-        return self.store.put(bytes(out))
+            out[0] = TAG_ROOT_INTERNAL
+            out[body_end + grown:] = prev_root  # replaces a stored root's prev-root field
+        return self.put(bytes(out))
 
 
 def _write(

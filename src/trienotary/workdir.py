@@ -61,8 +61,8 @@ class Workdir:
         self._lock = lock
         self._store: DirectoryStore | None = None
         try:
-            self.chain = Chain(path / CHAIN_NAME)
             self.params = _read_config(path / CONFIG_NAME)
+            self.chain = Chain(path / CHAIN_NAME, self.params.digest_len)
         except BaseException:
             self.close()
             raise
@@ -122,7 +122,7 @@ class Workdir:
         adversary who edits published history."""
         lines = [format_record(record) for record in records]
         (self.path / CHAIN_NAME).write_text("\n".join(lines) + "\n", encoding="ascii")
-        self.chain = Chain(self.path / CHAIN_NAME)
+        self.chain = Chain(self.path / CHAIN_NAME, self.params.digest_len)
 
     def close(self) -> None:
         try:

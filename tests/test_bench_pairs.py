@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -121,4 +122,23 @@ def test_one_summary_line_per_workload_and_metric():
         " claim_rule_met False, worse_than_bound False",
         "w rate: median parent 5 1/s change 6 1/s, change/parent 1.200, pairs won 2 lost 1,"
         " claim_rule_met False, worse_than_bound False",
+    ]
+
+
+def test_a_run_lasts_the_seconds_benchmark_json_declares(tmp_path):
+    """``run_side`` hands ``run_seconds`` to ``perfbench/run.py``: a stub
+    that records its argv and writes empty reports stands in for it."""
+    seconds = json.loads((_PATH.parents[1] / "BENCHMARK.json").read_text())["run_seconds"]
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import json, sys\n"
+        "from pathlib import Path\n"
+        "Path('argv.json').write_text(json.dumps(sys.argv[1:]))\n"
+        "out = Path('perfbench/out')\n"
+        "out.mkdir()\n"
+        "(out / 'w-seed5-trace0.json').write_text('{}')\n"
+    )
+    assert bench_pairs.run_side(tmp_path, ["w"], 5, seconds) == {"w": {}}
+    assert json.loads((tmp_path / "argv.json").read_text()) == [
+        "--workload", "all", "--seed", "5", "--seconds", str(seconds), "--trace", "0",
     ]

@@ -360,10 +360,12 @@ def _upper_first_letter(field: str) -> str:
 
 # (file, line number, field index, edit): each edit leaves a line that the
 # lenient parsers of int() and bytes.fromhex() would read as the original,
-# or, in the cut and extended rows, an index key or address that decodes to
-# bytes but is not a digest
+# or, in the cut and extended rows, a journal root, index key or address
+# that decodes to bytes but is not a digest
 NONCANONICAL_FIELDS = {
     "journal root case flip": ("chain.log", 2, 1, _upper_first_letter),
+    "journal root cut": ("chain.log", 3, 1, lambda root: root[:-2]),
+    "journal root extended": ("chain.log", 3, 1, lambda root: root + "00"),
     "journal seq +1": ("chain.log", 2, 0, lambda seq: "+" + seq),
     "journal seq 0_2": ("chain.log", 3, 0, lambda seq: "0_" + seq),
     "journal seq 01": ("chain.log", 2, 0, lambda seq: "0" + seq),
@@ -438,7 +440,7 @@ def decoded_lines(workdir: Path, name: str) -> list[bytes]:
     """The lines of ``name`` as decoding and formatting again make them, one
     per distinct entry; MalformedArtifactError where a line does not decode."""
     if name == "chain.log":
-        records = Chain(workdir / name).records()
+        records = Chain(workdir / name, SHA256.output_len).records()
         return [format_record(record).encode("ascii") for record in records]
     with DirectoryStore(workdir, SHA256) as store:
         return [
@@ -674,6 +676,90 @@ def test_disclosed_data_in_another_algorithm_is_inconclusive(simulated):
         "inconclusive: disclosed data for ledger id 'ledger-1' uses sha512, "
         "config.json says sha256\n"
     )
+
+
+def _upper_payloads(content: bytes) -> bytes:
+    header, payloads = content.split(b"\n", 1)
+    return header + b"\n" + payloads.upper()
+
+
+# each edit of ledger-1's export, and the start of the audit's reason
+EXPORT_EDITS = {
+    # ledger-2's id: a readable export, of another ledger
+    "another id": (lambda content: content.replace(b"d31\n", b"d32\n", 1),
+                   "is the export of id 6c65646765722d32"),
+    "enc= twice": (lambda content: content.replace(b"enc=hex", b"enc=hex enc=hex", 1),
+                   "is unreadable"),
+    "upper-case id": (lambda content: content.replace(b"d31\n", b"D31\n", 1), "is unreadable"),
+    "upper-case payloads": (_upper_payloads, "is unreadable"),
+}
+
+
+@pytest.mark.parametrize("edit, reason", EXPORT_EDITS.values(), ids=list(EXPORT_EDITS))
+def test_an_export_in_another_form_or_of_another_id_is_inconclusive(
+    simulated, capsys, edit, reason
+):
+    export = simulated / "ledgers" / f"{b'ledger-1'.hex()}.ledger"
+    content = export.read_bytes()
+    export.write_bytes(edit(content))
+    assert export.read_bytes() != content
+    assert run("audit", "ledger-1", "--workdir", simulated) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(
+        f"inconclusive: disclosed data for ledger id 'ledger-1' {reason}"
+    )
+
+
+@st.composite
+def mutated_export(draw, exports: list[bytes]) -> tuple[int, bytes]:
+    """The index of one of ``exports`` and that export with one line edited:
+    a byte flipped, the line cut or extended, doubled, or replaced by a line
+    of any export."""
+    which = draw(st.integers(0, len(exports) - 1))
+    lines = exports[which].split(b"\n")[:-1]
+    number = draw(st.integers(0, len(lines) - 1))
+    line = lines[number]
+    kind = draw(st.sampled_from(["flip", "cut", "extend", "duplicate", "splice"]))
+    if kind == "flip" and line:
+        at = draw(st.integers(0, len(line) - 1))
+        byte = draw(st.integers(0, 255).filter(lambda b: b != line[at]))
+        lines[number] = line[:at] + bytes([byte]) + line[at + 1:]
+    elif kind == "cut" and line:
+        n = draw(st.integers(1, len(line)))
+        lines[number] = line[n:] if draw(st.booleans()) else line[:-n]
+    elif kind == "extend":
+        tail = st.sampled_from(b"0123456789abcdefABCDEF =\r")
+        lines[number] = line + bytes(draw(st.lists(tail, min_size=1, max_size=3)))
+    elif kind == "duplicate":
+        lines.insert(number, line)
+    else:
+        lines[number] = draw(st.sampled_from(draw(st.sampled_from(exports)).split(b"\n")[:-1]))
+    return which, b"".join(line + b"\n" for line in lines)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_a_mutated_export_audits_clean_only_as_a_prefix_of_its_ledger(journaled, data):
+    """One line of a ledger export edited as in ``mutated_export``: the audit
+    exits 0, 1 or 2 with no traceback, and exits 0 only when the export
+    still decodes to the audited id and to a prefix of the payloads it held."""
+    ids = [f"ledger-{i}".encode() for i in range(6)]
+    paths = [journaled / "ledgers" / f"{ledger_id.hex()}.ledger" for ledger_id in ids]
+    exports = [path.read_bytes() for path in paths]
+    originals = [trienotary.read_ledger(path) for path in paths]
+    which, content = data.draw(mutated_export(exports))
+    paths[which].write_bytes(content)
+    try:
+        with redirect_stderr(io.StringIO()), redirect_stdout(io.StringIO()):
+            code = run("audit", ids[which].decode(), "--workdir", journaled)
+        assert code in (0, 1, 2)
+        if code == 0:
+            loaded = trienotary.read_ledger(paths[which])
+            assert loaded.id == ids[which]
+            assert loaded.blocks == originals[which].blocks[:len(loaded)]
+    finally:
+        paths[which].write_bytes(exports[which])
 
 
 @pytest.mark.parametrize("argv", [

@@ -453,6 +453,37 @@ def test_update_matches_a_rebuild_node_for_node(r, k, batches, data):
         )
 
 
+@pytest.mark.parametrize("kind", ["internal", "leaf"])
+@pytest.mark.parametrize("change", ["value only", "new key"])
+def test_update_over_a_root_stored_without_the_root_tag_matches_a_rebuild(kind, change):
+    """A version whose root digest names a node stored with the non-root tag
+    (hand-built with ``serialize_node``): the update writes the root tag and
+    chains to that digest, as a rebuild of the merged associations does.
+    For an internal root the new key adds a label to it."""
+    rng = random.Random(7)
+    p = params(4, 2)
+    count = 12 if kind == "internal" else 2
+    # every key starts with label 0 or 1, so the root lacks labels 2 and 3
+    state = {bytes([rng.randrange(128)]) + rng.randbytes(31): rng.randbytes(32)
+             for _ in range(count)}
+    store = MemoryStore(ALG)
+    stored = parse_node(store.get(build(p, state, None, store).root_digest), p)
+    assert isinstance(stored, InternalNode if kind == "internal" else LeafNode)
+    root = store.put(serialize_node(dataclasses.replace(stored, prev_root=None), p))
+    if change == "value only":
+        changes = {rng.choice(sorted(state)): rng.randbytes(32)}
+    else:
+        changes = {bytes([128 + rng.randrange(128)]) + rng.randbytes(31): rng.randbytes(32)}
+    version = update(TrieVersion(p, root, store), changes)
+    state.update(changes)
+    fresh_store = MemoryStore(ALG)
+    fresh = build(p, state, root, fresh_store)
+    assert version.root_digest == fresh.root_digest
+    assert reachable(store, version.root_digest, p) == reachable(
+        fresh_store, fresh.root_digest, p
+    )
+
+
 @pytest.mark.parametrize("r,k", [(2, 1), (4, 2), (16, 3)])
 def test_update_reads_only_the_nodes_on_changed_paths(monkeypatch, r, k):
     rng = random.Random(31 * r + k)

@@ -7,10 +7,11 @@ Run from anywhere inside the repository:
 The parent revision's committed files are exported with ``git archive``
 into a temporary directory outside the repository, which is removed when
 the run ends. The change is the repository's working tree. For each seed,
-``perfbench/run.py --workload all --seed S --seconds 16 --trace 0`` runs on
+``perfbench/run.py --workload all --seed S --seconds T --trace 0`` runs on
 the parent and on the change in turn, the parent first on odd seeds and
 the change first on even ones, so drift in the host's speed does not
-favour one side. Each run leaves one report per workload under its
+favour one side; T is the ``run_seconds`` that ``BENCHMARK.json``
+declares. Each run leaves one report per workload under its
 checkout's ``perfbench/out/``, where this script reads them back.
 
 For every workload and every end-to-end metric that ``BENCHMARK.json``
@@ -42,7 +43,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-SECONDS = 16  # the run length BENCHMARK.json declares
 METHOD = (
     "alternating parent/change pairs, one seed per pair, the parent first on odd seeds and "
     "the change first on even ones; medians and inclusive quartiles over each side's "
@@ -75,15 +75,16 @@ def parse_seeds(text: str) -> list[int]:
     return [int(part) for part in text.split(",")]
 
 
-def run_side(checkout: Path, workloads: list[str], seed: int) -> dict:
-    """One ``--workload all`` run; each workload's report, or None if it wrote none."""
+def run_side(checkout: Path, workloads: list[str], seed: int, seconds: float) -> dict:
+    """One ``--workload all`` run of ``seconds`` per workload; each
+    workload's report, or None if it wrote none."""
     out = checkout / "perfbench" / "out"
     reports = {name: out / f"{name}-seed{seed}-trace0.json" for name in workloads}
     for path in reports.values():
         path.unlink(missing_ok=True)
     subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", "all", "--seed", str(seed),
-         "--seconds", str(SECONDS), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, check=False, stdout=subprocess.DEVNULL,
     )
     return {
@@ -193,7 +194,9 @@ def run_pairs(parser, root: Path, spec: dict, args) -> dict:
         for seed in seeds:
             for side in ("parent", "change") if seed % 2 else ("change", "parent"):
                 print(f"seed {seed}: {side}", file=sys.stderr, flush=True)
-                runs[side].append(run_side(checkouts[side], workloads, seed))
+                runs[side].append(
+                    run_side(checkouts[side], workloads, seed, spec["run_seconds"])
+                )
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     return {"parent": parent_rev, "seeds": seeds, "runs": runs}
@@ -225,7 +228,7 @@ def main(argv=None) -> int:
         {},
     )
     bench = {
-        "benchmark": f"perfbench/run.py --workload all --seconds {SECONDS} --trace 0",
+        "benchmark": f"perfbench/run.py --workload all --seconds {spec['run_seconds']} --trace 0",
         "method": METHOD,
         "parent": raw["parent"],
         "change": args.change,
