@@ -27,23 +27,25 @@ published after that are reported as not covered rather than verified.
 
 Cost model: one run (an audit, a bundle build or a bundle check) reads
 one source, nodes by digest and proofs by round, and records each read
-in order; the record of a storage-backed run is the bundle. A read
-returns None for whatever the source lacks, which is ``KeyPath.walk``'s
-fetch contract: the store's source turns a missing or corrupted object
-into None in one place, and a bundle's source is its own dicts. Each run
-returns one ``AuditReport``. A run
+in order; the record of a storage-backed run is the bundle. The engine's
+two readers are the one place where a failed read becomes None, which
+is ``KeyPath``'s fetch contract: they catch the store's ``NotFoundError``
+and ``IntegrityError`` (a missing or corrupted object), a bundle's
+source returns None itself, and any other error escapes the run. Each
+run returns one ``AuditReport``. A run
 fetches and validates each distinct node once, except that a version
 root is checked twice: the root walk parses it for its prev-root link,
 and the key's path is then read from it by ``trie.KeyPath``, which takes
 each label from the key when the walk reaches its depth: no per-run work
-scales with the key's bit length, only with the nodes read. A per-run
-memo maps (child digest, depth) to what the walk below that child found:
-the value, absence, or unresolved with any malformation detail. A later
-round that reaches a memoized child stops there, and a memoized
-malformation is charged to that round too, so the verdicts are those of
-a memo-free walk. The memo lives in the run, not in ``ObjectStore``:
-stored bytes can be corrupted after the fact, and a store-level cache
-would hide that from every later audit.
+scales with the key's bit length, only with the nodes read. One
+``KeyPath.walk_each`` call per run walks every version root, newest
+first, with one memo that maps (child digest, depth) to what the walk
+below that child found: the value, absence, or unresolved with any
+malformation detail. A later round that reaches a memoized child stops
+there, and a memoized malformation is charged to that round too, so the
+verdicts are those of a memo-free walk. The memo lives in the run, not
+in ``ObjectStore``: stored bytes can be corrupted after the fact, and a
+store-level cache would hide that from every later audit.
 
 A bundle check (``verify``) makes one pass over the bundle's bytes
 (``decode_audit_proof``), hashes each node once to index the nodes by
@@ -160,10 +162,13 @@ class _Engine:
     """One audit run over one source, keeping a record of what it read.
 
     ``get(digest)`` returns node bytes and ``proof_at(round)`` a proof
-    blob, each None for what the source lacks. ``fetch_node`` and
-    ``fetch_proof`` are the only readers, and they record each read that
-    found something in ``nodes`` (digest -> bytes) and ``proofs`` (round
-    -> blob), in read order.
+    blob. Each returns None for what the source lacks, or raises
+    ``NotFoundError`` or ``IntegrityError`` for an object missing from
+    storage or failing its read check, as ``ObjectStore.get`` does.
+    ``fetch_node`` and ``fetch_proof`` are the only readers: they are the
+    one place where a failed read becomes None, and they record each read
+    that found something in ``nodes`` (digest -> bytes) and ``proofs``
+    (round -> blob), in read order. Any other error escapes the run.
     """
 
     def __init__(self, params, ledger_key, chain_roots, get, proof_at):
@@ -172,18 +177,23 @@ class _Engine:
         self.get = get
         self.proof_at = proof_at
         self.path = KeyPath(params, ledger_key)
-        self.memo: dict = {}  # (child digest, depth) -> (outcome, detail)
         self.nodes: dict[bytes, bytes] = {}
         self.proofs: dict[int, bytes] = {}
 
     def fetch_node(self, digest: bytes) -> bytes | None:
-        data = self.get(digest)
+        try:
+            data = self.get(digest)
+        except (NotFoundError, IntegrityError):
+            return None
         if data is not None:
             self.nodes[digest] = data
         return data
 
     def fetch_proof(self, round_seq: int) -> bytes | None:
-        blob = self.proof_at(round_seq)
+        try:
+            blob = self.proof_at(round_seq)
+        except (NotFoundError, IntegrityError):
+            return None
         if blob is not None:
             self.proofs[round_seq] = blob
         return blob
@@ -195,29 +205,33 @@ class _Engine:
         walked root is compared with the chain record of its round; the
         newest mismatch is reported only if the walk itself ends cleanly.
         """
-        height = len(self.chain_roots)
+        params = self.params
+        chain_roots = self.chain_roots
+        fetch_node = self.fetch_node
+        zero = params.alg.zero
+        height = len(chain_roots)
         roots_by_round: dict[int, bytes] = {}
         mismatch = None
-        current = self.chain_roots[-1]
+        current = chain_roots[-1]
         for round_seq in range(height - 1, -1, -1):
-            data = self.fetch_node(current)
+            data = fetch_node(current)
             if data is None:
                 detail = f"version root {current.hex()[:16]}… unresolved in storage"
                 return CheckResult(Status.INCONCLUSIVE, round_seq, detail), roots_by_round
             try:
-                node = parse_node(data, self.params)
+                node = parse_node(data, params)
             except MalformedNodeError as exc:
                 detail = f"malformed version root: {exc}"
                 return CheckResult(Status.FAIL, round_seq, detail), roots_by_round
             if node.prev_root is None:
                 detail = "version root is not a root node"
                 return CheckResult(Status.FAIL, round_seq, detail), roots_by_round
-            if mismatch is None and current != self.chain_roots[round_seq]:
+            if mismatch is None and current != chain_roots[round_seq]:
                 detail = "traversed root does not match the published digest"
                 mismatch = CheckResult(Status.FAIL, round_seq, detail)
             roots_by_round[round_seq] = data
             current = node.prev_root
-            if current == self.params.alg.zero:
+            if current == zero:
                 if round_seq:
                     versions = height - round_seq
                     detail = f"lineage ends after {versions} versions, chain has {height}"
@@ -233,12 +247,14 @@ class _Engine:
         height = len(self.chain_roots)
 
         # Hash references verify implicitly: each node is resolved by the very
-        # digest its parent stored. A subtree already walked this run answers
-        # from the memo, and its malformation is charged to this round too.
+        # digest its parent stored. One call walks every root with one memo:
+        # a subtree already walked this run answers from it, and its
+        # malformation is charged to this round too.
         values: list = [UNRESOLVED] * height
         malformed = []
-        for round_seq, root_data in roots_by_round.items():
-            values[round_seq], detail = self.path.walk(root_data, self.fetch_node, self.memo)
+        walked = self.path.walk_each(roots_by_round.values(), self.fetch_node)
+        for round_seq, (value, detail) in zip(roots_by_round, walked):
+            values[round_seq] = value
             if detail:
                 malformed.append((round_seq, detail))
         unresolved = tuple(i for i, v in enumerate(values) if v is UNRESOLVED)
@@ -352,20 +368,13 @@ def _as_digest(claimed, alg: HashAlg) -> bytes | None:
 
 
 def _store_engine(params: TrieParams, key: bytes, chain_roots, store: ObjectStore) -> _Engine:
-    """An engine reading public storage: nodes by digest, proofs by index,
-    None for an object missing or failing its read check."""
-
-    def get(address: bytes) -> bytes | None:
-        try:
-            return store.get(address)
-        except (NotFoundError, IntegrityError):
-            return None
+    """An engine reading public storage: nodes by digest, proofs by index."""
 
     def proof_at(round_seq: int) -> bytes | None:
         address = store.find_proof(key, round_seq)
-        return None if address is None else get(address)
+        return None if address is None else store.get(address)
 
-    return _Engine(params, key, chain_roots, get, proof_at)
+    return _Engine(params, key, chain_roots, store.get, proof_at)
 
 
 def audit_ledger(
@@ -496,14 +505,14 @@ def encode_audit_proof(proof: AuditProof) -> bytes:
         + proof.up_to_round.to_bytes(8, "little")
         + proof.ledger_key
     )
-    nodes = len(proof.nodes).to_bytes(4, "little") + b"".join(
-        len(data).to_bytes(4, "little") + data for data in proof.nodes
-    )
+    nodes = [len(proof.nodes).to_bytes(4, "little")]
+    for data in proof.nodes:
+        nodes += (len(data).to_bytes(4, "little"), data)
     proofs = len(proof.proofs).to_bytes(4, "little") + b"".join(
         round_seq.to_bytes(8, "little") + len(blob).to_bytes(4, "little") + blob
         for round_seq, blob in proof.proofs
     )
-    return _section(header) + _section(nodes) + _section(proofs)
+    return _section(header) + _section(b"".join(nodes)) + _section(proofs)
 
 
 def _truncated() -> ValueError:

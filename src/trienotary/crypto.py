@@ -37,10 +37,13 @@ class HashAlg:
     output_len: int
     wire_id: int
     _new: Callable = field(init=False, repr=False, compare=False)
+    # the reserved all-zero sentinel digest, built once
+    zero: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # Bound once: hashlib.new looks the name up on every call.
         object.__setattr__(self, "_new", getattr(hashlib, self.name))
+        object.__setattr__(self, "zero", bytes(self.output_len))
 
     def hash(self, data: bytes) -> bytes:
         return self._new(data).digest()
@@ -49,11 +52,6 @@ class HashAlg:
         """The digest of each input, in order."""
         new = self._new
         return [new(x).digest() for x in items]
-
-    @property
-    def zero(self) -> bytes:
-        """The reserved all-zero sentinel digest."""
-        return b"\x00" * self.output_len
 
     @property
     def bit_length(self) -> int:

@@ -483,7 +483,7 @@ def decode_consistency_proof(data: bytes, alg: HashAlg) -> ConsistencyProof:
     new_size = int.from_bytes(data[8:16], "big")
     body = data[16:]
     step = alg.output_len
-    path = tuple(body[i:i + step] for i in range(0, len(body), step))
+    path = tuple([body[i:i + step] for i in range(0, len(body), step)])
     return ConsistencyProof(old_size, new_size, path)
 
 

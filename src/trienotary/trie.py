@@ -522,6 +522,11 @@ class KeyPath:
     checked by the same framing rules as ``parse_node``; an internal node
     yields only the child the key needs (found by popcount over the
     bitmap) and a leaf is scanned in place, so no node objects are built.
+
+    ``walk_each`` is the one walk loop: it walks several version roots in
+    one call, one after another, sharing one memo, so the audit pays the
+    call and the set-up of the walk once per run, not once per round.
+    ``walk`` is that call over a single root.
     """
 
     def __init__(self, params: TrieParams, key: bytes):
@@ -545,62 +550,75 @@ class KeyPath:
         every child it fetched. ``path``, when given, collects (node bytes,
         label taken) per node visited, the label None for the deciding node.
         """
+        return self.walk_each((data,), fetch, memo, path)[0]
+
+    def walk_each(self, roots, fetch, memo: dict | None = None, path: list | None = None) -> list:
+        """``walk`` over each root node in ``roots``, in order, with one
+        ``memo`` shared by all of them (a fresh one when None): one
+        ``(outcome, detail)`` per root. The fetches, and the results, are
+        those of one ``walk`` call per root sharing that memo."""
+        if memo is None:
+            memo = {}
         params = self.params
+        key = self.key
         number = self.number
         width = self.width
         mask = params.r - 1
-        shift = self.first_shift
+        first_shift = self.first_shift
         digest_len = params.digest_len
+        stride = 2 * digest_len
         bitmap_end = 1 + params.bitmap_len
         top = 8 * params.bitmap_len - 1
-        trail = []
-        depth = 0
-        while True:
-            try:
-                tag, body_end, shape = _frame(data, params)
-                if depth and tag > TAG_LEAF:
-                    raise MalformedNodeError("root-tagged node below the root")
-            except MalformedNodeError as exc:
-                result = (UNRESOLVED, str(exc))
-                break
-            if not tag & 1:  # a leaf
-                result = _ABSENT
-                for value_at in range(2 + digest_len, body_end, 2 * digest_len):
-                    if data.startswith(self.key, value_at - digest_len):
-                        result = (data[value_at:value_at + digest_len], "")
-                        break
-                label = None  # the deciding node
-            elif shift < 0:
-                result = (UNRESOLVED, "trie deeper than the key has bits")
-                break
-            else:
-                label = number >> shift & mask
-                bit = top - label
-                if not shape >> bit & 1:
+        results = []
+        for data in roots:
+            shift = first_shift
+            depth = 0
+            trail = []
+            while True:
+                try:
+                    tag, body_end, shape = _frame(data, params)
+                    if depth and tag > TAG_LEAF:
+                        raise MalformedNodeError("root-tagged node below the root")
+                except MalformedNodeError as exc:
+                    result = (UNRESOLVED, str(exc))
+                    break
+                if not tag & 1:  # a leaf
                     result = _ABSENT
-                    label = None  # the bitmap proves absence
-            if path is not None:
-                path.append((data, label))
-            if label is None:
-                break
-            offset = bitmap_end + (shape >> bit >> 1).bit_count() * digest_len
-            child = data[offset:offset + digest_len]
-            depth += 1
-            shift -= width
-            step = (child, depth)
-            if memo is not None:
+                    for value_at in range(2 + digest_len, body_end, stride):
+                        if data.startswith(key, value_at - digest_len):
+                            result = (data[value_at:value_at + digest_len], "")
+                            break
+                    label = None  # the deciding node
+                elif shift < 0:
+                    result = (UNRESOLVED, "trie deeper than the key has bits")
+                    break
+                else:
+                    label = number >> shift & mask
+                    bit = top - label
+                    if not shape >> bit & 1:
+                        result = _ABSENT
+                        label = None  # the bitmap proves absence
+                if path is not None:
+                    path.append((data, label))
+                if label is None:
+                    break
+                offset = bitmap_end + (shape >> bit >> 1).bit_count() * digest_len
+                child = data[offset:offset + digest_len]
+                depth += 1
+                shift -= width
+                step = (child, depth)
                 result = memo.get(step)
                 if result is not None:
                     break
-            data = fetch(child)
-            if data is None:
-                result = (UNRESOLVED, "")
-                break
-            trail.append(step)
-        if memo is not None:
+                data = fetch(child)
+                if data is None:
+                    result = (UNRESOLVED, "")
+                    break
+                trail.append(step)
             for step in trail:
                 memo[step] = result
-        return result
+            results.append(result)
+        return results
 
 
 def _load(store: ObjectStore, digest: bytes) -> bytes:

@@ -24,7 +24,7 @@ from trienotary.errors import CannotConstructError, TrienotaryError
 from trienotary.faults import inject
 from trienotary.merkle import Ledger, prove_consistency, root_at
 from trienotary.store import MemoryStore
-from trienotary.trie import TrieParams
+from trienotary.trie import TrieParams, TrieVersion, search_path
 
 ALG = SHA256
 
@@ -299,6 +299,79 @@ def test_indexed_proof_with_missing_object_is_inconclusive():
     report = audit(history, b"ledger-0", claimed=None)
     assert report.no_forks.status is Status.INCONCLUSIVE
     assert report.exit_code == 2
+
+
+class UnreadableStore(MemoryStore):
+    """MemoryStore whose ``get`` of one address raises an OSError."""
+
+    unreadable = None
+
+    def get(self, address: bytes) -> bytes:
+        if address == self.unreadable:
+            raise OSError(5, "Input/output error")
+        return super().get(address)
+
+
+GAP = CheckResult(Status.INCONCLUSIVE, 2, "history has gaps")
+# the checks a gap in the newest round gives, the same for a missing and
+# a corrupted object: an audit cannot tell the two apart
+READ_GAPS = {
+    "node": {
+        "chain_match": CheckResult(Status.PASS),
+        "no_alternative_histories": CheckResult(
+            Status.INCONCLUSIVE, 2, "value unresolved in storage"
+        ),
+        "no_removal": GAP,
+        "no_forks": GAP,
+        "disclosed_data_match": CheckResult(
+            Status.INCONCLUSIVE, 2, "digest unmatched but history has gaps"
+        ),
+    },
+    "proof": {
+        "chain_match": CheckResult(Status.PASS),
+        "no_alternative_histories": CheckResult(Status.PASS),
+        "no_removal": CheckResult(Status.PASS),
+        "no_forks": CheckResult(
+            Status.INCONCLUSIVE, 2, "no consistency proof retrievable for a value change"
+        ),
+        "disclosed_data_match": CheckResult(Status.PASS),
+    },
+}
+
+
+@pytest.mark.parametrize("target", sorted(READ_GAPS))
+@pytest.mark.parametrize("damage", ["missing", "corrupted", "unreadable"])
+def test_only_a_missing_or_corrupted_object_reads_as_a_gap(target, damage):
+    """A node or a proof missing from storage or failing its read check is
+    a gap the checks report, and no bundle is built; any other read error
+    escapes the audit and the bundle build."""
+    history = run_history(16, n_ledgers=2, rounds=3, p_append=1.0)
+    store = UnreadableStore(ALG)
+    store._objects, store._proofs = history.store._objects, history.store._proofs
+    roots = history.chain.read_roots()
+    ledger, key = history.ledgers[b"ledger-0"], history.key_of(b"ledger-0")
+    if target == "node":  # the node below the newest root on the key's path
+        path = search_path(TrieVersion(history.params, roots[-1], store), key)
+        address = ALG.hash(path[1][0])
+    else:  # the proof of the newest round's value change
+        address = store.find_proof(key, 2)
+    if damage == "missing":
+        del store._objects[address]
+    elif damage == "corrupted":
+        store.corrupt(address)
+    else:
+        store.unreadable = address
+
+    if damage == "unreadable":
+        with pytest.raises(OSError, match="Input/output error"):
+            audit_ledger(b"ledger-0", ledger, roots, store, history.params)
+        with pytest.raises(OSError, match="Input/output error"):
+            make_audit_proof(b"ledger-0", 2, roots, store, history.params)
+        return
+    report = audit_ledger(b"ledger-0", ledger, roots, store, history.params)
+    assert report.checks() == READ_GAPS[target]
+    with pytest.raises(CannotConstructError, match="public storage is missing data"):
+        make_audit_proof(b"ledger-0", 2, roots, store, history.params)
 
 
 def test_missing_storage_is_inconclusive_not_fail():

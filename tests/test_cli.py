@@ -8,7 +8,6 @@ import json
 import os
 import re
 import subprocess
-import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -17,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trienotary
-from trienotary import structure
+from trienotary import cli, structure
 from trienotary.chain import Chain, format_record
 from trienotary.cli import build_parser, main, run_bench
 from trienotary.crypto import ALGORITHM_NAMES, SHA256
@@ -325,15 +324,40 @@ def _renumber_chain_record(workdir: Path) -> str:
     return "chain.log:2: record seq 7 is not its line index 1"
 
 
-def run_subprocess(*argv) -> subprocess.CompletedProcess:
-    """The CLI in a child process, so an uncaught exception shows as a traceback."""
-    src = str(Path(trienotary.__file__).resolve().parents[1])
-    paths = [src, os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    return subprocess.run(
-        [sys.executable, "-m", "trienotary.cli", *map(str, argv)],
-        capture_output=True, text=True, env=env, timeout=120, check=False,
-    )
+def run_in_process(*argv) -> subprocess.CompletedProcess:
+    """The CLI's entry point with stdout and stderr captured, as a child
+    process would run it. A ``SystemExit`` (argparse's usage errors) gives
+    its exit code; any other exception escapes and fails the test, where a
+    child process would have printed a traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = run(*argv)
+        except SystemExit as exc:
+            code = exc.code
+    return subprocess.CompletedProcess(argv, code, out.getvalue(), err.getvalue())
+
+
+@pytest.mark.parametrize("argv", [
+    ["audit", "ledger-1", "--workdir", "{workdir}"],
+    ["prove", "ledger-1", "--workdir", "{workdir}", "--out", "{out}"],
+    ["tamper", "--workdir", "{workdir}", "--kind", "chain-mismatch"],
+    ["simulate", "--ledgers", "2", "--workdir", "{out}"],
+    ["bench", "--ledgers", "4", "--out", "{out}"],
+], ids=lambda argv: argv[0])
+def test_the_in_process_runner_fails_on_an_uncaught_exception(
+    simulated, tmp_path, monkeypatch, argv
+):
+    """Each command the damage tests below run: an exception that escapes
+    it escapes the runner too, so a damage test that met one would fail."""
+
+    def injected(args):
+        raise RuntimeError(f"injected into {args.command}")
+
+    monkeypatch.setattr(cli, f"_cmd_{argv[0]}", injected)
+    where = {"workdir": simulated, "out": tmp_path / "out"}
+    with pytest.raises(RuntimeError, match=f"injected into {argv[0]}"):
+        run_in_process(*(arg.format(**where) for arg in argv))
 
 
 @pytest.mark.parametrize("command", ["audit", "prove"])
@@ -346,7 +370,7 @@ def test_malformed_artifact_is_one_error_line(simulated, tmp_path, command, dama
     argv = [command, "ledger-1", "--workdir", simulated]
     if command == "prove":
         argv += ["--out", tmp_path / "l1.proof"]
-    proc = run_subprocess(*argv)
+    proc = run_in_process(*argv)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
@@ -500,7 +524,7 @@ def test_audit_skips_a_torn_final_chain_line(simulated):
     lines = path.read_bytes().splitlines(keepends=True)
     torn = b"".join(lines) + b"3 " + lines[-1][2:40]
     path.write_bytes(torn)
-    proc = run_subprocess("audit", "ledger-1", "--workdir", simulated)
+    proc = run_in_process("audit", "ledger-1", "--workdir", simulated)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.endswith("verdict: pass\n")
     assert path.read_bytes() == torn
@@ -516,7 +540,7 @@ def test_audit_skips_a_torn_final_index_line(simulated):
     ledger = next(
         f"ledger-{i}" for i in range(6) if SHA256.hash(f"ledger-{i}".encode()).hex() != torn_key
     )
-    proc = run_subprocess("audit", ledger, "--workdir", simulated)
+    proc = run_in_process("audit", ledger, "--workdir", simulated)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.count("verdict:") == 1 and proc.stdout.endswith("verdict: pass\n")
     assert path.read_bytes() == torn
@@ -556,7 +580,7 @@ def _flip_first_length(workdir: Path) -> None:
 def test_audit_of_damaged_pack_is_one_classified_line(simulated, damage):
     damage(simulated)
     pack = (simulated / "objects.pack").read_bytes()
-    proc = run_subprocess("audit", "ledger-1", "--workdir", simulated)
+    proc = run_in_process("audit", "ledger-1", "--workdir", simulated)
     assert proc.returncode in (1, 2)
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) + proc.stdout.count("verdict: ") == 1
@@ -565,7 +589,7 @@ def test_audit_of_damaged_pack_is_one_classified_line(simulated, damage):
 
 def test_audit_of_empty_chain_is_one_inconclusive_line(simulated):
     (simulated / "chain.log").write_bytes(b"")
-    proc = run_subprocess("audit", "ledger-1", "--workdir", simulated)
+    proc = run_in_process("audit", "ledger-1", "--workdir", simulated)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr == "inconclusive: chain.log is empty; nothing to audit\n"
@@ -573,7 +597,7 @@ def test_audit_of_empty_chain_is_one_inconclusive_line(simulated):
 
 def test_tamper_of_empty_chain_is_one_error_line(simulated):
     (simulated / "chain.log").write_bytes(b"")
-    proc = run_subprocess("tamper", "--workdir", simulated, "--kind", "chain-mismatch")
+    proc = run_in_process("tamper", "--workdir", simulated, "--kind", "chain-mismatch")
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr == "error: chain.log is empty; nothing to tamper\n"
@@ -606,7 +630,7 @@ def test_malformed_config_is_one_error_line(simulated, tmp_path, command, damage
         "tamper": ["tamper", "--kind", "corrupt-node"],
     }[command]
     chain = (simulated / "chain.log").read_bytes()
-    proc = run_subprocess(*argv, "--workdir", simulated)
+    proc = run_in_process(*argv, "--workdir", simulated)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: config.json: ") and proc.stderr.count("\n") == 1
@@ -669,7 +693,7 @@ def test_unreadable_disclosed_data_is_inconclusive(simulated, damage, capsys):
 def test_disclosed_data_in_another_algorithm_is_inconclusive(simulated):
     export = simulated / "ledgers" / f"{b'ledger-1'.hex()}.ledger"
     export.write_bytes(export.read_bytes().replace(b"alg=sha256", b"alg=sha512", 1))
-    proc = run_subprocess("audit", "ledger-1", "--workdir", simulated)
+    proc = run_in_process("audit", "ledger-1", "--workdir", simulated)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == (
@@ -771,7 +795,7 @@ def test_os_errors_are_one_error_line(simulated, tmp_path, argv):
     (tmp_path / "a-dir").mkdir()
     (tmp_path / "a-file").write_bytes(b"")
     where = {"workdir": simulated, "dir": tmp_path / "a-dir", "file": tmp_path / "a-file"}
-    proc = run_subprocess(*(arg.format(**where) for arg in argv))
+    proc = run_in_process(*(arg.format(**where) for arg in argv))
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: [Errno ") and proc.stderr.count("\n") == 1
@@ -906,7 +930,7 @@ def test_print_chain_without_journal_is_an_error(tmp_path, capsys):
 def test_invalid_trie_parameters_are_one_error(tmp_path, argv, code, message):
     workdir, out = tmp_path / "run", tmp_path / "bench.csv"
     where = ["--workdir", workdir] if argv[0] == "simulate" else ["--out", out]
-    proc = run_subprocess(*argv, *where)
+    proc = run_in_process(*argv, *where)
     assert proc.returncode == code
     assert proc.stdout == "" and "Traceback" not in proc.stderr
     assert proc.stderr.rstrip().endswith(message)

@@ -73,6 +73,12 @@ def test_zero_sentinel():
     assert len(SHA512.zero) == 64
 
 
+def test_zero_sentinel_is_built_once():
+    # read once per version root by the audit's root walk
+    assert SHA256.zero is SHA256.zero
+    assert SHA512.zero is SHA512.zero
+
+
 def test_label_at_binary():
     key = bytes([0b10110000]) + b"\x00" * 31
     assert label_at(key, 0, 2) == 1

@@ -4,7 +4,9 @@
 it parses every node on the path into a node object and recomputes the
 key's label at each depth. Honest tries with one node on a key's path
 replaced by hostile bytes must give the same value and the same
-malformed-or-not verdict from the walker, ``lookup`` and ``audit_ledger``.
+malformed-or-not verdict from the walker, ``lookup`` and ``audit_ledger``,
+and ``KeyPath.walk_each`` over the honest and the hostile versions must
+give each root's reference outcome.
 
 ``ref_frame`` is ``trie._frame`` before it dispatched on the tag by
 arithmetic. The walker test cannot see a changed framing message, since
@@ -80,8 +82,12 @@ def ref_search(params: TrieParams, key: bytes, root_node, resolve, visited=None)
         depth += 1
 
 
-def fetch_or_none(store: MemoryStore):
+def fetch_or_none(store: MemoryStore, fetched: list | None = None):
+    """``store.get`` as a walk's fetch; appends each digest to ``fetched``."""
+
     def fetch(digest: bytes) -> bytes | None:
+        if fetched is not None:
+            fetched.append(digest)
         try:
             return store.get(digest)
         except (NotFoundError, IntegrityError):
@@ -150,6 +156,9 @@ MUTATIONS = [
     _truncate, _extend, _bad_tag, _swap_kind, _root_tagged, _bitmap_past_r,
     _count_over_k, _not_ascending, _flip, _random, _valid_leaf,
 ]
+# Replaces the node with another internal node of the key's honest path, so
+# a walk meets that node at a depth where the honest trie does not hold it.
+MOVED = "another internal node of the path"
 
 
 def _repoint(store, params, key, path_nodes, index, replacement) -> bytes:
@@ -170,7 +179,7 @@ def _repoint(store, params, key, path_nodes, index, replacement) -> bytes:
     r=st.sampled_from([2, 4, 8, 16]),
     k=st.integers(1, 3),
     seed=st.integers(0, 2**32),
-    mutation=st.sampled_from(MUTATIONS),
+    mutation=st.sampled_from([*MUTATIONS, MOVED]),
     data=st.data(),
 )
 def test_walker_lookup_and_audit_agree_with_reference(r, k, seed, mutation, data):
@@ -189,7 +198,13 @@ def test_walker_lookup_and_audit_agree_with_reference(r, k, seed, mutation, data
     ref_search(params, key, parse_node(root_data, params), store.get, path_nodes)
     assume(len(path_nodes) >= 2)  # an absent key may end at the root
     index = data.draw(st.integers(1, len(path_nodes) - 1))
-    replacement = mutation(path_nodes[index], params, key, data.draw)
+    if mutation is MOVED:
+        others = [node for at, node in enumerate(path_nodes) if at not in (0, index)]
+        others = [node for node in others if node[0] == 0x01]
+        assume(others)
+        replacement = data.draw(st.sampled_from(others))
+    else:
+        replacement = mutation(path_nodes[index], params, key, data.draw)
     root = _repoint(store, params, key, path_nodes, index, replacement)
     root_data = store.get(root)
 
@@ -197,7 +212,19 @@ def test_walker_lookup_and_audit_agree_with_reference(r, k, seed, mutation, data
     value, detail = expected
     assert KeyPath(params, key).walk(root_data, fetch_or_none(store)) == expected
 
+    # One call walks the honest version, the tampered one and its rechain:
+    # each outcome is the reference's for that root, and the fetches are
+    # those of one walk per root sharing one memo.
     version = TrieVersion(params, root, store)
+    later = rechain(version)
+    roots = [store.get(digest) for digest in (honest.root_digest, root, later.root_digest)]
+    fetched, fetched_per_root, memo = [], [], {}
+    walked = KeyPath(params, key).walk_each(roots, fetch_or_none(store, fetched), {})
+    assert walked == [ref_search(params, key, parse_node(d, params), store.get) for d in roots]
+    for root_node in roots:
+        KeyPath(params, key).walk(root_node, fetch_or_none(store, fetched_per_root), memo)
+    assert fetched == fetched_per_root
+
     if detail:
         with pytest.raises(MalformedNodeError, match=re.escape(detail)):
             lookup(version, key)
@@ -208,7 +235,6 @@ def test_walker_lookup_and_audit_agree_with_reference(r, k, seed, mutation, data
         assert lookup(version, key) == value
 
     # two rounds sharing the tampered subtree: round 1 answers from the memo
-    later = rechain(version)
     report = audit_ledger(target, None, [root, later.root_digest], store, params)
     assert report.chain_match.status is Status.PASS
     check = report.no_alternative_histories
