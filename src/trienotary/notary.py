@@ -13,10 +13,17 @@ Once registered, a ledger must appear in every later round; a snapshot
 missing a registered ledger, or presenting a state that is not an
 append-only extension of the last notarized one, aborts the round.
 
-Cost model. A round over N ledgers of which c changed copies one N-entry
-map, the registry, and does one lookup per ledger: ledgers are immutable,
-so one presented as the very object notarized last round, found by id,
-keeps its entry without hashing. Hashing is proportional to the c changed
+A round steps every changed or new ledger before it writes anything, so
+a refused ledger leaves no object and no proof index entry behind; the
+proofs are stored before the trie's nodes and indexed after them.
+
+Cost model. A round over N ledgers of which c changed copies two N-entry
+maps, the registry and the map of notarized ledger objects, and does one
+lookup per ledger: ledgers are immutable, so one presented as the very
+object notarized last round, found by id, keeps its entry without hashing.
+A registry entry is a plain tuple of two digests and a size, which the
+garbage collector stops tracking at its first pass, so a large registry
+adds no work to later collections. Hashing is proportional to the c changed
 or new ledgers (the digest, the append-only check and the consistency
 proof, each O(log n) over the ledger's stored subtree heads). The check
 runs first and asks for last round's root, which the ledger's log still
@@ -43,7 +50,6 @@ the empty tree is a prefix of every tree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from .chain import Chain, NotarizationRecord
 from .errors import LedgerTamperError, NoRemovalViolationError
@@ -54,31 +60,28 @@ from .store import ObjectStore
 from .trie import TrieParams, TrieVersion, build, rechain, update
 
 
-class Notarized(NamedTuple):
-    """A registered ledger as last notarized: its search key (the hash of
-    its id), the digest published for it and the ledger object of that
-    digest, whose length is the size the next notarized state must extend."""
-
-    key: bytes
-    digest: bytes
-    ledger: Ledger
-
-
 @dataclass(frozen=True)
 class NotaryState:
     """Notary bookkeeping carried between rounds.
 
-    ``registry`` maps every ledger id ever notarized to its ``Notarized``
-    entry; it only grows. ``last_root`` is the previous round's trie root,
-    the all-zero sentinel before round 0. A round never mutates the state
-    it is given: it returns a new one, so a round that raises leaves the
-    caller's state as it was.
+    ``registry`` maps every ledger id ever notarized to a plain tuple
+    ``(key, digest, size)``: its search key (the hash of its id), the
+    digest published for it and its size in blocks then, the state the
+    next notarized one must extend. It only grows. ``notarized`` maps each
+    id to the ledger object last notarized for it; it only lets a round
+    skip a ledger presented as that very object, so a state built with an
+    empty map steps every ledger once and publishes no proof for an
+    unchanged one. ``last_root`` is the previous round's trie root, the
+    all-zero sentinel before round 0. A round never mutates the state it is
+    given: it returns a new one, so a round that raises leaves the caller's
+    state as it was.
     """
 
     params: TrieParams
-    registry: dict[bytes, Notarized] = field(default_factory=dict)
+    registry: dict[bytes, tuple[bytes, bytes, int]] = field(default_factory=dict)
     last_root: bytes = b""
     round: int = 0
+    notarized: dict[bytes, Ledger] = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.last_root:
@@ -125,7 +128,7 @@ def notarize_round(
     Returns the advanced state and the published record. The snapshot must
     contain every registered ledger and may introduce new ones.
     """
-    params = state.params
+    params, alg = state.params, state.params.alg
     last = state.registry
     if not last.keys() <= ledgers.keys():
         missing = [lid for lid in last if lid not in ledgers]
@@ -135,41 +138,50 @@ def notarize_round(
         )
 
     # Ledgers are immutable, so one presented as the very object notarized
-    # last round keeps its entry. The others are hashed and proved in id
-    # order, which fixes the order of proof writes. ``pending`` carries each
-    # one's registry entry; a dict holds it without a GC-tracked tuple per
-    # ledger, which a round of 20,000 new ledgers pays for in collections.
-    pending = {
-        ledger_id: entry
-        for ledger_id, ledger in ledgers.items()
-        if (entry := last.get(ledger_id)) is None or entry.ledger is not ledger
-    }
+    # last round keeps its entry. The others are stepped in id order, which
+    # fixes the order of proof writes, and every step runs before the first
+    # write, so a ledger refused anywhere in the round leaves nothing stored.
+    seen = state.notarized
     registry = dict(last)
     changes: dict[bytes, bytes] = {}
-    for ledger_id in sorted(pending):
-        ledger, entry = ledgers[ledger_id], pending[ledger_id]
+    notes: dict[bytes, bytes] = {}
+    for ledger_id in sorted(lid for lid, ledger in ledgers.items() if seen.get(lid) is not ledger):
+        ledger = ledgers[ledger_id]
+        # ``is`` first: comparing two HashAlg dataclasses compares their fields
+        if ledger.alg is not alg and ledger.alg != alg:
+            raise ValueError(
+                f"ledger {ledger_id.hex()} is hashed with {ledger.alg.name},"
+                f" not the trie's {alg.name}"
+            )
+        entry = last.get(ledger_id)
         if entry is None:
-            key, old_digest, old_size = params.alg.hash(ledger_id), None, 0
+            key, old_digest, old_size = alg.hash(ledger_id), None, 0
         else:
-            key, old_digest, old_size = entry.key, entry.digest, len(entry.ledger)
+            key, old_digest, old_size = entry
         digest, note = _step(ledger, old_digest, old_size)
-        registry[ledger_id] = Notarized(key, digest, ledger)
+        registry[ledger_id] = (key, digest, len(ledger))
         if note:
-            store.index_proof(key, state.round, store.put(note))
+            notes[key] = note
         if digest != old_digest:
             changes[key] = digest
 
+    # The proofs go into the store before the trie's nodes, and into the
+    # index only once the trie write has returned.
+    addresses = {key: store.put(note) for key, note in notes.items()}
     # At round 0 every ledger is new, so ``changes`` holds every key.
     if state.round == 0:
-        version = build(params, changes, params.alg.zero, store)
+        version = build(params, changes, alg.zero, store)
     else:
         prev = TrieVersion(params, state.last_root, store)
         version = update(prev, changes) if changes else rechain(prev)
+    for key, address in addresses.items():
+        store.index_proof(key, state.round, address)
 
     record = NotarizationRecord(state.round, version.root_digest, b"")
     store.commit()
     chain.publish(record)
-    return NotaryState(params, registry, version.root_digest, state.round + 1), record
+    next_state = NotaryState(params, registry, version.root_digest, state.round + 1, dict(ledgers))
+    return next_state, record
 
 
 def notarize_single(

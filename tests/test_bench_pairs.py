@@ -125,6 +125,29 @@ def test_one_summary_line_per_workload_and_metric():
     ]
 
 
+def test_each_side_keeps_the_median_of_its_runs_speed_gauges_and_prints_their_ratio():
+    """A run's gauge is the median of its per-cycle ``gauge_median_s``; a
+    run without a report reads None and is left out of the side's median."""
+
+    def gauged(gauges):
+        run = report(1.0, 5.0)
+        run["w"]["gauge_median_s"] = gauges
+        return run
+
+    runs = {
+        "parent": [gauged([2.0, 4.0, 3.0]), gauged([1.0]), {"w": None}],
+        "change": [gauged([1.0, 2.0]), gauged([1.0]), gauged([2.0])],
+    }
+    workloads = bench_pairs.summarize(SPEC, runs)
+    assert workloads["w"]["gauge_s"] == {
+        "parent": {"median": 2.0, "q1": 1.5, "q3": 2.5, "runs": [3.0, 1.0, None]},
+        "change": {"median": 1.5, "q1": 1.25, "q3": 1.75, "runs": [1.5, 1.0, 2.0]},
+    }
+    assert bench_pairs.summary_lines(workloads)[0] == (
+        "w speed gauge: median parent 2 s change 1.5 s, change/parent 0.750"
+    )
+
+
 def test_a_run_lasts_the_seconds_benchmark_json_declares(tmp_path):
     """``run_side`` hands ``run_seconds`` to ``perfbench/run.py``: a stub
     that records its argv and writes empty reports stands in for it."""

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trienotary import notary
 from trienotary.audit import (
     CheckResult,
     Status,
@@ -18,7 +20,7 @@ from trienotary.audit import (
     verify_audit_proof,
 )
 from trienotary.chain import Chain
-from trienotary.crypto import SHA256
+from trienotary.crypto import SHA256, SHA512
 from trienotary.errors import LedgerTamperError, NoRemovalViolationError, OversizeNoteError
 from trienotary.merkle import (
     ConsistencyProof,
@@ -145,11 +147,11 @@ def test_round_rejects_a_rewrite_of_a_ledger_with_a_remembered_root(forgery):
     before = (state.last_root, state.round, chain.records())
     with pytest.raises(LedgerTamperError, match="rewrote history before block 6"):
         notarize_round(state, {b"a": forgeries(base, honest)[forgery]}, store, chain)
-    assert state.registry == registry and state.registry[b"a"].ledger is notarized
+    assert state.registry == registry and state.notarized[b"a"] is notarized
     assert (state.last_root, state.round, chain.records()) == before
     assert (len(store), store._proofs) == (objects, proofs)
     state, _ = notarize_round(state, {b"a": honest}, store, chain)
-    assert state.registry[b"a"].digest == ledger_root(honest)
+    assert state.registry[b"a"][1:] == (ledger_root(honest), len(honest))
 
 
 @pytest.mark.parametrize("forgery", ["fork", "rebuilt"])
@@ -275,7 +277,7 @@ def test_failed_round_leaves_state_unchanged_and_retry_matches_clean_run():
     with pytest.raises(LedgerTamperError, match=b"b".hex()):
         notarize_round(state, forged, store, chain)
     assert state.registry == registry
-    assert all(state.registry[lid].ledger is ledgers[lid] for lid in ledgers)
+    assert all(state.notarized[lid] is ledgers[lid] for lid in ledgers)
     assert (state.last_root, state.round) == before
     assert chain.height == 1
 
@@ -285,6 +287,100 @@ def test_failed_round_leaves_state_unchanged_and_retry_matches_clean_run():
     assert record == clean_record
     assert list(store.items()) == list(clean_store.items())
     assert store._proofs == clean_store._proofs
+
+
+def _backend(kind, workdir):
+    return MemoryStore(ALG) if kind == "memory" else DirectoryStore(workdir, ALG)
+
+
+def _stored(store, workdir):
+    """What a store holds: its objects, its proof index and, on disk, the
+    committed ``proofs.idx``."""
+    store.commit()
+    index = (workdir / "proofs.idx").read_bytes() if isinstance(store, DirectoryStore) else None
+    return list(store.items()), dict(store._proofs), index
+
+
+@pytest.mark.parametrize("kind", ["memory", "directory"])
+def test_a_refused_round_indexes_no_proof_and_its_retry_matches_a_clean_run(tmp_path, kind):
+    """Round 1 presents ``a`` grown by one block and ``b`` rewritten; ``a``
+    grows once more before the retry, so the retry proves ``a`` with
+    another proof than the refused attempt made."""
+
+    def run(workdir, refuse):
+        store, chain = _backend(kind, workdir), Chain()
+        ledgers = {lid: Ledger.from_payloads(lid, [lid + b"-0"], ALG) for lid in (b"a", b"b")}
+        state, _ = notarize_round(NotaryState(PARAMS), ledgers, store, chain)
+        grown = ledgers[b"a"].append(b"a-1")
+        if refuse:
+            forged = {b"a": grown, b"b": Ledger.from_payloads(b"b", [b"X", b"b-1"], ALG)}
+            with pytest.raises(LedgerTamperError, match=b"b".hex()):
+                notarize_round(state, forged, store, chain)
+        retry = {b"a": grown.append(b"a-2"), b"b": ledgers[b"b"]}
+        _, record = notarize_round(state, retry, store, chain)
+        return record, _stored(store, workdir)
+
+    assert run(tmp_path / "refused", True) == run(tmp_path / "clean", False)
+
+
+@pytest.mark.parametrize("kind", ["memory", "directory"])
+def test_a_ledger_in_another_algorithm_is_refused_before_anything_is_stored(tmp_path, kind):
+    store, chain = _backend(kind, tmp_path), Chain()
+    a = Ledger(b"a", [b"0"], ALG)
+    state, _ = notarize_round(NotaryState(PARAMS), {b"a": a}, store, chain)
+    before = _stored(store, tmp_path)
+    # ``a`` grows first in id order, so its proof would be stored first
+    ledgers = {b"a": a.append(b"1"), b"b": Ledger(b"b", [b"0"], SHA512)}
+    with pytest.raises(ValueError, match="hashed with sha512, not the trie's sha256"):
+        notarize_round(state, ledgers, store, chain)
+    assert _stored(store, tmp_path) == before
+
+
+def test_registry_entries_leave_the_collector_and_a_round_keeps_its_input_state():
+    state, store, chain = fresh()
+    ledgers = {bytes([i]): Ledger.from_payloads(bytes([i]), [b"x"], ALG) for i in range(6)}
+    state, _ = notarize_round(state, dict(ledgers), store, chain)
+    for lid in (b"\x01", b"\x04"):
+        ledgers[lid] = ledgers[lid].append(b"y")
+    ledgers[b"new"] = Ledger.from_payloads(b"new", [b"z"], ALG)
+    registry, notarized = dict(state.registry), dict(state.notarized)
+    after, _ = notarize_round(state, ledgers, store, chain)
+    assert (state.registry, state.notarized) == (registry, notarized)
+    gc.collect()
+    assert all(type(entry) is tuple for entry in after.registry.values())
+    assert not any(gc.is_tracked(entry) for entry in after.registry.values())
+
+
+def test_a_state_rebuilt_without_ledger_objects_steps_each_once_and_matches(monkeypatch):
+    """The form a resume rebuilds: registry, root and round, but no
+    notarized ledger objects. Its round steps every ledger, publishes no
+    proof for an unchanged one, and gives what the kept state gives."""
+    stepped, original = [], notary._step
+
+    def step(ledger, old_digest, old_size):
+        stepped.append(ledger.id)
+        return original(ledger, old_digest, old_size)
+
+    monkeypatch.setattr(notary, "_step", step)
+
+    def run(rebuild):
+        state, store, chain = fresh()
+        ledgers = {bytes([i]): Ledger(bytes([i]), [bytes([i])], ALG) for i in range(6)}
+        state, _ = notarize_round(state, dict(ledgers), store, chain)
+        if rebuild:
+            state = NotaryState(PARAMS, state.registry, state.last_root, state.round)
+        for lid in (b"\x01", b"\x04"):
+            ledgers[lid] = ledgers[lid].append(b"y")
+        stepped.clear()
+        after, record = notarize_round(state, ledgers, store, chain)
+        return sorted(stepped), (after.registry, after.last_root, record), _stored(store, None)
+
+    kept_steps, kept, kept_stored = run(False)
+    rebuilt_steps, rebuilt, rebuilt_stored = run(True)
+    assert kept_steps == [b"\x01", b"\x04"]
+    assert rebuilt_steps == [bytes([i]) for i in range(6)]
+    assert (rebuilt, rebuilt_stored) == (kept, kept_stored)
+    assert sorted(rebuilt_stored[1]) == sorted((ALG.hash(lid), 1) for lid in (b"\x01", b"\x04"))
 
 
 def _start_directory_run(workdir):
@@ -468,7 +564,7 @@ def test_single_mode_publishes_what_a_one_ledger_round_stores(start, steps):
             in_round, single = in_round.append(payload), single.append(payload)
         state, _ = notarize_round(state, {b"solo": in_round}, store, chain)
         record = notarize_single(single, prev, single_chain)
-        assert record.trie_root == state.registry[b"solo"].digest
+        assert record.trie_root == state.registry[b"solo"][1]
         address = store.find_proof(key, round_seq)
         assert record.note == (b"" if address is None else store.get(address))
         prev = (record.trie_root, len(single))

@@ -23,9 +23,13 @@ direction), and the metric's bound. Two verdicts follow from these:
 and its median is better than the parent's by more than the parent's
 quartile spread, and ``worse_than_bound``, when the change's median is
 worse than the parent's by more than ``bound`` times the parent's median.
-``--note`` lines are kept as written. After writing the file, the script
-prints one line per workload and metric to stdout, as ``summary_lines``
-formats it, so a claim can be read without opening the JSON.
+Every scaled time is divided by the speed gauge, so each workload also
+holds each side's gauge: the median of each run's ``gauge_median_s``, in
+seed order, with their median and quartiles. ``--note`` lines are kept as
+written. After writing the file, the script prints one gauge line per
+workload and one line per workload and metric to stdout, as
+``summary_lines`` formats them, so a claim can be read without opening
+the JSON.
 ``--raw PATH`` also saves every run's reports, and ``--from-raw PATH``
 writes the summary from such a file without running anything, so notes
 can be added after a run.
@@ -111,8 +115,16 @@ def summarize(spec: dict, runs: dict) -> dict:
             "attempted": {side: sum(r.get("attempted", 1) for r in reports[side])
                           for side in runs},
             "cycles": {side: [r.get("cycles", 0) for r in reports[side]] for side in runs},
+            "gauge_s": {},
             "metrics": {},
         }
+        for side in runs:
+            gauges = [
+                statistics.median(r["gauge_median_s"]) if r.get("gauge_median_s") else None
+                for r in reports[side]
+            ]
+            read = [g for g in gauges if g is not None]
+            block["gauge_s"][side] = {**spread(read), "runs": gauges} if read else None
         for metric in spec["end_to_end"]:
             name = metric["name"]
             values = {
@@ -151,10 +163,19 @@ def summarize(spec: dict, runs: dict) -> dict:
 
 
 def summary_lines(workloads: dict) -> list[str]:
-    """One line per workload and metric of a ``summarize`` result: both
-    medians, their ratio, the pairs won and lost, and the two verdicts."""
+    """Per workload of a ``summarize`` result, one line for the speed gauge,
+    when both sides read it: both medians and their ratio; then one line per
+    metric: both medians, their ratio, the pairs won and lost, and the two
+    verdicts."""
     lines = []
     for workload, block in workloads.items():
+        gauge = block["gauge_s"]
+        if gauge["parent"] and gauge["change"]:
+            parent, change = gauge["parent"]["median"], gauge["change"]["median"]
+            lines.append(
+                f"{workload} speed gauge: median parent {parent:.6g} s change {change:.6g} s,"
+                f" change/parent {change / parent:.3f}"
+            )
         for name, m in block["metrics"].items():
             ratio = m["change_over_parent"]
             lines.append(
