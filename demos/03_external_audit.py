@@ -10,14 +10,16 @@ establishes that every round associated exactly one value with the id
 (no forks). Disclosed ledger data can then be matched against the
 notarized history.
 
-The second half plays the adversary with ``trienotary.faults``: the public
-artifacts are tampered with in the two classic ways and the audit flags
-each one.
+The second half plays the adversary, who edits the public artifacts
+after the fact with nothing but the public library: it rewrites a chain
+record, then publishes a final trie that drops the ledger, built with the
+library's own ``build``. The audit flags each one.
 """
 
 import random
 
-from trienotary import Ledger, MemoryStore, NotaryState, TrieParams, audit_ledger, faults, notarize_round
+from trienotary import Ledger, MemoryStore, NotaryState, TrieParams, TrieVersion
+from trienotary import associations, audit_ledger, build, notarize_round
 from trienotary.chain import Chain
 from trienotary.crypto import SHA256
 
@@ -44,13 +46,18 @@ for name, check in report.checks().items():
     print(f"  {name}: {check}")
 print(f"  verdict: {report.verdict.value}\n")
 
+roots = chain.read_roots()
+
 # --- adversary 1: rewrite a chain record ---------------------------------
-records = faults.inject("chain-mismatch", params, store, chain.records(), rng=rng)
-report = audit_ledger(target, None, [record.trie_root for record in records], store, params)
+# round 2's root is replaced; round 3's trie still links back to the real one
+rewritten = roots[:2] + [rng.randbytes(SHA256.output_len)] + roots[3:]
+report = audit_ledger(target, None, rewritten, store, params)
 print(f"after rewriting a chain record: chain_match = {report.chain_match}")
 
 # --- adversary 2: publish a final trie that drops the ledger --------------
-records = faults.inject("remove-key", params, store, chain.records(), target)
-report = audit_ledger(target, None, [record.trie_root for record in records], store, params)
+assoc = associations(TrieVersion(params, roots[-1], store))
+del assoc[SHA256.hash(target)]
+dropped = build(params, assoc, roots[-2], store)
+report = audit_ledger(target, None, roots[:-1] + [dropped.root_digest], store, params)
 print(f"after dropping the key in the final round: no_removal = {report.no_removal}")
 print(f"  verdict: {report.verdict.value} (exit code {report.exit_code})")

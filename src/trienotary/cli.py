@@ -2,17 +2,14 @@
 
 Every command but ``bench`` works on one deployment's workdir, opened
 through ``trienotary.workdir.Workdir``, which holds its layout and its
-writer lock: ``simulate`` and ``tamper`` write, and a second writer is
-refused with one ``error:`` line; ``audit``, ``prove``, ``verify`` and
-``print-chain`` only read, take no lock, and take the trie parameters from
-the workdir's ``config.json``. See ``trienotary.store`` for the pack format
-and its torn-tail rule.
+writer lock: ``simulate`` writes, and a second writer is refused with one
+``error:`` line; ``audit``, ``prove``, ``verify`` and ``print-chain`` only
+read, take no lock, and take the trie parameters from the workdir's
+``config.json``. See ``trienotary.store`` for the pack format and its
+torn-tail rule.
 
 ``audit`` and ``verify`` exit 0 when every check passes, 1 when a check
 proves a violation, and 2 when storage gaps leave the audit inconclusive.
-``tamper`` is a test hook simulating an attacker who edits the public
-artifacts after the fact; ``trienotary.faults`` is the one implementation
-of its five fault kinds, shared with the test harness and the demos.
 """
 
 from __future__ import annotations
@@ -35,7 +32,6 @@ from .audit import (
 from .chain import Chain, format_record
 from .crypto import ALGORITHM_NAMES, HashAlg, algorithm
 from .errors import CannotConstructError, TrienotaryError, WorkdirExistsError
-from .faults import KINDS, inject
 from .merkle import Ledger, read_ledger, write_ledger
 from .notary import NotaryState, notarize_round
 from .store import ObjectStore
@@ -269,21 +265,6 @@ def _cmd_print_chain(args) -> int:
     return 0
 
 
-# ------------------------------------------------------------------ tamper
-
-def _cmd_tamper(args) -> int:
-    with Workdir.open(args.workdir, write=True) as workdir:
-        ledger_id = args.id.encode() if args.id else None
-        records = workdir.chain.records()
-        tampered = inject(
-            args.kind, workdir.params, workdir.store, records, ledger_id, random.Random(args.seed)
-        )
-        if tampered != records:
-            workdir.rewrite_chain(tampered)
-    print(f"injected fault: {args.kind}")
-    return 0
-
-
 # ------------------------------------------------------------------ parser
 
 def build_parser() -> argparse.ArgumentParser:
@@ -343,17 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--proof", required=True)
     add_workdir(p)
     p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("tamper", help="test hook: corrupt public artifacts")
-    add_workdir(p)
-    p.add_argument(
-        "--kind",
-        required=True,
-        choices=KINDS,
-    )
-    p.add_argument("--id", default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_tamper)
 
     p = sub.add_parser("print-chain", help="print the notarization journal")
     add_workdir(p)

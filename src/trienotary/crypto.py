@@ -9,9 +9,13 @@ bundle's nodes), which pays the method call once per pass. Digests are plain
 as the "no previous version" sentinel and never occurs as a real hash
 output in practice.
 
-Search keys are digests read as bit strings, most-significant bit first.
-``label_at`` extracts the fixed-width chunk of a key that selects the
-outgoing edge at a given trie depth.
+Search keys are digests read as bit strings, most-significant bit first:
+the log2(r)-bit chunk at a trie depth selects the outgoing edge there, and
+``label_width`` gives that width and validates r. The trie's walks,
+``trie._Builder`` and ``trie.KeyPath``, read a key as one integer and take
+each label by a shift and a mask. ``label_at`` and ``max_depth`` compute
+the same labels one chunk at a time; no library path calls them, and they
+are the oracles the trie and key-path tests compare those walks against.
 """
 
 from __future__ import annotations

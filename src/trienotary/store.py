@@ -48,8 +48,8 @@ _LINE_BYTES = b"0123456789abcdef "  # every byte a journal or index line holds b
 
 
 class ObjectStore:
-    """The store core: addressing, the read check, the proof-index rule and
-    the damage hook, for every backend.
+    """The store core: addressing, the read check and the proof-index rule,
+    for every backend.
 
     - ``put`` stores content under its hash and writes only an address not
       yet stored; ``puts`` counts every call.
@@ -67,8 +67,6 @@ class ObjectStore:
 
     - ``_read(address)``: the raw stored bytes; KeyError on a miss;
     - ``_write(address, content)``: store a new address;
-    - ``_overwrite(address, content)``: replace stored bytes with a damaged
-      copy of the same length;
     - ``_add_proof(ledger_key, round_seq, address)``: keep a new index
       entry for the next commit, or raise.
     """
@@ -132,19 +130,6 @@ class ObjectStore:
         fsynced); raises OSError if that fails, keeping the writes for the
         next commit. A no-op for a backend that writes at once."""
 
-    def corrupt(self, address: bytes) -> None:
-        """Test hook: damage the object at ``address`` so ``get`` fails its
-        check; raises NotFoundError if nothing is stored there and
-        ValueError if the object is empty, having no byte to damage. Damaged
-        bytes are left alone, so a second call cannot undo it."""
-        if address not in self._objects:
-            raise NotFoundError(f"no object at {address.hex()}")
-        content = self._read(address)
-        if not content:
-            raise ValueError(f"object at {address.hex()} is empty; nothing to corrupt")
-        if self.alg.hash(content) == address:
-            self._overwrite(address, bytes([content[0] ^ 0xFF]) + content[1:])
-
 
 class MemoryStore(ObjectStore):
     """Dict-backed store for tests and simulation."""
@@ -161,8 +146,6 @@ class MemoryStore(ObjectStore):
 
     def _write(self, address: bytes, content: bytes) -> None:
         self._objects[address] = content
-
-    _overwrite = _write  # the damaged copy replaces the entry
 
     def _add_proof(self, ledger_key: bytes, round_seq: int, address: bytes) -> None:
         """Nothing to keep: the index is the core's ``_proofs``."""
@@ -277,20 +260,6 @@ class DirectoryStore(ObjectStore):
         queue += size
         self._objects[address] = (self._end + len(queue)) << 32 | length
         queue += content
-
-    def _overwrite(self, address: bytes, content: bytes) -> None:
-        start = self._objects[address] >> 32
-        if start >= self._end:  # still queued
-            start -= self._end
-            self._queue[start : start + len(content)] = content
-            return
-        # pwrite on an O_APPEND descriptor appends on Linux, so the damaged
-        # copy goes through a descriptor of its own.
-        fd = os.open(self._pack_path, os.O_WRONLY)
-        try:
-            os.pwrite(fd, content, start)
-        finally:
-            os.close(fd)
 
     def _add_proof(self, ledger_key: bytes, round_seq: int, address: bytes) -> None:
         self._lines += f"{ledger_key.hex()} {round_seq} {address.hex()}\n".encode("ascii")

@@ -34,7 +34,7 @@ import shutil
 import warnings
 from pathlib import Path
 
-from .chain import Chain, NotarizationRecord, format_record
+from .chain import Chain
 from .crypto import algorithm
 from .errors import MalformedArtifactError, WorkdirBusyError, WorkdirExistsError
 from .store import PACK_NAME, PROOF_INDEX_NAME, DirectoryStore
@@ -116,13 +116,6 @@ class Workdir:
     def ledger_path(self, ledger_id: bytes) -> Path:
         """Where the export of ledger ``ledger_id`` lives."""
         return self.path / LEDGER_DIR_NAME / f"{ledger_id.hex()}.ledger"
-
-    def rewrite_chain(self, records: list[NotarizationRecord]) -> None:
-        """Replace the journal with ``records``: the ``tamper`` hook of an
-        adversary who edits published history."""
-        lines = [format_record(record) for record in records]
-        (self.path / CHAIN_NAME).write_text("\n".join(lines) + "\n", encoding="ascii")
-        self.chain = Chain(self.path / CHAIN_NAME, self.params.digest_len)
 
     def close(self) -> None:
         try:

@@ -1,7 +1,7 @@
 """Shared simulation harness: honest notarization histories.
 
-Faults are injected with ``trienotary.faults.inject`` on a history's store
-and chain records; ``as_chain`` wraps the records it returns.
+Faults are injected with ``adversary.inject`` on a history's store and
+chain records.
 """
 
 from __future__ import annotations
@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from trienotary.chain import Chain, NotarizationRecord
+from trienotary.chain import Chain
 from trienotary.crypto import SHA256
 from trienotary.merkle import Ledger
 from trienotary.notary import NotaryState, notarize_round
@@ -101,10 +101,3 @@ def run_history(
     history.ledgers = ledgers
     return history
 
-
-def as_chain(records: list[NotarizationRecord]) -> Chain:
-    """A memory chain publishing ``records``, e.g. as returned by ``faults.inject``."""
-    chain = Chain()
-    for record in records:
-        chain.publish(record)
-    return chain

@@ -15,12 +15,12 @@ import random
 import numpy as np
 import pytest
 
+from adversary import inject
 from harness import run_history
 from trienotary.audit import Status, audit_ledger, make_audit_proof, verify_audit_proof
 from trienotary.chain import Chain
 from trienotary.cli import main, run_simulation
 from trienotary.crypto import SHA256
-from trienotary.faults import inject
 from trienotary.merkle import (
     ConsistencyProof,
     Ledger,

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harness import CountingStore, History, as_chain, run_history
+from adversary import flip, inject
+from harness import CountingStore, History, run_history
 from trienotary.audit import (
     CheckResult,
     Status,
@@ -20,8 +21,7 @@ from trienotary.audit import (
 )
 from trienotary.chain import Chain
 from trienotary.crypto import SHA256, SHA512
-from trienotary.errors import CannotConstructError, TrienotaryError
-from trienotary.faults import inject
+from trienotary.errors import CannotConstructError
 from trienotary.merkle import Ledger, prove_consistency, root_at
 from trienotary.store import MemoryStore
 from trienotary.trie import TrieParams, TrieVersion, search_path
@@ -29,13 +29,17 @@ from trienotary.trie import TrieParams, TrieVersion, search_path
 ALG = SHA256
 
 
-def audit(history: History, ledger_id: bytes, chain: Chain | None = None, claimed="ledger"):
-    chain = chain or history.chain
+def audit(history: History, ledger_id: bytes, roots: list[bytes] | None = None, claimed="ledger"):
+    roots = roots or history.chain.read_roots()
     if claimed == "ledger":
         claimed = history.ledgers.get(ledger_id)
-    return audit_ledger(
-        ledger_id, claimed, chain.read_roots(), history.store, history.params
-    )
+    return audit_ledger(ledger_id, claimed, roots, history.store, history.params)
+
+
+def forged_roots(history: History, kind: str, ledger_id=None, rng=None) -> list[bytes]:
+    """The trie roots the adversary publishes after fault ``kind`` on ``history``."""
+    records = inject(kind, history.params, history.store, history.chain.records(), ledger_id, rng)
+    return [record.trie_root for record in records]
 
 
 # ------------------------------------------------------------- completeness
@@ -152,10 +156,8 @@ def test_claimed_digest_bridged_by_shared_proofs():
 
 def test_removed_key_flags_no_removal():
     history = run_history(10, n_ledgers=3, rounds=3)
-    tampered = as_chain(inject(
-        "remove-key", history.params, history.store, history.chain.records(), b"ledger-1"
-    ))
-    report = audit(history, b"ledger-1", chain=tampered, claimed=None)
+    roots = forged_roots(history, "remove-key", b"ledger-1")
+    report = audit(history, b"ledger-1", roots, claimed=None)
     assert report.no_removal.status is Status.FAIL
     assert report.no_removal.round == 2
     assert report.exit_code == 1
@@ -164,10 +166,8 @@ def test_removed_key_flags_no_removal():
 def test_forked_value_flags_no_forks():
     rng = random.Random(11)
     history = run_history(11, n_ledgers=3, rounds=3, p_append=1.0)
-    tampered = as_chain(inject(
-        "fork-value", history.params, history.store, history.chain.records(), b"ledger-2", rng
-    ))
-    report = audit(history, b"ledger-2", chain=tampered, claimed=None)
+    roots = forged_roots(history, "fork-value", b"ledger-2", rng)
+    report = audit(history, b"ledger-2", roots, claimed=None)
     assert report.no_forks.status is Status.FAIL
     assert report.exit_code == 1
 
@@ -175,10 +175,8 @@ def test_forked_value_flags_no_forks():
 def test_chain_mismatch_flags_chain_match():
     rng = random.Random(12)
     history = run_history(12, n_ledgers=2, rounds=4)
-    tampered = as_chain(inject(
-        "chain-mismatch", history.params, history.store, history.chain.records(), rng=rng
-    ))
-    report = audit(history, b"ledger-0", chain=tampered, claimed=None)
+    roots = forged_roots(history, "chain-mismatch", rng=rng)
+    report = audit(history, b"ledger-0", roots, claimed=None)
     assert report.chain_match.status is Status.FAIL
     assert report.exit_code == 1
 
@@ -358,7 +356,7 @@ def test_only_a_missing_or_corrupted_object_reads_as_a_gap(target, damage):
     if damage == "missing":
         del store._objects[address]
     elif damage == "corrupted":
-        store.corrupt(address)
+        assert flip(store, address)
     else:
         store.unreadable = address
 
@@ -449,9 +447,7 @@ def test_verify_matches_storage_audit_under_faults(kind, seed):
         p_append=1.0,
     )
     lid = b"ledger-1"
-    roots = as_chain(inject(
-        kind, history.params, history.store, history.chain.records(), lid, rng
-    )).read_roots()
+    roots = forged_roots(history, kind, lid, rng)
     claimed = history.ledgers[lid]
     direct = audit_ledger(lid, claimed, roots, history.store, history.params)
     assert direct.verdict is Status.FAIL
@@ -548,7 +544,7 @@ def test_make_audit_proof_refuses_exactly_when_the_storage_audit_is_inconclusive
     if fault is not None:
         try:
             records = inject(fault, history.params, history.store, records, lid)
-        except TrienotaryError:  # no stored proof to corrupt: the history stays honest
+        except ValueError:  # no stored proof to corrupt: the history stays honest
             pass
     roots = [record.trie_root for record in records]
     up_to_round = data.draw(st.integers(0, len(roots) - 1), label="up_to_round")

@@ -1,4 +1,4 @@
-"""The command-line surface: simulate, bench, audit, prove, verify, tamper."""
+"""The command-line surface: simulate, bench, audit, prove, verify, print-chain."""
 
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adversary import KINDS, tamper
 import trienotary
 from trienotary import cli, structure
 from trienotary.chain import Chain, format_record
@@ -96,15 +97,14 @@ def test_audit_unknown_id_is_inconclusive(simulated):
 
 
 def test_audit_after_each_tamper_kind_never_passes(tmp_path):
-    kinds = ["remove-key", "fork-value", "chain-mismatch", "corrupt-node", "corrupt-proof"]
-    for kind in kinds:
+    for kind in KINDS:
         workdir = tmp_path / kind
         assert run(
             "simulate", "--workdir", workdir, "--ledgers", 5, "--rounds", 3,
             "--append-rate", 1.0, "--seed", 7,
         ) == 0
         assert run("audit", "ledger-1", "--workdir", workdir) == 0
-        assert run("tamper", "--workdir", workdir, "--kind", kind, "--id", "ledger-1") == 0
+        tamper(workdir, kind, b"ledger-1")
         code = run("audit", "ledger-1", "--workdir", workdir)
         assert code in (1, 2), kind
 
@@ -141,13 +141,13 @@ TAMPER_GOLDEN = {
 @pytest.mark.parametrize("kind", sorted(TAMPER_GOLDEN))
 def test_tamper_output_golden(tmp_path, kind):
     """sha256 of ``chain.log``, ``proofs.idx`` and every (address, content)
-    object after one ``tamper`` of the seed-7 run, recorded before the
-    faults moved into ``trienotary.faults``. The objects were then one file
-    each; ``items()`` yields the same pairs in the same order."""
+    object after one ``tamper`` of the seed-7 run, recorded when the faults
+    were a CLI command of the package. The objects were then one file each;
+    ``items()`` yields the same pairs in the same order."""
     workdir = tmp_path / "run"
     assert run("simulate", "--workdir", workdir, "--ledgers", 5, "--rounds", 3,
                "--append-rate", 1.0, "--seed", 7) == 0
-    assert run("tamper", "--workdir", workdir, "--kind", kind, "--id", "ledger-1") == 0
+    tamper(workdir, kind, b"ledger-1")
     objects = hashlib.sha256()
     for address, content in stored_items(workdir):
         objects.update(address + content)
@@ -160,8 +160,7 @@ def test_tamper_output_golden(tmp_path, kind):
 
 def test_corrupt_proof_twice_stays_inconclusive(simulated):
     for _ in range(2):
-        assert run("tamper", "--workdir", simulated, "--kind", "corrupt-proof",
-                   "--id", "ledger-1") == 0
+        tamper(simulated, "corrupt-proof", b"ledger-1")
     assert run("audit", "ledger-1", "--workdir", simulated) == 2
 
 
@@ -341,7 +340,6 @@ def run_in_process(*argv) -> subprocess.CompletedProcess:
 @pytest.mark.parametrize("argv", [
     ["audit", "ledger-1", "--workdir", "{workdir}"],
     ["prove", "ledger-1", "--workdir", "{workdir}", "--out", "{out}"],
-    ["tamper", "--workdir", "{workdir}", "--kind", "chain-mismatch"],
     ["simulate", "--ledgers", "2", "--workdir", "{out}"],
     ["bench", "--ledgers", "4", "--out", "{out}"],
 ], ids=lambda argv: argv[0])
@@ -595,14 +593,6 @@ def test_audit_of_empty_chain_is_one_inconclusive_line(simulated):
     assert proc.stderr == "inconclusive: chain.log is empty; nothing to audit\n"
 
 
-def test_tamper_of_empty_chain_is_one_error_line(simulated):
-    (simulated / "chain.log").write_bytes(b"")
-    proc = run_in_process("tamper", "--workdir", simulated, "--kind", "chain-mismatch")
-    assert proc.returncode == 1
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr == "error: chain.log is empty; nothing to tamper\n"
-
-
 CONFIG_DAMAGE = {
     "missing file": None,
     "bad JSON": '{"hash": "sha256", "k": 1, ',
@@ -616,7 +606,7 @@ CONFIG_DAMAGE = {
 }
 
 
-@pytest.mark.parametrize("command", ["audit", "prove", "tamper"])
+@pytest.mark.parametrize("command", ["audit", "prove"])
 @pytest.mark.parametrize("damage", sorted(CONFIG_DAMAGE))
 def test_malformed_config_is_one_error_line(simulated, tmp_path, command, damage):
     config = simulated / "config.json"
@@ -624,11 +614,7 @@ def test_malformed_config_is_one_error_line(simulated, tmp_path, command, damage
         config.unlink()
     else:
         config.write_text(CONFIG_DAMAGE[damage])
-    argv = {
-        "audit": ["audit", "ledger-1"],
-        "prove": ["prove", "ledger-1", "--out", tmp_path / "l1.proof"],
-        "tamper": ["tamper", "--kind", "corrupt-node"],
-    }[command]
+    argv = [command, "ledger-1"] + (["--out", tmp_path / "l1.proof"] if command == "prove" else [])
     chain = (simulated / "chain.log").read_bytes()
     proc = run_in_process(*argv, "--workdir", simulated)
     assert proc.returncode == 1
@@ -642,8 +628,7 @@ def test_trie_params_come_from_config_only(tmp_path):
     assert run("simulate", "--workdir", workdir, "--ledgers", 6, "--rounds", 3,
                "--seed", 3, "--r", 4, "--k", 2) == 0
     assert run("audit", "ledger-3", "--workdir", workdir) == 0
-    for command in (["audit", "ledger-3"], ["prove", "ledger-3", "--out", tmp_path / "p"],
-                    ["tamper", "--kind", "corrupt-node"]):
+    for command in (["audit", "ledger-3"], ["prove", "ledger-3", "--out", tmp_path / "p"]):
         with pytest.raises(SystemExit):  # argparse rejects the flag
             run(*command, "--workdir", workdir, "--r", 2, "--k", 1)
     assert run("audit", "ledger-3", "--workdir", workdir) == 0

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adversary import flip
 from trienotary import store as store_module
 from trienotary.chain import Chain, NotarizationRecord
 from trienotary.crypto import SHA256
@@ -85,25 +86,14 @@ def test_proof_index_round_trip(store):
         store.index_proof(key, 3, store.put(b"different proof"))
 
 
-def test_corruption_detected_and_never_undone(store):
+def test_corruption_is_detected(store):
+    """A byte flipped in the stored bytes, the directory's pack edited under
+    its live mapping: the read check catches it."""
     address = store.put(b"precious bytes")
-    for _ in range(3):  # a second flip of the same byte would restore the object
-        store.corrupt(address)
-        with pytest.raises(IntegrityError):
-            store.get(address)
-        assert address not in store
-
-
-def test_corrupt_unknown_address_not_found(store):
-    with pytest.raises(NotFoundError):
-        store.corrupt(SHA256.hash(b"never stored"))
-
-
-def test_corrupt_empty_object_is_a_value_error(store):
-    address = store.put(b"")
-    with pytest.raises(ValueError, match="empty"):
-        store.corrupt(address)
-    assert store.get(address) == b""
+    assert flip(store, address)
+    with pytest.raises(IntegrityError):
+        store.get(address)
+    assert address not in store
 
 
 def test_items_yields_raw_pairs_in_address_order(store):
@@ -111,7 +101,7 @@ def test_items_yields_raw_pairs_in_address_order(store):
     for content in contents:
         store.put(content)
     damaged = store.put(b"damaged")
-    store.corrupt(damaged)
+    assert flip(store, damaged)
     pairs = list(store.items())
     assert [address for address, _ in pairs] == sorted(
         SHA256.hash(c) for c in {*contents, b"damaged"}
@@ -268,7 +258,6 @@ def test_a_full_queue_writes_records_early_and_index_lines_wait(tmp_path, monkey
     with DirectoryStore(tmp_path, SHA256) as store:
         addresses = [store.put(bytes([i]) * 8) for i in range(3)]
         store.index_proof(key, 0, addresses[0])
-        store.corrupt(addresses[2])  # still queued: patched in the queue
         assert pack.read_bytes() == b"".join(  # the third record waits in the queue
             a + (8).to_bytes(4, "big") + bytes([i]) * 8 for i, a in enumerate(addresses[:2])
         )
@@ -276,12 +265,10 @@ def test_a_full_queue_writes_records_early_and_index_lines_wait(tmp_path, monkey
         assert store.get(addresses[0]) == bytes(8)  # read through the mapping
         store.commit()
         assert len(index.read_bytes().splitlines()) == 1
-        with pytest.raises(IntegrityError):
-            store.get(addresses[2])
+        assert store.get(addresses[2]) == b"\x02" * 8
     with DirectoryStore(tmp_path, SHA256) as store:
-        assert [store.get(a) for a in addresses[:2]] == [bytes(8), b"\x01" * 8]
+        assert [store.get(a) for a in addresses] == [bytes([i]) * 8 for i in range(3)]
         assert store.find_proof(key, 0) == addresses[0]
-        assert addresses[2] not in store
 
 
 def test_index_lines_alone_make_the_directory_and_both_files(tmp_path):
@@ -456,8 +443,8 @@ def _apply(store, op):
             return store.get(SHA256.hash(args[0]))
         if name == "in":
             return SHA256.hash(args[0]) in store
-        if name == "corrupt":
-            return store.corrupt(SHA256.hash(args[0]))
+        if name == "corrupt":  # the same byte flip on both backends
+            return flip(store, SHA256.hash(args[0]))
         if name == "commit":
             return store.commit()
         (key, round_seq), content = args

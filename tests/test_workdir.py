@@ -3,6 +3,7 @@ store, one close, and the layout named in one module."""
 
 from __future__ import annotations
 
+import ast
 import gc
 import os
 import re
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from adversary import tamper
 import trienotary
 from trienotary.cli import main
 from trienotary.crypto import SHA256
@@ -155,18 +157,18 @@ def held_by_a_child(workdir: Path):
                 child.wait()
 
 
-@pytest.mark.parametrize("argv", [
-    ["tamper", "--kind", "corrupt-node", "--id", "ledger-1"],
-    ["simulate", "--force", "--ledgers", "2", "--rounds", "1"],
-], ids=["tamper", "simulate --force"])
-def test_a_writer_in_another_process_is_refused(simulated, tmp_path, capsys, argv):
+@pytest.mark.parametrize("writer", ["tamper", "simulate --force"])
+def test_a_writer_in_another_process_is_refused(simulated, tmp_path, capsys, writer):
     before = snapshot(simulated)
     with held_by_a_child(simulated) as release:
-        capsys.readouterr()
-        assert run(*argv, "--workdir", simulated) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {simulated} is already open for writing\n"
+        if writer == "tamper":  # the adversary opens the workdir for writing too
+            with pytest.raises(WorkdirBusyError, match="is already open for writing"):
+                tamper(simulated, "corrupt-node", b"ledger-1")
+        else:
+            capsys.readouterr()
+            assert run("simulate", "--force", "--ledgers", 2, "--rounds", 1,
+                       "--workdir", simulated) == 1
+            assert capsys.readouterr() == ("", f"error: {simulated} is already open for writing\n")
         assert snapshot(simulated) == before
         # readers take no lock
         proof = tmp_path / "l1.proof"
@@ -199,24 +201,24 @@ def test_verify_and_print_chain_never_read_the_store(simulated, tmp_path, capsys
 def test_no_command_leaks_a_handle(tmp_path):
     """Each command in a child under ``-X dev -W error::ResourceWarning``:
     an unclosed file, store or workdir lock warns at exit, outside the
-    reach of pytest's own warning filter."""
+    reach of pytest's own warning filter. The last audit reads a pack the
+    adversary damaged."""
     workdir, proof = tmp_path / "run", tmp_path / "l1.proof"
-    where = ["--workdir", workdir]
-    for argv, code in [
-        (["simulate", "--ledgers", "4", "--rounds", "2"], 0),
-        (["audit", "ledger-1"], 0),
-        (["prove", "ledger-1", "--out", proof], 0),
-        (["verify", "ledger-1", "--proof", proof], 0),
-        (["print-chain"], 0),
-        (["tamper", "--kind", "corrupt-proof", "--id", "ledger-1"], 0),
-        (["audit", "ledger-1"], 2),
-    ]:
+
+    def child(argv: list[str], code: int) -> None:
         proc = subprocess.run(
             [sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
-             "-m", "trienotary.cli", *map(str, argv + where)],
+             "-m", "trienotary.cli", *map(str, [*argv, "--workdir", workdir])],
             capture_output=True, text=True, env=ENV, timeout=120, check=False,
         )
         assert (proc.returncode, proc.stderr) == (code, ""), argv
+
+    for argv in (["simulate", "--ledgers", "4", "--rounds", "2"], ["audit", "ledger-1"],
+                 ["prove", "ledger-1", "--out", proof], ["verify", "ledger-1", "--proof", proof],
+                 ["print-chain"]):
+        child(argv, 0)
+    tamper(workdir, "corrupt-proof", b"ledger-1")
+    child(["audit", "ledger-1"], 2)
 
 
 # --------------------------------------------------------- one layout module
@@ -228,6 +230,43 @@ def test_only_the_workdir_module_names_the_layout():
         assert bool(found) == (path.name == "workdir.py"), (path.name, found)
     cli = (SRC / "trienotary" / "cli.py").read_text()
     assert "DirectoryStore(" not in cli and "Chain(" not in cli
+
+
+def _writes(call: ast.Call) -> bool:
+    """Whether ``call`` writes a file or opens one for writing: a path's
+    ``write_text``, ``write_bytes`` or ``touch``, ``pwrite``, ``os.open``
+    with a write flag, or ``open`` in a write mode (or a mode that is not
+    a literal)."""
+    func = ast.unparse(call.func)
+    if func == "os.open":
+        return bool(re.search(r"O_(WRONLY|RDWR|APPEND|CREAT|TRUNC)", ast.unparse(call.args[1])))
+    modes = [*call.args[1:2], *(k.value for k in call.keywords if k.arg == "mode")]
+    return func.rsplit(".", 1)[-1] in ("write_text", "write_bytes", "touch", "pwrite") or (
+        func == "open" and any(not isinstance(m, ast.Constant) or set(m.value) & set("wax+")
+                               for m in modes)
+    )
+
+
+def write_sites(node: ast.AST, scope: str) -> set[str]:
+    """The qualified name of each function of ``node``'s that writes a file;
+    ``scope`` is the name of ``node``."""
+    sites = {scope} if isinstance(node, ast.Call) and _writes(node) else set()
+    for child in ast.iter_child_nodes(node):
+        named = isinstance(child, (ast.ClassDef, ast.FunctionDef))
+        sites |= write_sites(child, f"{scope}.{child.name}" if named else scope)
+    return sites
+
+
+def test_the_package_writes_files_only_at_the_known_sites():
+    """Every write site of the package, found by a scan of its source: the
+    append of a round's bytes, the ``proofs.idx`` made beside the first pack
+    write, ``config.json`` at creation, a ledger export, and the two files a
+    caller names with ``--out``."""
+    sites = set()
+    for path in sorted((SRC / "trienotary").glob("*.py")):
+        sites |= write_sites(ast.parse(path.read_text()), path.stem)
+    assert sites == {"store._append", "store.DirectoryStore._write_pack", "workdir.Workdir.create",
+                     "merkle.write_ledger", "cli._cmd_bench", "cli._cmd_prove"}
 
 
 def test_importing_the_package_leaves_numpy_unloaded():
