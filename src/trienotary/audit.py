@@ -32,7 +32,11 @@ two readers are the one place where a failed read becomes None, which
 is ``KeyPath``'s fetch contract: they catch the store's ``NotFoundError``
 and ``IntegrityError`` (a missing or corrupted object), a bundle's
 source returns None itself, and any other error escapes the run. Each
-run returns one ``AuditReport``. A run
+run returns one ``AuditReport`` of five ``CheckResult``s and builds one
+``InternalNode`` or ``LeafNode`` per version root it parses and one
+``ConsistencyProof`` per proof it decodes; all of these are tuples
+(``typing.NamedTuple``), built at tuple cost, compared by field and
+copied with ``_replace``. A run
 fetches and validates each distinct node once, except that a version
 root is checked twice: the root walk parses it for its prev-root link,
 and the key's path is then read from it by ``trie.KeyPath``, which takes
@@ -68,6 +72,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .crypto import HashAlg, algorithm_by_wire_id
 from .errors import CannotConstructError, IntegrityError, NotFoundError
@@ -89,8 +94,13 @@ class Status(enum.Enum):
     NOT_CHECKED = "not checked"
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
+    """One check's outcome; ``str`` reads ``status (round N): detail``.
+
+    A tuple, built at tuple cost: compared and hashed by its fields,
+    copied with ``_replace``.
+    """
+
     status: Status
     round: int | None = None
     detail: str = ""
@@ -101,13 +111,14 @@ class CheckResult:
         return f"{self.status.value}{where}{tail}"
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     """Outcome of the audit checks for one ledger key.
 
     ``history`` lists the value found per covered round, oldest first
     (None for rounds where the key is absent or the value unresolved;
-    unresolved rounds are also listed in ``unresolved_rounds``).
+    unresolved rounds are also listed in ``unresolved_rounds``). A tuple
+    like ``CheckResult``: compared and hashed by its fields, copied with
+    ``_replace``.
     """
 
     ledger_key: bytes

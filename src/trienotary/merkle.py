@@ -67,6 +67,7 @@ from __future__ import annotations
 
 import base64
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .crypto import HashAlg, SHA256, algorithm
 from .errors import InvalidRangeError
@@ -104,9 +105,13 @@ class Block:
     block_hash: bytes
 
 
-@dataclass(frozen=True)
-class ConsistencyProof:
-    """Evidence that the size-``old_size`` tree is a prefix of the size-``new_size`` tree."""
+class ConsistencyProof(NamedTuple):
+    """Evidence that the size-``old_size`` tree is a prefix of the size-``new_size`` tree.
+
+    A tuple, built at tuple cost once per changed ledger in a round and
+    per value change in an audit: compared and hashed by its fields,
+    copied with ``_replace``.
+    """
 
     old_size: int
     new_size: int
@@ -115,7 +120,11 @@ class ConsistencyProof:
 
 @dataclass(frozen=True)
 class InclusionProof:
-    """Evidence that a leaf sits at ``leaf_index`` in a tree of ``tree_size`` leaves."""
+    """Evidence that a leaf sits at ``leaf_index`` in a tree of ``tree_size`` leaves.
+
+    A dataclass, not a tuple, so it never equals a ``ConsistencyProof``
+    holding the same three values.
+    """
 
     leaf_index: int
     tree_size: int

@@ -25,6 +25,12 @@ Wire format (one byte-aligned canonical layout per node)::
 Bitmap bit i (label i) lives at byte i//8, mask 0x80 >> (i % 8). The
 all-zero prev-root digest marks the first version of a lineage.
 
+``parse_node`` decodes a node into a ``LeafNode`` or an ``InternalNode``,
+and ``serialize_node`` encodes one. Both records are tuples
+(``typing.NamedTuple``), built at tuple cost, compared by field and
+copied with ``_replace``; a real leaf never equals a real internal node,
+as their pairs hold key bytes and integer labels respectively.
+
 ``KeyPath`` is the single key-path walk: ``lookup``, ``search_path`` and
 the audit all descend through it. It reads node bytes in place, checked
 by the same framing rules as ``parse_node``, without building node objects.
@@ -52,6 +58,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import partial
 from operator import itemgetter
+from typing import NamedTuple
 
 from .crypto import HashAlg, label_width
 from .errors import (
@@ -97,12 +104,13 @@ class TrieParams:
         object.__setattr__(self, "spare_bits", (1 << (8 * bitmap_len - self.r)) - 1)
 
 
-@dataclass(frozen=True)
-class LeafNode:
+class LeafNode(NamedTuple):
     """Up to k (key, value) tuples, strictly ascending by key.
 
     ``prev_root`` is None for non-root leaves; a root leaf carries the
     previous version's root digest (all-zero for the first version).
+    A tuple, built at tuple cost: compared and hashed by its fields,
+    copied with ``_replace``.
     """
 
     entries: tuple[tuple[bytes, bytes], ...]
@@ -115,9 +123,12 @@ class LeafNode:
         return None
 
 
-@dataclass(frozen=True)
-class InternalNode:
-    """(label, child digest) pairs, strictly ascending by label."""
+class InternalNode(NamedTuple):
+    """(label, child digest) pairs, strictly ascending by label.
+
+    A tuple like ``LeafNode``: compared and hashed by its fields, copied
+    with ``_replace``.
+    """
 
     children: tuple[tuple[int, bytes], ...]
     prev_root: bytes | None = None

@@ -17,15 +17,19 @@ reaches what an outsider can reach and no more. Its five fault kinds:
 The audit must fail (exit 1) on the first three and be inconclusive
 (exit 2) on the corruptions. A flip edits the stored bytes themselves: the
 entry of a ``MemoryStore``, or the record in a ``DirectoryStore``'s
-``objects.pack``.
+``objects.pack``. ``pack_records`` is the one reader of the pack's record
+layout; the pack damages below (a cut or flipped newest root, a first
+record whose length runs past the end) find their bytes through it too.
 """
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import replace
+from pathlib import Path
 
-from trienotary.chain import format_record
+from trienotary.chain import Chain, format_record
 from trienotary.merkle import ConsistencyProof, encode_consistency_proof
 from trienotary.store import PACK_NAME, DirectoryStore
 from trienotary.trie import TrieVersion, associations, build, search_path
@@ -80,17 +84,15 @@ def flip(store, address: bytes) -> bool:
     Returns False, changing nothing, if no object is stored there, it is
     empty, or it already fails its read check, so a second flip never
     undoes the first. A ``DirectoryStore`` commits first; then its record
-    is found by scanning ``objects.pack`` (``address || u32 big-endian
-    length || content`` records, the first one for an address winning)
+    is found by ``pack_records`` (the first one for an address winning)
     and edited in place, where the store's own mapping sees the edit."""
     if isinstance(store, DirectoryStore):
         store.commit()
-        path, at, header = store.root / PACK_NAME, 0, len(address) + 4
+        path = store.root / PACK_NAME
         pack = path.read_bytes() if path.exists() else b""
-        while at < len(pack) and pack[at:at + header - 4] != address:
-            at += header + int.from_bytes(pack[at + header - 4:at + header], "big")
-        at += header
-        content = pack[at:at + int.from_bytes(pack[at - 4:at], "big")]
+        found = (span for name, *span in pack_records(pack, len(address)) if name == address)
+        at, end = next(found, (0, 0))
+        content = pack[at:end]
     else:
         content = store._objects.get(address, b"")
     if not content or store.alg.hash(content) != address:
@@ -102,6 +104,54 @@ def flip(store, address: bytes) -> bool:
     else:
         store._objects[address] = bytes([content[0] ^ 0xFF]) + content[1:]
     return True
+
+
+def pack_records(pack: bytes, digest_len: int):
+    """Yield ``(address, at, end)`` for each record of ``objects.pack``
+    bytes, in file order. A record is ``address || u32 big-endian length
+    || content``, its content ``pack[at:end]``; a torn last record's
+    ``end`` lies past the end of ``pack``."""
+    start, header = 0, digest_len + 4
+    while start + header <= len(pack):
+        at = start + header
+        end = at + int.from_bytes(pack[at - 4:at], "big")
+        yield pack[start:start + digest_len], at, end
+        start = end
+
+
+def _newest_root(workdir) -> bytes:
+    return Chain(Path(workdir) / "chain.log").read_roots()[-1]
+
+
+def _newest_root_record(workdir) -> tuple[Path, int, int]:
+    """The workdir's pack, and the (start, end) of the record holding the
+    newest trie root that ``chain.log`` publishes."""
+    root, path = _newest_root(workdir), Path(workdir) / PACK_NAME
+    at, end = next(span for name, *span in pack_records(path.read_bytes(), len(root))
+                   if name == root)
+    return path, at - len(root) - 4, end
+
+
+def cut_newest_root(workdir) -> None:
+    """Truncate ``objects.pack`` halfway through the newest root's record."""
+    path, start, end = _newest_root_record(workdir)
+    os.truncate(path, (start + end) // 2)
+
+
+def flip_newest_root(workdir) -> None:
+    """Flip the low bit of the newest root's last content byte."""
+    path, _, end = _newest_root_record(workdir)
+    pack = bytearray(path.read_bytes())
+    pack[end - 1] ^= 0x01
+    path.write_bytes(pack)
+
+
+def flip_first_length(workdir) -> None:
+    """Make the first record's length claim to run 4 MiB past the end."""
+    path = Path(workdir) / PACK_NAME
+    pack = bytearray(path.read_bytes())
+    pack[len(_newest_root(workdir)) + 1] ^= 0x40  # the length's second byte: + 0x400000
+    path.write_bytes(pack)
 
 
 def tamper(path, kind: str, ledger_id: bytes | None = None) -> None:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from adversary import flip, inject
 from harness import CountingStore, History, run_history
 from trienotary.audit import (
+    AuditReport,
     CheckResult,
     Status,
     audit_ledger,
@@ -22,9 +23,23 @@ from trienotary.audit import (
 from trienotary.chain import Chain
 from trienotary.crypto import SHA256, SHA512
 from trienotary.errors import CannotConstructError
-from trienotary.merkle import Ledger, prove_consistency, root_at
+from trienotary.merkle import (
+    ConsistencyProof,
+    InclusionProof,
+    Ledger,
+    prove_consistency,
+    root_at,
+)
 from trienotary.store import MemoryStore
-from trienotary.trie import TrieParams, TrieVersion, search_path
+from trienotary.trie import (
+    InternalNode,
+    LeafNode,
+    TrieParams,
+    TrieVersion,
+    build,
+    parse_node,
+    search_path,
+)
 
 ALG = SHA256
 
@@ -651,3 +666,54 @@ def test_audit_and_prove_fetch_each_distinct_object_once(monkeypatch):
     assert store.gets == audit_gets
     assert len(parsed) == 2 * len(roots)  # each version root, once per run
     assert {ALG.hash(data) for data in parsed} == set(roots)
+
+
+# ------------------------------------------------------------------ records
+
+_PASS, _GAP = CheckResult(Status.PASS), CheckResult(Status.INCONCLUSIVE, 2, "history has gaps")
+# per record: every field, in order, and the fields that have defaults
+RECORDS = {
+    "LeafNode": (LeafNode, {"entries": ((b"k" * 32, b"v" * 32),), "prev_root": bytes(32)},
+                 {"prev_root": None}),
+    "InternalNode": (InternalNode, {"children": ((0, b"a" * 32), (3, b"b" * 32)),
+                                    "prev_root": None}, {"prev_root": None}),
+    "ConsistencyProof": (ConsistencyProof, {"old_size": 3, "new_size": 7, "path": (b"p" * 32,)},
+                         {}),
+    "CheckResult": (CheckResult, {"status": Status.FAIL, "round": 3, "detail": "x"},
+                    {"round": None, "detail": ""}),
+    "AuditReport": (AuditReport, {
+        "ledger_key": b"k" * 32, "chain_match": _PASS, "no_alternative_histories": _PASS,
+        "no_removal": _PASS, "no_forks": _GAP, "disclosed_data_match": _PASS,
+        "history": (None, b"v" * 32, None), "unresolved_rounds": (2,), "covered_rounds": 3,
+        "uncovered_rounds": (4,),
+    }, {"uncovered_rounds": ()}),
+}
+
+
+@pytest.mark.parametrize("cls, fields, defaults", RECORDS.values(), ids=RECORDS)
+def test_records_are_immutable_values_compared_by_field(cls, fields, defaults):
+    record = cls(**fields)
+    for name, value in fields.items():
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+    twin = cls(**fields)
+    assert twin is not record and twin == record and hash(twin) == hash(record)
+    bare = cls(**{name: value for name, value in fields.items() if name not in defaults})
+    assert {name: getattr(bare, name) for name in defaults} == defaults
+    shown = ", ".join(f"{name}={value!r}" for name, value in fields.items())
+    assert repr(record) == f"{cls.__name__}({shown})"
+
+
+def test_a_check_prints_and_records_of_two_kinds_never_compare_equal():
+    assert str(CheckResult(Status.FAIL, 3, "x")) == "fail (round 3): x"
+    rng, params = random.Random(5), TrieParams(4, 2, ALG)
+    store = MemoryStore(ALG)
+    build(params, {rng.randbytes(32): rng.randbytes(32) for _ in range(40)}, None, store)
+    nodes = [parse_node(data, params) for _, data in store.items()]
+    leaves = [node for node in nodes if isinstance(node, LeafNode)]
+    internals = [node for node in nodes if isinstance(node, InternalNode)]
+    assert leaves and internals and len(leaves) + len(internals) == len(nodes)
+    assert all(leaf != node and node != leaf for leaf in leaves for node in internals)
+    path = (b"p" * 32, b"q" * 32)
+    consistency, inclusion = ConsistencyProof(3, 7, path), InclusionProof(3, 7, path)
+    assert consistency != inclusion and inclusion != consistency

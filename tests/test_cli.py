@@ -5,7 +5,6 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-import os
 import re
 import subprocess
 from contextlib import redirect_stderr, redirect_stdout
@@ -15,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adversary import KINDS, tamper
+from adversary import KINDS, cut_newest_root, flip_first_length, flip_newest_root, tamper
 import trienotary
 from trienotary import cli, structure
 from trienotary.chain import Chain, format_record
@@ -544,37 +543,8 @@ def test_audit_skips_a_torn_final_index_line(simulated):
     assert path.read_bytes() == torn
 
 
-def _newest_root_record(workdir: Path) -> tuple[int, int]:
-    """(start, end) of the pack record holding the newest trie root."""
-    root = bytes.fromhex((workdir / "chain.log").read_text().splitlines()[-1].split()[1])
-    pack = (workdir / "objects.pack").read_bytes()
-    start = 0
-    while pack[start:start + 32] != root:
-        start += 36 + int.from_bytes(pack[start + 32:start + 36], "big")
-    return start, start + 36 + int.from_bytes(pack[start + 32:start + 36], "big")
-
-
-def _cut_newest_root(workdir: Path) -> None:
-    start, end = _newest_root_record(workdir)
-    os.truncate(workdir / "objects.pack", (start + end) // 2)
-
-
-def _flip_newest_root(workdir: Path) -> None:
-    _, end = _newest_root_record(workdir)
-    path = workdir / "objects.pack"
-    pack = bytearray(path.read_bytes())
-    pack[end - 1] ^= 0x01
-    path.write_bytes(pack)
-
-
-def _flip_first_length(workdir: Path) -> None:
-    path = workdir / "objects.pack"
-    pack = bytearray(path.read_bytes())
-    pack[33] ^= 0x40  # the first record now claims to run past the end
-    path.write_bytes(pack)
-
-
-@pytest.mark.parametrize("damage", [_cut_newest_root, _flip_newest_root, _flip_first_length])
+@pytest.mark.parametrize("damage", [cut_newest_root, flip_newest_root, flip_first_length],
+                         ids=["_cut_newest_root", "_flip_newest_root", "_flip_first_length"])
 def test_audit_of_damaged_pack_is_one_classified_line(simulated, damage):
     damage(simulated)
     pack = (simulated / "objects.pack").read_bytes()

@@ -7,7 +7,6 @@ with the package; builds are compared node-for-node against it.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 
 import pytest
@@ -469,7 +468,7 @@ def test_update_over_a_root_stored_without_the_root_tag_matches_a_rebuild(kind, 
     store = MemoryStore(ALG)
     stored = parse_node(store.get(build(p, state, None, store).root_digest), p)
     assert isinstance(stored, InternalNode if kind == "internal" else LeafNode)
-    root = store.put(serialize_node(dataclasses.replace(stored, prev_root=None), p))
+    root = store.put(serialize_node(stored._replace(prev_root=None), p))
     if change == "value only":
         changes = {rng.choice(sorted(state)): rng.randbytes(32)}
     else:
@@ -643,7 +642,7 @@ def test_rechain_splice_equals_re_encoding_the_node(r, k):
     v0 = build(p, rand_assoc(rng, 40), None, store)
     for digest in reachable(store, v0.root_digest, p):
         node = parse_node(store.get(digest), p)
-        expected = node_digest(dataclasses.replace(node, prev_root=digest), p)
+        expected = node_digest(node._replace(prev_root=digest), p)
         assert rechain(TrieVersion(p, digest, store)).root_digest == expected
 
 
