@@ -111,7 +111,7 @@ def _cmd_simulate(args) -> int:
             workdir.store, workdir.chain,
         )
         for lid, ledger in ledgers.items():
-            write_ledger(ledger, workdir.ledger_path(lid), args.enc)
+            write_ledger(ledger, workdir.ledger_path(lid))
     print(
         f"simulated {args.ledgers} ledgers over {args.rounds} rounds "
         f"({_describe(params)}) in {workdir.path}"
@@ -291,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rounds", type=int, default=3)
     p.add_argument("--append-rate", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--enc", choices=["hex", "base64"], default="hex")
     p.add_argument("--force", action="store_true", help="overwrite an existing run")
     p.set_defaults(func=_cmd_simulate)
 

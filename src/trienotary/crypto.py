@@ -72,9 +72,9 @@ ALGORITHM_NAMES = tuple(_BY_NAME)
 
 
 def algorithm(name: str) -> HashAlg:
-    """Look up a supported algorithm by name ("sha256" or "sha512")."""
+    """Look up a supported algorithm by its exact name, "sha256" or "sha512"."""
     try:
-        return _BY_NAME[name.lower().replace("-", "")]
+        return _BY_NAME[name]
     except KeyError:
         raise ValueError(f"unsupported hash algorithm: {name!r}") from None
 

@@ -65,7 +65,6 @@ two different formulations of the same tree.
 
 from __future__ import annotations
 
-import base64
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -80,14 +79,6 @@ NODE_PREFIX = b"\x01"
 _BATCH = 4096
 
 _LEDGER_HEADER_MAGIC = "ledger v1"
-# export payload encoding name -> (encode, decode)
-_PAYLOAD_CODECS = {
-    "hex": (bytes.hex, bytes.fromhex),
-    "base64": (
-        lambda payload: base64.b64encode(payload).decode("ascii"),
-        lambda line: base64.b64decode(line, validate=True),
-    ),
-}
 
 
 def _block_bytes(index: int, payload: bytes) -> bytes:
@@ -496,17 +487,14 @@ def decode_consistency_proof(data: bytes, alg: HashAlg) -> ConsistencyProof:
     return ConsistencyProof(old_size, new_size, path)
 
 
-def _export_header(alg_name: str, encoding: str, ledger_id: bytes) -> str:
-    return f"{_LEDGER_HEADER_MAGIC} alg={alg_name} enc={encoding} id={ledger_id.hex()}"
+def _export_header(alg_name: str, ledger_id: bytes) -> str:
+    return f"{_LEDGER_HEADER_MAGIC} alg={alg_name} enc=hex id={ledger_id.hex()}"
 
 
-def write_ledger(ledger: Ledger, path, encoding: str = "hex") -> None:
-    """Export a ledger as newline-delimited encoded payloads under a one-line header."""
-    if encoding not in _PAYLOAD_CODECS:
-        raise ValueError(f"encoding must be 'hex' or 'base64', got {encoding!r}")
-    enc = _PAYLOAD_CODECS[encoding][0]
-    lines = [_export_header(ledger.alg.name, encoding, ledger.id)]
-    lines.extend(map(enc, ledger._log.payloads[:len(ledger)]))
+def write_ledger(ledger: Ledger, path) -> None:
+    """Export a ledger as newline-delimited hex payloads under a one-line header."""
+    lines = [_export_header(ledger.alg.name, ledger.id)]
+    lines.extend(map(bytes.hex, ledger._log.payloads[:len(ledger)]))
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -515,10 +503,11 @@ def read_ledger(path) -> Ledger:
     """Load a ledger export, recomputing every block hash from its payload.
 
     Only the form ``write_ledger`` writes decodes: ASCII lines, each ended
-    by LF; the header ``ledger v1 alg=<name> enc=<enc> id=<lowercase hex>``
-    with each field once and in that order; and payload lines each equal to
-    the encoding of what it decodes to. Anything else raises ``ValueError``
-    naming ``path`` and, for a payload, its line number.
+    by LF; the header ``ledger v1 alg=<name> enc=hex id=<lowercase hex>``
+    with each field once and in that order, and the algorithm named
+    exactly; and payload lines each equal to the lowercase hex of what they
+    decode to. Anything else raises ``ValueError`` naming ``path`` and,
+    for a payload, its line number.
     """
     with open(path, "rb") as fh:
         content = fh.read()
@@ -530,14 +519,13 @@ def read_ledger(path) -> Ledger:
         fields = dict(part.partition("=")[::2] for part in header.split(" ")[2:])
         try:
             alg, ledger_id = algorithm(fields["alg"]), bytes.fromhex(fields["id"])
-            enc, dec = _PAYLOAD_CODECS[fields["enc"]]
-            if header != _export_header(alg.name, fields["enc"], ledger_id):
+            if header != _export_header(alg.name, ledger_id):
                 raise ValueError
         except (KeyError, ValueError):
             raise ValueError("line 1 is not a ledger export header") from None
         try:
-            payloads = [dec(line) for line in lines]
-            canonical = list(map(enc, payloads)) == lines
+            payloads = list(map(bytes.fromhex, lines))
+            canonical = list(map(bytes.hex, payloads)) == lines
         except ValueError:
             canonical = False
         if not canonical:
@@ -545,11 +533,11 @@ def read_ledger(path) -> Ledger:
             # pays no per-line bookkeeping
             for number, line in enumerate(lines, start=2):
                 try:
-                    if enc(dec(line)) == line:
+                    if bytes.fromhex(line).hex() == line:
                         continue
                 except ValueError:
                     pass
-                raise ValueError(f"line {number} is not {fields['enc']}")
+                raise ValueError(f"line {number} is not hex")
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     return Ledger(ledger_id, payloads, alg)

@@ -38,7 +38,7 @@ by the same framing rules as ``parse_node``, without building node objects.
 The writer (``build``, ``update``, ``rechain``) reads the nodes it patches
 through ``_frame`` too. ``build`` and ``update`` are one write entry,
 ``_write``, and one recursion: build writes into an empty subtree, update
-into the stored root. Both take one input rule: no key twice, every key
+into the stored root. Both take one input rule: a mapping, every key
 and value a digest, and a key mapped to None, an attempted deletion,
 raises DeletionNotSupportedError. An internal node is spliced, never
 encoded: its stored bytes, or an empty body with no bitmap bit, get each
@@ -64,7 +64,6 @@ from .crypto import HashAlg, label_width
 from .errors import (
     CanonicalizationError,
     DeletionNotSupportedError,
-    DuplicateKeyError,
     KeyExhaustedError,
     MalformedNodeError,
     MissingNodeError,
@@ -304,24 +303,16 @@ def parse_node(data: bytes, params: TrieParams) -> Node:
     return LeafNode(tuple(_leaf_entries(data, body_end, params)), prev_root)
 
 
-def node_digest(node: Node, params: TrieParams) -> bytes:
-    return params.alg.hash(serialize_node(node, params))
-
-
 # ------------------------------------------------------------- construction
 
 def _sorted_pairs(assoc, params: TrieParams) -> list[tuple[bytes, bytes]]:
-    items = list(assoc.items()) if hasattr(assoc, "items") else list(assoc)
+    items = list(assoc.items())
     digest_len = params.digest_len
-    seen: set[bytes] = set()
     for key, value in items:
         if value is None:
             raise DeletionNotSupportedError(f"key {key.hex()} maps to None; keys cannot be removed")
         if len(key) != digest_len or len(value) != digest_len:
             raise ValueError("keys and values must be digests of the configured length")
-        if key in seen:
-            raise DuplicateKeyError(f"duplicate search key {key.hex()}")
-        seen.add(key)
     items.sort(key=itemgetter(0))
     return items
 
@@ -478,16 +469,17 @@ def _write(
 def build(params: TrieParams, assoc, prev_root: bytes | None, store: ObjectStore) -> TrieVersion:
     """Construct a trie version over the full association set.
 
-    ``assoc`` is a mapping or iterable of (search key, value digest) pairs;
-    the resulting structure does not depend on its iteration order. All
-    nodes are emitted to ``store``; ``prev_root`` (the all-zero sentinel
-    for a first version) is embedded in the root node.
+    ``assoc`` is a mapping of search key to value digest; the resulting
+    structure does not depend on its iteration order. All nodes are
+    emitted to ``store``; ``prev_root`` (the all-zero sentinel for a first
+    version) is embedded in the root node.
     """
     return _write(params, store, None, assoc, params.alg.zero if prev_root is None else prev_root)
 
 
 def update(prev: TrieVersion, changes) -> TrieVersion:
-    """New version with ``changes`` (inserts and value updates) applied.
+    """New version with ``changes``, a mapping of search key to value
+    digest (inserts and value updates), applied.
 
     Equivalent, node for node, to rebuilding the merged association set
     from scratch with the previous root digest chained in, but only the

@@ -9,7 +9,8 @@ A workdir holds one deployment's public artifacts:
     proofs.idx    (ledger key, round) -> proof address index
     ledgers/      ledger exports (the data a producer would disclose)
     config.json   hash algorithm and trie parameters, written at creation;
-                  every later open takes them from here only
+                  every later open takes them from here only, and only
+                  in the form written
 
 ``Workdir`` is the one code that names ``chain.log``, ``config.json`` and
 ``ledgers/``; the store names its own two files. ``Chain`` and
@@ -100,8 +101,7 @@ class Workdir:
                     (path / name).unlink(missing_ok=True)
                 shutil.rmtree(path / LEDGER_DIR_NAME, ignore_errors=True)
             (path / LEDGER_DIR_NAME).mkdir(exist_ok=True)
-            config = {"hash": params.alg.name, "r": params.r, "k": params.k}
-            (path / CONFIG_NAME).write_text(json.dumps(config, sort_keys=True) + "\n")
+            (path / CONFIG_NAME).write_text(_config_text(params))
         except BaseException:
             os.close(lock)
             raise
@@ -153,12 +153,24 @@ def _lock(path: Path) -> int:
     return fd
 
 
+def _config_text(params: TrieParams) -> str:
+    """The one form of ``config.json``: the form ``create`` writes."""
+    config = {"hash": params.alg.name, "r": params.r, "k": params.k}
+    return json.dumps(config, sort_keys=True) + "\n"
+
+
 def _read_config(path: Path) -> TrieParams:
+    """The parameters of ``config.json``, which must read exactly as
+    ``_config_text`` of them; anything else is a MalformedArtifactError."""
     try:
-        config = json.loads(path.read_text(encoding="ascii"))
-        return TrieParams(config["r"], config["k"], algorithm(config["hash"]))
+        text = path.read_bytes().decode("ascii")
+        config = json.loads(text)
+        params = TrieParams(config["r"], config["k"], algorithm(config["hash"]))
     except KeyError as exc:
         raise MalformedArtifactError(f"{CONFIG_NAME}: missing key {exc}") from None
     # a deeply nested document exhausts json's recursion limit
     except (OSError, ValueError, TypeError, AttributeError, RecursionError) as exc:
         raise MalformedArtifactError(f"{CONFIG_NAME}: {exc}") from None
+    if text != _config_text(params):
+        raise MalformedArtifactError(f"{CONFIG_NAME}: not in the form a new workdir writes")
+    return params

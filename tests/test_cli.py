@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import io
 import json
@@ -573,6 +574,11 @@ CONFIG_DAMAGE = {
     "integral float k": '{"hash": "sha256", "k": 2.0, "r": 2}',
     "bool k": '{"hash": "sha256", "k": true, "r": 2}',
     "deeply nested": "[" * 100_000,
+    # each decodes to the simulated run's own parameters, in another form
+    "hash named SHA-256": '{"hash": "SHA-256", "k": 1, "r": 2}\n',
+    "extra key": '{"hash": "sha256", "k": 1, "r": 2, "x": 0}\n',
+    "keys reordered": '{"r": 2, "k": 1, "hash": "sha256"}\n',
+    "other spacing": '{"hash":"sha256","k":1,"r":2}\n',
 }
 
 
@@ -662,6 +668,13 @@ def _upper_payloads(content: bytes) -> bytes:
     return header + b"\n" + payloads.upper()
 
 
+def _in_base64(content: bytes) -> bytes:
+    header, *payloads = content.split(b"\n")[:-1]
+    lines = [header.replace(b"enc=hex", b"enc=base64", 1)]
+    lines += [base64.b64encode(bytes.fromhex(line.decode())) for line in payloads]
+    return b"".join(line + b"\n" for line in lines)
+
+
 # each edit of ledger-1's export, and the start of the audit's reason
 EXPORT_EDITS = {
     # ledger-2's id: a readable export, of another ledger
@@ -671,6 +684,7 @@ EXPORT_EDITS = {
                    "is unreadable"),
     "upper-case id": (lambda content: content.replace(b"d31\n", b"D31\n", 1), "is unreadable"),
     "upper-case payloads": (_upper_payloads, "is unreadable"),
+    "in base64": (_in_base64, "is unreadable"),
 }
 
 
@@ -900,3 +914,36 @@ def test_hash_choices_are_the_registry():
     for command in ("simulate", "bench"):
         (action,) = [a for a in commands[command]._actions if a.dest == "hash"]
         assert tuple(action.choices) == ALGORITHM_NAMES == ("sha256", "sha512")
+
+
+# each subcommand's option strings, in build_parser()'s order; a new option
+# is added here on purpose
+OPTIONS = {
+    "simulate": "--workdir --hash --r --k --ledgers --rounds --append-rate --seed --force",
+    "bench": "--r --k --ledgers --seed --hash --out",
+    "audit": "--workdir",
+    "prove": "--workdir --out --round",
+    "verify": "--proof --workdir",
+    "print-chain": "--workdir",
+}
+
+
+def test_each_subcommand_has_exactly_its_pinned_options():
+    commands = build_parser()._subparsers._group_actions[0].choices
+    options = {
+        name: " ".join(
+            option for action in command._actions for option in action.option_strings
+            if option not in ("-h", "--help")
+        )
+        for name, command in commands.items()
+    }
+    assert options == OPTIONS
+
+
+def test_simulate_has_no_export_encoding_option(tmp_path):
+    workdir = tmp_path / "run"
+    proc = run_in_process("simulate", "--workdir", workdir, "--enc", "hex")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.rstrip().endswith("unrecognized arguments: --enc hex")
+    assert not workdir.exists()

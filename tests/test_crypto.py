@@ -58,7 +58,10 @@ def test_hash_is_deterministic_and_sized():
 
 def test_algorithm_lookup():
     assert algorithm("sha256") is SHA256
-    assert algorithm("SHA-512") is SHA512
+    assert algorithm("sha512") is SHA512
+    for name in ("SHA-512", "Sha256"):  # names are exact
+        with pytest.raises(ValueError):
+            algorithm(name)
     with pytest.raises(ValueError):
         algorithm("md5")
     # Audit-proof bundles carry these ids; they are part of the wire format.

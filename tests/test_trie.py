@@ -19,7 +19,6 @@ from trienotary.crypto import SHA256, SHA512, HashAlg, label_at
 from trienotary.errors import (
     CanonicalizationError,
     DeletionNotSupportedError,
-    DuplicateKeyError,
     KeyExhaustedError,
     MalformedNodeError,
     MissingNodeError,
@@ -34,7 +33,6 @@ from trienotary.trie import (
     associations,
     build,
     lookup,
-    node_digest,
     parse_node,
     rechain,
     search_path,
@@ -57,6 +55,10 @@ def key_from_bits(bits: str, length: int = 32) -> bytes:
 
 def digest_of(tag: bytes) -> bytes:
     return ALG.hash(tag)
+
+
+def node_digest(node, p: TrieParams) -> bytes:
+    return p.alg.hash(serialize_node(node, p))
 
 
 def rand_assoc(rng: random.Random, n: int, alg=ALG) -> dict[bytes, bytes]:
@@ -267,16 +269,13 @@ def test_build_order_independence():
     items = list(assoc.items())
     for _ in range(100):
         rng.shuffle(items)
-        assert build(p, items, None, MemoryStore(ALG)).root_digest == reference
+        assert build(p, dict(items), None, MemoryStore(ALG)).root_digest == reference
 
 
 def test_build_rejects_bad_input():
     store = MemoryStore(ALG)
     with pytest.raises(ValueError):
         build(params(), {}, None, store)
-    key = digest_of(b"k")
-    with pytest.raises(DuplicateKeyError):
-        build(params(), [(key, digest_of(b"a")), (key, digest_of(b"b"))], None, store)
     with pytest.raises(ValueError):
         build(params(), {b"short": digest_of(b"v")}, None, store)
 
@@ -658,7 +657,7 @@ def test_build_rejects_deletion_as_update_does():
     key = digest_of(b"k")
     with pytest.raises(DeletionNotSupportedError):
         build(params(2, 1), {key: None}, None, MemoryStore(ALG))
-    pairs = [(digest_of(b"j"), digest_of(b"v")), (key, None)]
+    pairs = {digest_of(b"j"): digest_of(b"v"), key: None}
     with pytest.raises(DeletionNotSupportedError):
         build(params(2, 1), pairs, None, MemoryStore(ALG))
 
