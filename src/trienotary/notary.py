@@ -17,20 +17,18 @@ A round steps every changed or new ledger before it writes anything, so
 a refused ledger leaves no object and no proof index entry behind; the
 proofs are stored before the trie's nodes and indexed after them.
 
-Cost model. A round over N ledgers of which c changed copies two N-entry
-maps, the registry and the map of notarized ledger objects, and does one
-lookup per ledger: ledgers are immutable, so one presented as the very
-object notarized last round, found by id, keeps its entry without hashing.
-A registry entry is a plain tuple of two digests and a size, which the
-garbage collector stops tracking at its first pass, so a large registry
-adds no work to later collections. Hashing is proportional to the c changed
-or new ledgers (the digest, the append-only check and the consistency
-proof, each O(log n) over the ledger's stored subtree heads). The check
-runs first and asks for last round's root, which the ledger's log still
-remembers when the ledger grew from the one notarized then; so a ledger
-that grew from n blocks by one costs the hashes of its block and its
-leaf, of the subtree heads that leaf completes and of the folds into the
-new root (4 hashes at n = 10, 5 at n = 11, 8 at n = 1000). Trie
+Cost model. A round over N ledgers of which c changed copies one N-entry
+map, the notarized ledger objects, and does one lookup per ledger: ledgers
+are immutable, so one presented as the very object notarized last round,
+found by id, keeps its entry without hashing. Hashing is proportional to
+the c changed or new ledgers (the id's key, the digest, the append-only
+check and the consistency proof, each O(log n) over the ledger's stored
+subtree heads). The check runs first and asks for last round's root,
+which the ledger's log still remembers when the ledger grew from the one
+notarized then; so a ledger that grew from n blocks by one costs the
+hashes of its block and its leaf, of the subtree heads that leaf
+completes and of the folds into the new root (4 hashes at n = 10, 5 at
+n = 11, 8 at n = 1000), besides its key. Trie
 work is proportional to the nodes on the paths the changed keys take:
 ``trie.update`` reads each of those nodes once and writes one copy of it.
 An internal node's copy is its stored bytes with the changed child
@@ -49,7 +47,7 @@ the empty tree is a prefix of every tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 
 from .chain import Chain, NotarizationRecord
 from .errors import LedgerTamperError, NoRemovalViolationError
@@ -64,21 +62,19 @@ from .trie import TrieParams, TrieVersion, build, rechain, update
 class NotaryState:
     """Notary bookkeeping carried between rounds.
 
-    ``registry`` maps every ledger id ever notarized to a plain tuple
-    ``(key, digest, size)``: its search key (the hash of its id), the
-    digest published for it and its size in blocks then, the state the
-    next notarized one must extend. It only grows. ``notarized`` maps each
-    id to the ledger object last notarized for it; it only lets a round
-    skip a ledger presented as that very object, so a state built with an
-    empty map steps every ledger once and publishes no proof for an
-    unchanged one. ``last_root`` is the previous round's trie root, the
-    all-zero sentinel before round 0. A round never mutates the state it is
-    given: it returns a new one, so a round that raises leaves the caller's
-    state as it was.
+    ``notarized`` maps every ledger id ever notarized to the ledger last
+    notarized for it, and is the registry: the id's search key is the hash
+    of the id, and the state the next notarized ledger must extend is this
+    one's size and its root at that size, the digest published for it. It
+    only grows. A round skips a ledger presented as that very object.
+    ``last_root`` is the previous round's trie root, the all-zero sentinel
+    before round 0. Every field after ``params`` is keyword-only. A round
+    never mutates the state it is given: it returns a new one, so a round
+    that raises leaves the caller's state as it was.
     """
 
     params: TrieParams
-    registry: dict[bytes, tuple[bytes, bytes, int]] = field(default_factory=dict)
+    _: KW_ONLY
     last_root: bytes = b""
     round: int = 0
     notarized: dict[bytes, Ledger] = field(default_factory=dict)
@@ -129,7 +125,7 @@ def notarize_round(
     contain every registered ledger and may introduce new ones.
     """
     params, alg = state.params, state.params.alg
-    last = state.registry
+    last = state.notarized
     if not last.keys() <= ledgers.keys():
         missing = [lid for lid in last if lid not in ledgers]
         raise NoRemovalViolationError(
@@ -141,11 +137,9 @@ def notarize_round(
     # last round keeps its entry. The others are stepped in id order, which
     # fixes the order of proof writes, and every step runs before the first
     # write, so a ledger refused anywhere in the round leaves nothing stored.
-    seen = state.notarized
-    registry = dict(last)
     changes: dict[bytes, bytes] = {}
     notes: dict[bytes, bytes] = {}
-    for ledger_id in sorted(lid for lid, ledger in ledgers.items() if seen.get(lid) is not ledger):
+    for ledger_id in sorted(lid for lid, ledger in ledgers.items() if last.get(lid) is not ledger):
         ledger = ledgers[ledger_id]
         # ``is`` first: comparing two HashAlg dataclasses compares their fields
         if ledger.alg is not alg and ledger.alg != alg:
@@ -153,13 +147,10 @@ def notarize_round(
                 f"ledger {ledger_id.hex()} is hashed with {ledger.alg.name},"
                 f" not the trie's {alg.name}"
             )
-        entry = last.get(ledger_id)
-        if entry is None:
-            key, old_digest, old_size = alg.hash(ledger_id), None, 0
-        else:
-            key, old_digest, old_size = entry
+        old = last.get(ledger_id)
+        old_digest, old_size = (None, 0) if old is None else (root_at(old, len(old)), len(old))
         digest, note = _step(ledger, old_digest, old_size)
-        registry[ledger_id] = (key, digest, len(ledger))
+        key = alg.hash(ledger_id)
         if note:
             notes[key] = note
         if digest != old_digest:
@@ -180,7 +171,9 @@ def notarize_round(
     record = NotarizationRecord(state.round, version.root_digest, b"")
     store.commit()
     chain.publish(record)
-    next_state = NotaryState(params, registry, version.root_digest, state.round + 1, dict(ledgers))
+    next_state = NotaryState(
+        params, last_root=version.root_digest, round=state.round + 1, notarized=dict(ledgers)
+    )
     return next_state, record
 
 

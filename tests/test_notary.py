@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import random
 
@@ -28,6 +29,7 @@ from trienotary.merkle import (
     decode_consistency_proof,
     encode_consistency_proof,
     ledger_root,
+    root_at,
     verify_consistency,
 )
 from trienotary.notary import NotaryState, notarize_round, notarize_single
@@ -143,15 +145,16 @@ def test_round_rejects_a_rewrite_of_a_ledger_with_a_remembered_root(forgery):
     state, store, chain = fresh()
     state, _ = notarize_round(state, {b"a": base}, store, chain)
     state, _ = notarize_round(state, {b"a": notarized}, store, chain)
-    registry, objects, proofs = dict(state.registry), len(store), dict(store._proofs)
+    kept, objects, proofs = dict(state.notarized), len(store), dict(store._proofs)
     before = (state.last_root, state.round, chain.records())
     with pytest.raises(LedgerTamperError, match="rewrote history before block 6"):
         notarize_round(state, {b"a": forgeries(base, honest)[forgery]}, store, chain)
-    assert state.registry == registry and state.notarized[b"a"] is notarized
+    assert state.notarized == kept and state.notarized[b"a"] is notarized
     assert (state.last_root, state.round, chain.records()) == before
     assert (len(store), store._proofs) == (objects, proofs)
     state, _ = notarize_round(state, {b"a": honest}, store, chain)
-    assert state.registry[b"a"][1:] == (ledger_root(honest), len(honest))
+    notarized = state.notarized[b"a"]
+    assert (ledger_root(notarized), len(notarized)) == (ledger_root(honest), len(honest))
 
 
 @pytest.mark.parametrize("forgery", ["fork", "rebuilt"])
@@ -221,7 +224,7 @@ def test_new_ledger_mid_history_has_no_first_proof():
     assert lookup(version, ALG.hash(b"b")) == ledger_root(ledgers[b"b"])
 
 
-def test_registry_monotone_and_one_record_per_round():
+def test_notarized_map_monotone_and_one_record_per_round():
     rng = random.Random(5)
     state, store, chain = fresh()
     ledgers: dict[bytes, Ledger] = {}
@@ -229,9 +232,9 @@ def test_registry_monotone_and_one_record_per_round():
         for _ in range(rng.randint(1, 3)):
             lid = rng.randbytes(4)
             ledgers[lid] = Ledger.from_payloads(lid, [rng.randbytes(4)], ALG)
-        previous_registry = set(state.registry)
+        previous_notarized = set(state.notarized)
         state, _ = notarize_round(state, dict(ledgers), store, chain)
-        assert previous_registry <= set(state.registry)
+        assert previous_notarized <= set(state.notarized)
         assert chain.height == round_seq + 1
 
 
@@ -270,13 +273,14 @@ def test_failed_round_leaves_state_unchanged_and_retry_matches_clean_run():
         return state, store, chain, ledgers, honest
 
     state, store, chain, ledgers, honest = start()
-    registry = dict(state.registry)
+    notarized = dict(state.notarized)
     before = (state.last_root, state.round)
     # ``a`` is proved first; ``b``, second in id order, rewrites its history
     forged = {**honest, b"b": Ledger.from_payloads(b"b", [b"b-0", b"X", b"b-2"], ALG)}
     with pytest.raises(LedgerTamperError, match=b"b".hex()):
         notarize_round(state, forged, store, chain)
-    assert state.registry == registry
+    assert state.notarized.keys() == notarized.keys()
+    assert all(state.notarized[lid] is notarized[lid] for lid in notarized)
     assert all(state.notarized[lid] is ledgers[lid] for lid in ledgers)
     assert (state.last_root, state.round) == before
     assert chain.height == 1
@@ -336,25 +340,26 @@ def test_a_ledger_in_another_algorithm_is_refused_before_anything_is_stored(tmp_
     assert _stored(store, tmp_path) == before
 
 
-def test_registry_entries_leave_the_collector_and_a_round_keeps_its_input_state():
+def test_a_round_keeps_its_input_state_and_holds_only_the_presented_ledgers():
     state, store, chain = fresh()
     ledgers = {bytes([i]): Ledger.from_payloads(bytes([i]), [b"x"], ALG) for i in range(6)}
     state, _ = notarize_round(state, dict(ledgers), store, chain)
     for lid in (b"\x01", b"\x04"):
         ledgers[lid] = ledgers[lid].append(b"y")
     ledgers[b"new"] = Ledger.from_payloads(b"new", [b"z"], ALG)
-    registry, notarized = dict(state.registry), dict(state.notarized)
+    notarized = dict(state.notarized)
     after, _ = notarize_round(state, ledgers, store, chain)
-    assert (state.registry, state.notarized) == (registry, notarized)
-    gc.collect()
-    assert all(type(entry) is tuple for entry in after.registry.values())
-    assert not any(gc.is_tracked(entry) for entry in after.registry.values())
+    assert state.notarized == notarized
+    # the state's one map holds each presented id and ledger, and nothing else
+    held = sorted(map(id, gc.get_referents(after.notarized)))
+    assert held == sorted(map(id, [*ledgers, *ledgers.values()]))
 
 
 def test_a_state_rebuilt_without_ledger_objects_steps_each_once_and_matches(monkeypatch):
-    """The form a resume rebuilds: registry, root and round, but no
-    notarized ledger objects. Its round steps every ledger, publishes no
-    proof for an unchanged one, and gives what the kept state gives."""
+    """The form a resume rebuilds: root and round, and each id mapped to a
+    fresh ledger of its notarized payloads, not to the ledger object the
+    round notarized. Its round steps every ledger, publishes no proof for
+    an unchanged one, and gives what the kept state gives."""
     stepped, original = [], notary._step
 
     def step(ledger, old_digest, old_size):
@@ -368,12 +373,19 @@ def test_a_state_rebuilt_without_ledger_objects_steps_each_once_and_matches(monk
         ledgers = {bytes([i]): Ledger(bytes([i]), [bytes([i])], ALG) for i in range(6)}
         state, _ = notarize_round(state, dict(ledgers), store, chain)
         if rebuild:
-            state = NotaryState(PARAMS, state.registry, state.last_root, state.round)
+            notarized = {
+                lid: Ledger(lid, [block.payload for block in ledger.blocks], ALG)
+                for lid, ledger in state.notarized.items()
+            }
+            state = NotaryState(
+                PARAMS, last_root=state.last_root, round=state.round, notarized=notarized
+            )
         for lid in (b"\x01", b"\x04"):
             ledgers[lid] = ledgers[lid].append(b"y")
         stepped.clear()
         after, record = notarize_round(state, ledgers, store, chain)
-        return sorted(stepped), (after.registry, after.last_root, record), _stored(store, None)
+        states = {lid: (ledger_root(ledger), len(ledger)) for lid, ledger in after.notarized.items()}
+        return sorted(stepped), (states, after.last_root, record), _stored(store, None)
 
     kept_steps, kept, kept_stored = run(False)
     rebuilt_steps, rebuilt, rebuilt_stored = run(True)
@@ -381,6 +393,58 @@ def test_a_state_rebuilt_without_ledger_objects_steps_each_once_and_matches(monk
     assert rebuilt_steps == [bytes([i]) for i in range(6)]
     assert (rebuilt, rebuilt_stored) == (kept, kept_stored)
     assert sorted(rebuilt_stored[1]) == sorted((ALG.hash(lid), 1) for lid in (b"\x01", b"\x04"))
+
+
+def test_state_fields_after_params_are_keyword_only():
+    """A stale positional call would read ``{}`` as "no root"; it raises."""
+    with pytest.raises(TypeError):
+        NotaryState(PARAMS, {}, 3)
+    with pytest.raises(TypeError):
+        NotaryState(PARAMS, ALG.zero)
+    fields = [field.name for field in dataclasses.fields(NotaryState)]
+    assert fields == ["params", "last_root", "round", "notarized"]
+
+
+def test_the_old_digest_holds_after_the_notarized_ledgers_root_memos_moved():
+    """Between rounds an audit with disclosed data and a ``root_at`` at every
+    size, largest first, leave no notarized ledger's log remembering its
+    notarized root. The next round still refuses a fork, leaving the state
+    and the store as they were, and a round of grown ledgers then gives
+    what an undisturbed run gives."""
+
+    def run(disturb):
+        state, store, chain = fresh()
+        ledgers = {
+            bytes([i]): Ledger(bytes([i]), [bytes([i, j]) for j in range(i + 1)], ALG)
+            for i in range(5)
+        }
+        state, _ = notarize_round(state, dict(ledgers), store, chain)
+        ledgers[b"\x02"] = ledgers[b"\x02"].append(b"y")
+        state, _ = notarize_round(state, dict(ledgers), store, chain)
+        if disturb:
+            report = audit_ledger(b"\x03", ledgers[b"\x03"], chain.read_roots(), store, PARAMS)
+            assert report.exit_code == 0
+            for ledger in state.notarized.values():
+                for size in reversed(range(len(ledger) + 1)):
+                    root_at(ledger, size)
+        grown = {
+            lid: ledger.append(b"z") if lid in (b"\x01", b"\x02", b"\x03") else ledger
+            for lid, ledger in ledgers.items()
+        }
+        payloads = [block.payload for block in ledgers[b"\x04"].blocks]
+        payloads[1] = b"X"
+        forged = {**grown, b"\x04": Ledger(b"\x04", [*payloads, b"z"], ALG)}
+        kept, before = dict(state.notarized), (state.last_root, state.round, chain.records())
+        stored = _stored(store, None)
+        with pytest.raises(LedgerTamperError, match="rewrote history before block 5"):
+            notarize_round(state, forged, store, chain)
+        assert state.notarized == kept
+        assert (state.last_root, state.round, chain.records()) == before
+        assert _stored(store, None) == stored
+        _, record = notarize_round(state, grown, store, chain)
+        return record, _stored(store, None)
+
+    assert run(True) == run(False)
 
 
 def _start_directory_run(workdir):
@@ -549,7 +613,7 @@ def test_a_size_zero_proof_for_a_rewritten_value_does_not_verify():
 @given(start=st.integers(0, 5), steps=st.lists(st.integers(0, 3), min_size=1, max_size=6))
 def test_single_mode_publishes_what_a_one_ledger_round_stores(start, steps):
     """Both procedures run one step: at every step the single record's root
-    is the round's registry digest, and its note is the proof the round
+    is the digest the round published for it, and its note is the proof the round
     indexed, or empty where it indexed none."""
     payloads = [bytes([i]) for i in range(start)]
     # one ledger object per procedure, so neither reads what the other hashed
@@ -564,7 +628,7 @@ def test_single_mode_publishes_what_a_one_ledger_round_stores(start, steps):
             in_round, single = in_round.append(payload), single.append(payload)
         state, _ = notarize_round(state, {b"solo": in_round}, store, chain)
         record = notarize_single(single, prev, single_chain)
-        assert record.trie_root == state.registry[b"solo"][1]
+        assert record.trie_root == lookup(TrieVersion(PARAMS, state.last_root, store), key)
         address = store.find_proof(key, round_seq)
         assert record.note == (b"" if address is None else store.get(address))
         prev = (record.trie_root, len(single))
