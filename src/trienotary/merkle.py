@@ -15,50 +15,47 @@ Two proof kinds are supported:
   under a given root (selective disclosure of single blocks).
 
 Cost model. The versions of one append chain share one log: its payloads,
-its block hashes concatenated in one ``bytearray``, and every head of a
-complete, aligned subtree (2**j leaves starting at a multiple of 2**j),
-hashed once and kept, since appending never changes it (the stored subtree
-heads of RFC 9162 section 2.1 and of Crosby and Wallach's tamper-evident
-logs). A block costs one payload reference and one digest's bytes, and no
-object of its own: ``Block`` values are built only when ``Ledger.blocks``
-is read. Appending to the newest version is one block hash and two
-in-place appends; the amortized O(1) head hashes are charged when the next
-root or proof is asked for. The head of any prefix folds the complete
-heads that cover it, one per set bit of its size, each read from its
-level at an index the bits give, so ``root_at`` is O(log n) hashes. A
-proof reads its heads the same way, from the bits of the old size or the
-leaf index and of the new size, and folds one range, where its path
-leaves the tree's right edge: O(log n) hashes, and no recursion. The log
-also remembers its right edge: the last root ``root_at`` computed, with
-its size, and the last two leaf heads it hashed, with their indexes.
-Asked again, these cost no hash. So when a notarization round appends
-one block to an n-block ledger whose root it asked for last, the old
-root, the new root and the proof between them hash only the block, its
-leaf, the subtree heads it completes and the folds into the new root: 4
-hashes at n = 10, 8 at n = 1000.
-Appending to an older version forks a new log from a copy of its prefix;
-a fork, like a newly built ledger, starts with nothing remembered and
-fills its heads in O(n) on first use.
+its leaf heads (each the hash of a block hash under the leaf prefix)
+concatenated in one ``bytearray``, and every head of a complete, aligned
+subtree (2**j leaves starting at a multiple of 2**j), hashed once and
+kept, since appending never changes it (the stored subtree heads of RFC
+9162 section 2.1 and of Crosby and Wallach's tamper-evident logs). A block
+costs one payload reference and one digest's bytes, and no object of its
+own: ``Block`` values are built only when ``Ledger.blocks`` is read, which
+hashes each block again. Appending to the newest version hashes the block
+and its leaf and makes two in-place appends; the amortized O(1) head
+hashes are charged when the next root or proof is asked for. The head of
+any prefix folds the complete heads that cover it, one per set bit of its
+size, each read from its level at an index the bits give, so ``root_at``
+is O(log n) hashes. A proof reads its heads the same way, from the bits of
+the old size or the leaf index and of the new size, and folds one range,
+where its path leaves the tree's right edge: O(log n) hashes, and no
+recursion. The log also remembers the last root ``root_at`` computed, with
+its size; asked again, it costs no hash. So when a notarization round
+asks for the roots and the proof of a ledger grown by one block from the
+n-block one whose root it asked for last, it hashes only the subtree heads
+the new leaf completes and the folds into the new root; with the append's
+two, that is 4 hashes at n = 10, 8 at n = 1000.
+Appending to an older version forks a new log from a copy of its prefix's
+payloads and leaf heads; a fork, like a newly built ledger, starts with no
+subtree head and no root and fills its heads in O(n) on first use.
 
-A ledger built with its history (``Ledger``, ``read_ledger``)
-costs one hash per block, and its first root one hash per leaf, one per
-complete subtree head and one per fold: 3n - 1 hashes in all for n
-blocks. Past its first pair, that cold fill runs a level at a time: the
-leaf heads in one pass, then each height's heads in one pass, each
-level's new heads added to it at once. Both the block hashing and the
-fill take at most ``_BATCH`` (4,096) blocks or leaves per pass, so the
-short-lived lists they build stay a few hundred KB at any length. Each
-pass (a run of block hashes, of leaf heads or of one height's heads)
-hashes a list of its inputs in one ``HashAlg.hash_each`` call; only the
-fill's first pair, the root's folds and an odd last leaf go through
-``HashAlg.hash``, 2 + popcount(n) + (n & 1) of the 3n - 1 for n >= 2.
-Afterwards the log remembers the root and the heads of the two leaves of
-the last complete pair. Appends, roots and proofs hash one input at a
-time.
+A ledger built with its history (``Ledger``, ``read_ledger``) costs one
+hash per block and one per leaf, and its first root one per complete
+subtree head and one per fold: 3n - 1 hashes in all for n blocks. Past its
+first pair, that cold fill runs a level at a time: the pairs of stored
+leaf heads in one pass, then each height's heads in one pass, each level's
+new heads added to it at once. Both the load and the fill take at most
+``_BATCH`` (4,096) blocks or leaves per pass, so the short-lived lists
+they build stay a few hundred KB at any length. Each pass (a run of block
+hashes, of leaf heads or of one height's heads) hashes a list of its
+inputs in one ``HashAlg.hash_each`` call; only the fill's first pair and
+the root's folds go through ``HashAlg.hash``, popcount(n) of the 3n - 1
+for n >= 2. Appends, roots and proofs hash one input at a time.
 
 Proof generation takes the heads that RFC 9162's recursive SUBPROOF and
-PATH take, in the order they take them, deepest first, so each leaf head
-is hashed or recalled exactly as the recursion would; proof verification
+PATH take, in the order they take them, deepest first, so each head is
+read or folded exactly as the recursion would; proof verification
 is the independent iterative reconstruction, so a round-trip exercises
 two different formulations of the same tree.
 """
@@ -125,65 +122,55 @@ class InclusionProof:
 class _Log:
     """The blocks of one append chain, each version a prefix, and their heads.
 
-    ``payloads[i]`` is block i's payload and ``hashes[i * step:(i + 1) * step]``
-    its block hash, ``step`` being the digest length. ``levels[j - 1]``
-    concatenates, in leaf order, the heads of the 2**j-leaf subtrees filled
-    so far; it is None until a fill covers two leaves. Leaf heads are not
-    kept: each is one hash of its block hash.
+    ``payloads[i]`` is block i's payload and ``leaves[i * step:(i + 1) * step]``
+    its leaf head, the hash of its block hash under the leaf prefix, ``step``
+    being the digest length. ``levels[j - 1]`` concatenates, in leaf order,
+    the heads of the 2**j-leaf subtrees filled so far; it is None until a
+    fill covers two leaves.
 
-    The right edge is remembered: ``root`` is the head of the first
-    ``root_size`` leaves, the last root ``root_at`` computed, and
-    ``leaf_head`` and ``prev_head`` are the heads of leaves ``leaf_index``
-    and ``prev_index``, the last two leaves ``leaf`` hashed (sizes and
-    indexes are -1 before the first). Each is a function of a prefix,
-    which an append never changes, so none goes stale. Two leaves, since a
-    round whose new leaf n completes the pair (n - 1, n) needs both heads
-    for the fill and again for its consistency proof.
+    ``root`` is the head of the first ``root_size`` leaves, the last root
+    ``root_at`` computed (-1 before the first). It is a function of a
+    prefix, which an append never changes, so it never goes stale.
     """
 
-    __slots__ = (
-        "payloads", "hashes", "alg", "step", "levels",
-        "root_size", "root", "leaf_index", "leaf_head", "prev_index", "prev_head",
-    )
+    __slots__ = ("payloads", "leaves", "alg", "step", "levels", "root_size", "root")
 
-    def __init__(self, payloads: list[bytes], hashes: bytearray, alg: HashAlg):
+    def __init__(self, payloads: list[bytes], leaves: bytearray, alg: HashAlg):
         self.payloads = payloads
-        self.hashes = hashes
+        self.leaves = leaves
         self.alg = alg
         self.step = alg.output_len
         self.levels: list[bytearray] | None = None
         self.root_size, self.root = -1, b""
-        self.leaf_index, self.leaf_head = -1, b""
-        self.prev_index, self.prev_head = -1, b""
 
     def extend(self, payloads) -> None:
-        """Append blocks after the last one, hashing each at its position,
-        up to ``_BATCH`` blocks per ``hash_each`` pass."""
+        """Append blocks after the last one, each hashed at its position and
+        its leaf head stored, up to ``_BATCH`` blocks per pair of
+        ``hash_each`` passes."""
         start = len(self.payloads)
         self.payloads += payloads
-        stored, end = self.payloads, len(self.payloads)
+        stored, end, alg = self.payloads, len(self.payloads), self.alg
         if end - start == 1:
-            # an append: a pass's list and join would cost more than the hash
-            self.hashes += self.alg.hash(_block_bytes(start, stored[start]))
+            # an append: a pass's list and join would cost more than the hashes
+            self.leaves += alg.hash(LEAF_PREFIX + alg.hash(_block_bytes(start, stored[start])))
             return
-        hash_each = self.alg.hash_each
+        hash_each = alg.hash_each
         for lo in range(start, end, _BATCH):
-            self.hashes += b"".join(hash_each([
+            blocks = hash_each([
                 _block_bytes(index, stored[index]) for index in range(lo, min(lo + _BATCH, end))
-            ]))
+            ])
+            self.leaves += b"".join(hash_each([LEAF_PREFIX + block for block in blocks]))
 
     def fill(self, size: int) -> "_Log":
         """Store every complete subtree head within the first ``size`` leaves.
 
-        The first new pair of leaves goes through ``leaf``, since its first
-        leaf is the only new one whose head the log may remember, and its
-        head is pushed up every level it completes. The other new pairs are
-        hashed a level at a time, up to ``_BATCH`` leaves per pass: their
-        leaf heads, then each height's new heads, each in one ``hash_each``
-        call, a head left waiting at the end of a level pairing with the
-        first new one. Either way each leaf and each complete subtree head
-        is hashed once, and the log ends up remembering the last pair's two
-        leaf heads.
+        The first new pair of leaves is hashed on its own and its head
+        pushed up every level it completes. The other new pairs are hashed
+        a level at a time, up to ``_BATCH`` leaves per pass: the pairs of
+        stored leaf heads, then each height's new heads, each in one
+        ``hash_each`` call, a head left waiting at the end of a level
+        pairing with the first new one. Either way each complete subtree
+        head is hashed once.
         """
         if size < 2:
             return self
@@ -192,10 +179,10 @@ class _Log:
         t = len(levels[0]) // step * 2 + 1
         if t >= size:
             return self
-        hash_ = self.alg.hash
+        hash_, leaves = self.alg.hash, self.leaves
         # Leaf t completes the pair (t - 1, t) and, through it, every
         # subtree whose last leaf is t.
-        head = hash_(NODE_PREFIX + self.leaf(t - 1) + self.leaf(t))
+        head = hash_(NODE_PREFIX + leaves[(t - 1) * step:(t + 1) * step])
         for level in levels:
             level += head
             if len(level) // step & 1:
@@ -203,37 +190,26 @@ class _Log:
             head = hash_(NODE_PREFIX + level[-2 * step:])
         else:
             levels.append(bytearray(head))
-        end, hashes, hash_each = size & ~1, self.hashes, self.alg.hash_each
+        end, hash_each = size & ~1, self.alg.hash_each
         for lo in range(t + 1, end, _BATCH):
-            hi = min(lo + _BATCH, end)
-            pending = hash_each([
-                LEAF_PREFIX + hashes[at:at + step] for at in range(lo * step, hi * step, step)
+            heads = hash_each([
+                NODE_PREFIX + leaves[at:at + 2 * step]
+                for at in range(lo * step, min(lo + _BATCH, end) * step, 2 * step)
             ])
-            self.prev_index, self.prev_head = hi - 2, pending[-2]
-            self.leaf_index, self.leaf_head = hi - 1, pending[-1]
-            # ``pending`` holds the heads to pair up next, a waiting one first.
             height = 0
-            while len(pending) > 1:
-                pairs = iter(pending)
-                heads = hash_each([NODE_PREFIX + left + right for left, right in zip(pairs, pairs)])
+            while True:
                 if height == len(levels):
                     levels.append(bytearray())
                 level = levels[height]
+                # ``pending`` holds the heads to pair up next, a waiting one first.
                 pending = [level[-step:], *heads] if len(level) // step & 1 else heads
                 level += b"".join(heads)
+                if len(pending) < 2:
+                    break
+                pairs = iter(pending)
+                heads = hash_each([NODE_PREFIX + left + right for left, right in zip(pairs, pairs)])
                 height += 1
         return self
-
-    def leaf(self, index: int) -> bytes:
-        if index == self.leaf_index:
-            return self.leaf_head
-        if index == self.prev_index:
-            return self.prev_head
-        step = self.step
-        head = self.alg.hash(LEAF_PREFIX + self.hashes[index * step:(index + 1) * step])
-        self.prev_index, self.prev_head = self.leaf_index, self.leaf_head
-        self.leaf_index, self.leaf_head = index, head
-        return head
 
     def head(self, lo: int, hi: int) -> bytes:
         """Head of leaves [lo, hi), a subtree of the RFC 9162 decomposition.
@@ -253,13 +229,10 @@ class _Log:
         bits -= low
         hi -= low
         j = low.bit_length() - 1
-        if j:
-            at = (hi >> j) * step
-            head = levels[j - 1][at:at + step]
-            if not bits:
-                return bytes(head)
-        else:
-            head = self.leaf(hi)
+        at = (hi >> j) * step
+        head = (levels[j - 1] if j else self.leaves)[at:at + step]
+        if not bits:
+            return bytes(head)
         hash_ = self.alg.hash
         while bits:
             low = bits & -bits
@@ -298,12 +271,12 @@ class _Log:
         by ``head``. Above it every sibling is a complete subtree on the
         left, one per set bit of ``lo``, lowest bit first.
         """
-        levels, step = self.levels, self.step
+        levels, leaves, step = self.levels, self.leaves, self.step
         fork = (index ^ (n - 1)).bit_length() - 1
         proof = []
         for j in range(level, fork):
             at = ((index >> j) ^ 1) * step
-            proof.append(bytes(levels[j - 1][at:at + step]) if j else self.leaf(index ^ 1))
+            proof.append(bytes((levels[j - 1] if j else leaves)[at:at + step]))
         lo = (n - 1) >> (fork + 1) << (fork + 1)
         if fork >= 0:
             proof.append(self.head(lo + (1 << fork), n))
@@ -312,7 +285,7 @@ class _Log:
             lo -= low
             j = low.bit_length() - 1
             at = (lo >> j) * step
-            proof.append(bytes(levels[j - 1][at:at + step]) if j else self.leaf(lo))
+            proof.append(bytes((levels[j - 1] if j else leaves)[at:at + step]))
         return proof
 
 
@@ -322,9 +295,10 @@ class Ledger:
     A version is the first ``len`` blocks of its chain's shared ``_Log``:
     the constructor hashes its payloads into a new log, appending to the
     newest version extends the log in place, and appending to an older one
-    forks a new log from a copy of its prefix. So every block hash is one
-    the log computed from its payload and position. ``blocks`` builds its
-    ``Block`` values on each read; no other path makes one.
+    forks a new log from a copy of its prefix. So every leaf head is one
+    the log computed from a block's payload and position. ``blocks`` builds
+    its ``Block`` values, and hashes them, on each read; no other path
+    makes one.
     """
 
     __slots__ = ("id", "alg", "_log", "_size")
@@ -344,12 +318,12 @@ class Ledger:
 
     @property
     def blocks(self) -> tuple[Block, ...]:
-        log, step = self._log, self._log.step
-        hashes = bytes(log.hashes[:self._size * step])
-        return tuple(
-            Block(index, log.payloads[index], hashes[index * step:(index + 1) * step])
-            for index in range(self._size)
-        )
+        """The blocks, each hash recomputed from its payload and position:
+        one digest per block per read, in one ``hash_each`` pass, since the
+        log keeps leaf heads, not block hashes."""
+        payloads = self._log.payloads[:self._size]
+        hashes = self.alg.hash_each([_block_bytes(i, p) for i, p in enumerate(payloads)])
+        return tuple(map(Block, range(self._size), payloads, hashes))
 
     def __len__(self) -> int:
         return self._size
@@ -357,7 +331,7 @@ class Ledger:
     def append(self, payload: bytes) -> "Ledger":
         log, index = self._log, self._size
         if len(log.payloads) != index:
-            log = _Log(log.payloads[:index], log.hashes[:index * log.step], self.alg)
+            log = _Log(log.payloads[:index], log.leaves[:index * log.step], self.alg)
         log.extend((payload,))
         child = object.__new__(Ledger)
         child.id, child.alg, child._log, child._size = self.id, self.alg, log, index + 1

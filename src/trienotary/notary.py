@@ -25,10 +25,11 @@ the c changed or new ledgers (the id's key, the digest, the append-only
 check and the consistency proof, each O(log n) over the ledger's stored
 subtree heads). The check runs first and asks for last round's root,
 which the ledger's log still remembers when the ledger grew from the one
-notarized then; so a ledger that grew from n blocks by one costs the
-hashes of its block and its leaf, of the subtree heads that leaf
-completes and of the folds into the new root (4 hashes at n = 10, 5 at
-n = 11, 8 at n = 1000), besides its key. Trie
+notarized then. So for a ledger that grew from n blocks by one, the
+round hashes the subtree heads the new leaf completes and the folds into
+the new root, besides its key; the append already hashed the block and
+its leaf, which the log stores. That is 4 hashes in all at n = 10, 5 at
+n = 11 and 8 at n = 1000, 2 of them the append's. Trie
 work is proportional to the nodes on the paths the changed keys take:
 ``trie.update`` reads each of those nodes once and writes one copy of it.
 An internal node's copy is its stored bytes with the changed child

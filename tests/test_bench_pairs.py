@@ -119,10 +119,33 @@ def test_one_summary_line_per_workload_and_metric():
     }
     assert bench_pairs.summary_lines(bench_pairs.summarize(SPEC, runs)) == [
         "w setup_s: median parent 2 s change 2 s, change/parent 1.000, pairs won 1 lost 1,"
-        " claim_rule_met False, worse_than_bound False",
+        " claim_rule_met False, worse_than_bound False, separated False, unresolved True",
         "w rate: median parent 5 1/s change 6 1/s, change/parent 1.200, pairs won 2 lost 1,"
-        " claim_rule_met False, worse_than_bound False",
+        " claim_rule_met False, worse_than_bound False, separated False, unresolved False",
     ]
+
+
+@pytest.mark.parametrize(
+    "parent, change, separated, unresolved",
+    [
+        # every change run below every parent run
+        ([1.0, 1.1, 1.2], [0.8, 0.9, 0.95], True, False),
+        # every change run above every parent run: separated either way
+        ([1.0, 1.1, 1.2], [1.3, 1.4, 1.5], True, False),
+        # a change run equal to a parent run is not separated from it
+        ([1.0, 1.1, 1.2], [0.8, 0.9, 1.0], False, False),
+        # overlapping runs, the parent's quartile spread (0.1) within the
+        # 0.25 bound of its median
+        ([1.0, 1.1, 1.2], [0.9, 1.15, 1.3], False, False),
+        # overlapping runs, the parent's quartile spread (0.5) beyond it
+        ([0.6, 1.0, 1.6], [0.9, 1.15, 1.3], False, True),
+        # as wide a spread, but runs that do not overlap still tell
+        ([0.6, 1.0, 1.6], [0.3, 0.4, 0.5], True, False),
+    ],
+)
+def test_separated_runs_and_an_unresolved_spread(parent, change, separated, unresolved):
+    setup = summary_of([(v, 5.0) for v in parent], [(v, 5.0) for v in change])["setup_s"]
+    assert (setup["separated"], setup["unresolved"]) == (separated, unresolved)
 
 
 def test_each_side_keeps_the_median_of_its_runs_speed_gauges_and_prints_their_ratio():

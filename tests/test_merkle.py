@@ -400,7 +400,7 @@ def test_stored_heads_match_reference_across_forks(initial, ops, data):
         check_against_reference(versions[i])
 
 
-# The log remembers the last root and leaf heads it computed. An op
+# The log remembers the last root it computed. An op
 # appends to a version that ends its log (the log grows in place) or to
 # one that does not (a fork, a new log), or asks a version for a root, a
 # consistency proof or an inclusion proof at sizes x and y, clamped to its
@@ -527,21 +527,46 @@ def test_a_long_ledger_keeps_under_100_bytes_per_block():
         retained, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # One payload reference, one block hash and the stored heads: about
+    # One payload reference, one leaf head and the stored heads: about
     # 77 B. A Block object with its own hash and index kept about 190 B.
     assert retained / len(ledger) < 100
+
+
+def test_a_ledger_appended_once_and_notarized_twice_keeps_under_800_bytes():
+    n = 2000
+    gc.collect()
+    tracemalloc.start()
+    try:
+        ledgers = {b"l%d" % i: Ledger(b"l%d" % i, [b"p%d" % i], ALG) for i in range(n)}
+        store, chain = MemoryStore(ALG), Chain()
+        state, _ = notarize_round(NotaryState(TrieParams(4, 2, ALG)), ledgers, store, chain)
+        ledgers = {lid: ledger.append(b"next") for lid, ledger in ledgers.items()}
+        state, _ = notarize_round(state, ledgers, store, chain)
+        del ledgers, store, chain
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # What the ledgers and the state keep, ids and payloads included: about
+    # 720 B per ledger. A log that also remembered the last two leaf heads
+    # it hashed, with their indexes, kept about 880 B.
+    assert len(state.notarized) == n
+    assert retained / n < 800
 
 
 # -------------------------------------------------------------- hash counts
 
 # (n, first fill, root_at(n) again, a cold root_at(n - 1),
-#  prove_consistency(n // 2, n), prove_inclusion(0)). The repeated root is
-# the one the log remembers. The cold one makes popcount(n - 1) - 1 folds
-# of the heads covering n - 1 leaves; the last of them is leaf n - 2,
-# whose head the log remembers from the fill.
+#  prove_consistency(n // 2, n), prove_inclusion(0)). The load stored every
+# leaf head, so the first root is the n - 1 pairings that join the leaves
+# into it. The repeated root is the one the log remembers. The cold one
+# makes popcount(n - 1) - 1 folds of the heads covering n - 1 leaves, the
+# last of them a stored leaf head. A proof hashes only the folds of a
+# range cut at its new size: none at n = 10, whose cut ranges are single
+# leaves and complete subtrees.
 @pytest.mark.parametrize(
     "n, fill, root, cold_root, consistency, inclusion",
-    [(10, 19, 0, 1, 2, 1), (1000, 1999, 0, 7, 4, 5)],
+    [(10, 9, 0, 1, 0, 0), (1000, 999, 0, 7, 4, 4)],
 )
 def test_hashes_on_a_filled_ledger_are_logarithmic(
     merkle_hashes, n, fill, root, cold_root, consistency, inclusion
@@ -561,14 +586,14 @@ def test_hashes_on_a_filled_ledger_are_logarithmic(
     assert max(root, cold_root, consistency, inclusion) <= math.log2(n) ** 2
 
 
-# Per changed ledger grown from n to n + 1 blocks: the block's hash; the
-# new leaf's head; one head per complete subtree the new leaf ends (the
-# trailing zero bits of n + 1); and popcount(n + 1) - 1 folds of the
-# complete heads covering n + 1 leaves into the new root. The append-only
-# check costs none: its root_at(n) is the root last round's ledger_root
-# left in the log. Nor does the proof from n to n + 1: it is stored heads
-# and the heads of the last two leaves, which the log keeps too. So
-# 1 + 1 + 0 + 2 = 4 at n = 10, 1 + 1 + 2 + 1 = 5 at n = 11,
+# Per changed ledger grown from n to n + 1 blocks: at the append, the
+# block's hash and the new leaf's head, which the log stores; in the round,
+# one head per complete subtree the new leaf ends (the trailing zero bits
+# of n + 1) and popcount(n + 1) - 1 folds of the complete heads covering
+# n + 1 leaves into the new root. The append-only check costs none: its
+# root_at(n) is the root last round's ledger_root left in the log. Nor
+# does the proof from n to n + 1: it is stored heads, leaf heads among
+# them. So 1 + 1 + 0 + 2 = 4 at n = 10, 1 + 1 + 2 + 1 = 5 at n = 11,
 # 1 + 1 + 0 + 6 = 8 at n = 1000 and 1 + 1 + 1 + 6 = 9 at n = 1001.
 # A ledger presented again as the object notarized last round costs none.
 @pytest.mark.parametrize("n, per_ledger", [(10, 4), (11, 5), (1000, 8), (1001, 9)])
@@ -585,9 +610,9 @@ def test_round_hashes_per_changed_ledger(merkle_hashes, n, per_ledger):
 
 
 def test_single_mode_hashes_for_a_one_block_append(merkle_hashes):
-    # As per changed ledger in a round: the block, no hash for the check,
-    # the new leaf and one fold per set bit of 1000, and no hash for the
-    # proof.
+    # As per changed ledger in a round: the block and the new leaf at the
+    # append, no hash for the check, one fold per set bit of 1000, and no
+    # hash for the proof.
     ledger = Ledger.from_payloads(b"one", [i.to_bytes(4, "big") for i in range(1000)], ALG)
     chain = Chain()
     first = notarize_single(ledger, None, chain)
@@ -625,14 +650,14 @@ def counted_hashes():
 
 
 def ref_fill(self, size):
-    """``_Log.fill`` leaf by leaf: each pair through ``leaf``, its head
-    pushed up every level it completes."""
+    """``_Log.fill`` leaf by leaf: each pair of stored leaf heads hashed on
+    its own, its head pushed up every level it completes."""
     if size < 2:
         return self
     levels = self.levels = self.levels or [bytearray()]
     step = self.step
     for t in range(len(levels[0]) // step * 2 + 1, size, 2):
-        head = self.alg.hash(b"\x01" + self.leaf(t - 1) + self.leaf(t))
+        head = self.alg.hash(b"\x01" + self.leaves[(t - 1) * step:(t + 1) * step])
         for level in levels:
             level += head
             if len(level) // step & 1:
@@ -707,7 +732,8 @@ def check_fill(n, ops):
                 for payload in grown:
                     twin = twin.append(payload)
             versions.append((ledger, twin))
-            assert calls == twin_calls == [count]
+            # each append hashes its block and its leaf
+            assert calls == twin_calls == [2 * count]
             continue
         # every leaf of the log, which versions longer than this one share
         leaves = [
@@ -740,9 +766,7 @@ def check_fill(n, ops):
         assert [bytes(level) for level in ledger._log.levels or ()] == ref_levels(
             leaves, filled, memo
         )
-        assert (ledger._log.leaf_index, ledger._log.prev_index) == (
-            twin._log.leaf_index, twin._log.prev_index
-        )
+        assert ledger._log.leaves == b"".join(leaves)
 
 
 @settings(max_examples=40, deadline=None)
@@ -756,18 +780,17 @@ def test_a_loaded_ledger_costs_three_hashes_per_block_less_one(n):
 
 
 # Of those 3n - 1 digests, a cold load makes only these through ``hash``:
-# the fill's first pair, whose two leaf heads and their head go through
-# ``leaf`` (3); the folds of the root's popcount(n) complete heads
-# (popcount(n) - 1); and for odd n the head of leaf n - 1, which no pair
-# covers (1). That is 2 + popcount(n) + (n & 1) <= bit_length(n) + 3, so
-# O(log n): 8 at n = 1,000 and 7 at n = 5,000, which takes two passes.
-# Every other block, leaf and subtree head goes through ``hash_each``.
+# the head of the fill's first pair (1) and the folds of the root's
+# popcount(n) complete heads (popcount(n) - 1). That is popcount(n) <=
+# bit_length(n), so O(log n): 6 at n = 1,000 and 5 at n = 5,000, which
+# takes two passes. Every block, leaf head and other subtree head goes
+# through ``hash_each``.
 @pytest.mark.parametrize("n", [1000, 5000])
 def test_a_cold_load_hashes_its_passes_in_batches(n):
     with hashes_by_entry() as counts:
         ledger_root(Ledger.from_payloads(b"cold", [i.to_bytes(4, "big") for i in range(n)], ALG))
     assert counts.total() == 3 * n - 1
-    assert counts["hash"] == 2 + bin(n).count("1") + (n & 1) <= n.bit_length() + 3
+    assert counts["hash"] == bin(n).count("1") <= n.bit_length()
 
 
 def test_a_long_load_holds_little_short_lived_memory():
@@ -799,11 +822,8 @@ def ref_log_head(self, lo, hi):
     step = self.step
     while lo < hi:
         j = (hi - lo).bit_length() - 1
-        if j == 0:
-            pieces.append(self.leaf(lo))
-        else:
-            at = (lo >> j) * step
-            pieces.append(bytes(self.levels[j - 1][at:at + step]))
+        at = (lo >> j) * step
+        pieces.append(bytes((self.levels[j - 1] if j else self.leaves)[at:at + step]))
         lo += 1 << j
     head = pieces.pop()
     while pieces:
@@ -844,9 +864,8 @@ def recursive_proofs():
         _Log.head, _Log.subproof, _Log.path = saved
 
 
-def edge(ledger: Ledger) -> tuple[int, int, int]:
-    log = ledger._log
-    return log.root_size, log.leaf_index, log.prev_index
+def edge(ledger: Ledger) -> int:
+    return ledger._log.root_size
 
 
 # Ops as for the fill oracle above; each runs on the ledger and on a twin

@@ -18,11 +18,15 @@ For every workload and every end-to-end metric that ``BENCHMARK.json``
 names, the output holds each side's value per seed, in seed order, their
 median and inclusive quartiles, the ratio of the medians, how many pairs
 the change won and lost (strictly better or worse, in the metric's
-direction), and the metric's bound. Two verdicts follow from these:
+direction), and the metric's bound. Four verdicts follow from these:
 ``claim_rule_met``, when the change won at least nine tenths of the pairs
 and its median is better than the parent's by more than the parent's
-quartile spread, and ``worse_than_bound``, when the change's median is
-worse than the parent's by more than ``bound`` times the parent's median.
+quartile spread; ``worse_than_bound``, when the change's median is
+worse than the parent's by more than ``bound`` times the parent's median;
+``separated``, when every change run is better than every parent run, or
+every one is worse; and ``unresolved``, when the parent's quartile spread
+exceeds ``bound`` times its median and the runs are not separated, so the
+pairs cannot tell a move within the bound from noise.
 Every scaled time is divided by the speed gauge, so each workload also
 holds each side's gauge: the median of each run's ``gauge_median_s``, in
 seed order, with their median and quartiles. ``--note`` lines are kept as
@@ -138,10 +142,11 @@ def summarize(spec: dict, runs: dict) -> dict:
             if not pairs:
                 continue
             sign = 1 if metric["better"] == "lower" else -1
-            parent = spread([p for p, _ in pairs])
-            change = spread([c for _, c in pairs])
+            parents, changes = [p for p, _ in pairs], [c for _, c in pairs]
+            parent, change = spread(parents), spread(changes)
             better = sum(sign * (c - p) < 0 for p, c in pairs)
             gain = sign * (parent["median"] - change["median"])
+            separated = max(changes) < min(parents) or min(changes) > max(parents)
             block["metrics"][name] = {
                 "unit": metric["unit"],
                 "parent": parent,
@@ -156,6 +161,10 @@ def summarize(spec: dict, runs: dict) -> dict:
                     10 * better >= 9 * len(pairs) and gain > parent["q3"] - parent["q1"]
                 ),
                 "worse_than_bound": -gain > metric["bound"] * abs(parent["median"]),
+                "separated": separated,
+                "unresolved": not separated and (
+                    parent["q3"] - parent["q1"] > metric["bound"] * abs(parent["median"])
+                ),
                 "runs": values,
             }
         out[workload] = block
@@ -165,7 +174,7 @@ def summarize(spec: dict, runs: dict) -> dict:
 def summary_lines(workloads: dict) -> list[str]:
     """Per workload of a ``summarize`` result, one line for the speed gauge,
     when both sides read it: both medians and their ratio; then one line per
-    metric: both medians, their ratio, the pairs won and lost, and the two
+    metric: both medians, their ratio, the pairs won and lost, and the four
     verdicts."""
     lines = []
     for workload, block in workloads.items():
@@ -183,7 +192,8 @@ def summary_lines(workloads: dict) -> list[str]:
                 f" change {m['change']['median']:.6g} {m['unit']},"
                 f" change/parent {'n/a' if ratio is None else f'{ratio:.3f}'},"
                 f" pairs won {m['pairs_change_better']} lost {m['pairs_change_worse']},"
-                f" claim_rule_met {m['claim_rule_met']}, worse_than_bound {m['worse_than_bound']}"
+                f" claim_rule_met {m['claim_rule_met']}, worse_than_bound {m['worse_than_bound']},"
+                f" separated {m['separated']}, unresolved {m['unresolved']}"
             )
     return lines
 
