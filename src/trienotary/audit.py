@@ -26,17 +26,21 @@ valid up to the notarization round current when it was built. Rounds
 published after that are reported as not covered rather than verified.
 
 Cost model: one run (an audit, a bundle build or a bundle check) reads
-one source, nodes by digest and proofs by round, and records each read
-in order; the record of a storage-backed run is the bundle. The engine's
-two readers are the one place where a failed read becomes None, which
-is ``KeyPath``'s fetch contract: they catch the store's ``NotFoundError``
-and ``IntegrityError`` (a missing or corrupted object), a bundle's
-source returns None itself, and any other error escapes the run. Each
-run returns one ``AuditReport`` of five ``CheckResult``s and builds one
-``InternalNode`` or ``LeafNode`` per version root it parses and one
+one source, nodes by digest and proofs by round, through the two readers
+its caller gives the engine; a read that finds nothing returns None,
+which is ``KeyPath``'s fetch contract. A bundle check reads its index
+through the index's own ``dict.get``s, so no Python frame runs per read.
+The store's readers, built by ``_store_engine``, are the one place where
+a failed read becomes None: they catch the store's ``NotFoundError`` and
+``IntegrityError`` (a missing or corrupted object), and any other error
+escapes the run. Only the bundle builder records: its store readers keep
+each read that found something, in order, and that record is the bundle.
+Each run returns one ``AuditReport`` of five ``CheckResult``s. Its root
+walk parses each version root with ``parse_node``, which builds one
+``InternalNode`` or ``LeafNode`` with ``tuple.__new__``, and it builds one
 ``ConsistencyProof`` per proof it decodes; all of these are tuples
-(``typing.NamedTuple``), built at tuple cost, compared by field and
-copied with ``_replace``. A run
+(``typing.NamedTuple``), compared by field and copied with
+``_replace``. A run
 fetches and validates each distinct node once, except that a version
 root is checked twice: the root walk parses it for its prev-root link,
 and the key's path is then read from it by ``trie.KeyPath``, which takes
@@ -71,6 +75,7 @@ several mismatches the newest is reported.
 from __future__ import annotations
 
 import enum
+import struct
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -170,44 +175,24 @@ class AuditProof:
 
 
 class _Engine:
-    """One audit run over one source, keeping a record of what it read.
+    """One audit run over one source, through the two readers it is given.
 
-    ``get(digest)`` returns node bytes and ``proof_at(round)`` a proof
-    blob. Each returns None for what the source lacks, or raises
-    ``NotFoundError`` or ``IntegrityError`` for an object missing from
-    storage or failing its read check, as ``ObjectStore.get`` does.
-    ``fetch_node`` and ``fetch_proof`` are the only readers: they are the
-    one place where a failed read becomes None, and they record each read
-    that found something in ``nodes`` (digest -> bytes) and ``proofs``
-    (round -> blob), in read order. Any other error escapes the run.
+    ``fetch_node(digest)`` returns node bytes and ``fetch_proof(round)`` a
+    proof blob, each None for what the source cannot give; the engine
+    neither catches their errors nor records what they read. A bundle
+    check passes its index's own ``dict.get``s, so no Python frame runs per
+    read. ``_store_engine`` builds the store's readers: they are the one
+    place where a failed read becomes None, and they record only for the
+    bundle builder. ``chain_roots`` is the run's own list of the covered
+    rounds' roots, not copied again.
     """
 
-    def __init__(self, params, ledger_key, chain_roots, get, proof_at):
+    def __init__(self, params, ledger_key, chain_roots, fetch_node, fetch_proof):
         self.params = params
-        self.chain_roots = list(chain_roots)
-        self.get = get
-        self.proof_at = proof_at
+        self.chain_roots = chain_roots
+        self.fetch_node = fetch_node
+        self.fetch_proof = fetch_proof
         self.path = KeyPath(params, ledger_key)
-        self.nodes: dict[bytes, bytes] = {}
-        self.proofs: dict[int, bytes] = {}
-
-    def fetch_node(self, digest: bytes) -> bytes | None:
-        try:
-            data = self.get(digest)
-        except (NotFoundError, IntegrityError):
-            return None
-        if data is not None:
-            self.nodes[digest] = data
-        return data
-
-    def fetch_proof(self, round_seq: int) -> bytes | None:
-        try:
-            blob = self.proof_at(round_seq)
-        except (NotFoundError, IntegrityError):
-            return None
-        if blob is not None:
-            self.proofs[round_seq] = blob
-        return blob
 
     def walk_roots(self):
         """Follow prev-root links from the latest chain digest.
@@ -378,14 +363,41 @@ def _as_digest(claimed, alg: HashAlg) -> bytes | None:
     return claimed
 
 
-def _store_engine(params: TrieParams, key: bytes, chain_roots, store: ObjectStore) -> _Engine:
-    """An engine reading public storage: nodes by digest, proofs by index."""
+def _store_engine(
+    params: TrieParams, key: bytes, chain_roots, store: ObjectStore, nodes=None, proofs=None
+) -> _Engine:
+    """An engine reading public storage: nodes by digest, proofs by index.
 
-    def proof_at(round_seq: int) -> bytes | None:
-        address = store.find_proof(key, round_seq)
-        return None if address is None else store.get(address)
+    Its readers catch the store's ``NotFoundError`` and ``IntegrityError``,
+    a missing or corrupted object, and read either as None; any other error
+    escapes the run. Given ``nodes`` and ``proofs``, they record each read
+    that found something there (digest -> bytes, round -> blob), in read
+    order: the bundle builder's record is the bundle.
+    """
+    get, find_proof = store.get, store.find_proof
 
-    return _Engine(params, key, chain_roots, store.get, proof_at)
+    def fetch_node(digest: bytes) -> bytes | None:
+        try:
+            data = get(digest)
+        except (NotFoundError, IntegrityError):
+            return None
+        if nodes is not None:
+            nodes[digest] = data
+        return data
+
+    def fetch_proof(round_seq: int) -> bytes | None:
+        try:
+            address = find_proof(key, round_seq)
+            if address is None:
+                return None
+            blob = get(address)
+        except (NotFoundError, IntegrityError):
+            return None
+        if proofs is not None:
+            proofs[round_seq] = blob
+        return blob
+
+    return _Engine(params, key, chain_roots, fetch_node, fetch_proof)
 
 
 def audit_ledger(
@@ -402,6 +414,7 @@ def audit_ledger(
     skip the disclosed-data check. A Ledger in another hash algorithm, or a
     digest of another length, raises ``ValueError``: it could never match.
     """
+    chain_roots = list(chain_roots)
     if not chain_roots:
         raise ValueError("chain is empty; nothing to audit")
     key = params.alg.hash(ledger_id)
@@ -425,8 +438,11 @@ def make_audit_proof(
         raise ValueError(
             f"up_to_round {up_to_round} outside the chain's {len(chain_roots)} rounds"
         )
+    del chain_roots[up_to_round + 1:]
     key = params.alg.hash(ledger_id)
-    engine = _store_engine(params, key, chain_roots[: up_to_round + 1], store)
+    nodes: dict[bytes, bytes] = {}
+    proofs: dict[int, bytes] = {}
+    engine = _store_engine(params, key, chain_roots, store, nodes, proofs)
     checks = engine.run(None, ()).checks()
     gaps = [name for name, check in checks.items() if check.status is Status.INCONCLUSIVE]
     if gaps:
@@ -437,8 +453,8 @@ def make_audit_proof(
         ledger_key=key,
         up_to_round=up_to_round,
         params=params,
-        nodes=tuple(engine.nodes.values()),
-        proofs=tuple(engine.proofs.items()),
+        nodes=tuple(nodes.values()),
+        proofs=tuple(proofs.items()),
     )
 
 
@@ -495,12 +511,16 @@ def verify_audit_proof(
             uncovered_rounds=uncovered,
         )
 
+    del chain_roots[covered:]
     nodes = dict(zip(alg.hash_each(proof.nodes), proof.nodes))
-    engine = _Engine(params, key, chain_roots[:covered], nodes.get, proofs.get)
+    engine = _Engine(params, key, chain_roots, nodes.get, proofs.get)
     return engine.run(_as_digest(claimed, alg), extra_proofs, uncovered)
 
 
 # --------------------------------------------------------- bundle wire form
+
+_U32 = struct.Struct("<I")  # an entry's length, packed and read without a slice
+
 
 def _section(payload: bytes) -> bytes:
     return len(payload).to_bytes(4, "little") + payload
@@ -516,11 +536,12 @@ def encode_audit_proof(proof: AuditProof) -> bytes:
         + proof.up_to_round.to_bytes(8, "little")
         + proof.ledger_key
     )
-    nodes = [len(proof.nodes).to_bytes(4, "little")]
+    pack_u32 = _U32.pack
+    nodes = [pack_u32(len(proof.nodes))]
     for data in proof.nodes:
-        nodes += (len(data).to_bytes(4, "little"), data)
-    proofs = len(proof.proofs).to_bytes(4, "little") + b"".join(
-        round_seq.to_bytes(8, "little") + len(blob).to_bytes(4, "little") + blob
+        nodes += (pack_u32(len(data)), data)
+    proofs = pack_u32(len(proof.proofs)) + b"".join(
+        round_seq.to_bytes(8, "little") + pack_u32(len(blob)) + blob
         for round_seq, blob in proof.proofs
     )
     return _section(header) + _section(b"".join(nodes)) + _section(proofs)
@@ -581,7 +602,7 @@ def decode_audit_proof(data: bytes) -> AuditProof:
     section before anything under it is read, so a count no section could
     hold fails at once.
     """
-    from_bytes = int.from_bytes
+    from_bytes, read_u32 = int.from_bytes, _U32.unpack_from
     pos, header_end = _read_section(data, 0, len(data))
     if pos == header_end:
         raise _truncated()
@@ -606,7 +627,7 @@ def decode_audit_proof(data: bytes) -> AuditProof:
         start = pos + 4
         if start > nodes_end:
             raise _truncated()
-        pos = start + from_bytes(data[pos:start], "little")
+        pos = start + read_u32(data, pos)[0]
         if pos > nodes_end:
             raise _truncated()
         nodes.append(data[start:pos])
@@ -619,7 +640,7 @@ def decode_audit_proof(data: bytes) -> AuditProof:
         start = pos + 12
         if start > proofs_end:
             raise _truncated()
-        end = start + from_bytes(data[pos + 8:start], "little")
+        end = start + read_u32(data, pos + 8)[0]
         if end > proofs_end:
             raise _truncated()
         proofs.append((from_bytes(data[pos:pos + 8], "little"), data[start:end]))

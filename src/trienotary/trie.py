@@ -298,9 +298,11 @@ def parse_node(data: bytes, params: TrieParams) -> Node:
     """Inverse of serialize_node; raises MalformedNodeError on any deviation."""
     tag, body_end, shape = _frame(data, params)
     prev_root = data[body_end:] or None
+    # both fields are given, so tuple.__new__ builds the record without the
+    # NamedTuple's generated __new__, a Python frame per node parsed
     if tag & 1:
-        return InternalNode(tuple(_children(data, shape, params)), prev_root)
-    return LeafNode(tuple(_leaf_entries(data, body_end, params)), prev_root)
+        return tuple.__new__(InternalNode, (tuple(_children(data, shape, params)), prev_root))
+    return tuple.__new__(LeafNode, (tuple(_leaf_entries(data, body_end, params)), prev_root))
 
 
 # ------------------------------------------------------------- construction

@@ -27,6 +27,7 @@ from trienotary.merkle import (
     ConsistencyProof,
     InclusionProof,
     Ledger,
+    encode_consistency_proof,
     prove_consistency,
     root_at,
 )
@@ -666,6 +667,45 @@ def test_audit_and_prove_fetch_each_distinct_object_once(monkeypatch):
     assert store.gets == audit_gets
     assert len(parsed) == 2 * len(roots)  # each version root, once per run
     assert {ALG.hash(data) for data in parsed} == set(roots)
+
+
+@pytest.mark.parametrize(
+    "view", ["honest", "remove-key", "fork-value", "chain-mismatch", "bogus-proof"]
+)
+def test_the_bundle_is_the_read_record_of_the_audit(view):
+    """A bundle lists the nodes that an audit of the same rounds read, by
+    digest in first-read order, and the proofs it read, by round in read
+    order; on failing views too. A bogus proof in a middle round stops
+    the fork check there, so no later proof is read or bundled."""
+    rng = random.Random(60)
+    history = run_history(60, n_ledgers=4, rounds=6, params=TrieParams(4, 2, ALG), p_append=1.0)
+    lid, key = b"ledger-1", history.key_of(b"ledger-1")
+    roots = history.chain.read_roots()
+    if view == "bogus-proof":
+        bogus = encode_consistency_proof(ConsistencyProof(1, 2, (ALG.hash(b"bogus"),)))
+        history.store._proofs[(key, 2)] = history.store.put(bogus)
+    elif view != "honest":
+        roots = forged_roots(history, view, lid, rng)
+    store = CountingStore(ALG)
+    store._objects, store._proofs = history.store._objects, history.store._proofs
+
+    report = audit_ledger(lid, None, roots, store, history.params)
+    reads, store.gets = store.gets, []
+    bundle = make_audit_proof(lid, len(roots) - 1, roots, store, history.params)
+    assert store.gets == reads  # the build reads what the audit read
+
+    assert (report.verdict is Status.PASS) == (view == "honest")
+    round_at = {address: r for r in range(len(roots)) if (address := store.find_proof(key, r))}
+    found = [address for address in reads if address in history.store]
+    node_reads = [address for address in found if address not in round_at]
+    proof_reads = [round_at[address] for address in found if address in round_at]
+    assert [ALG.hash(data) for data in bundle.nodes] == list(dict.fromkeys(node_reads))
+    assert [round_seq for round_seq, _ in bundle.proofs] == proof_reads
+    if view == "bogus-proof":
+        assert report.no_forks == CheckResult(
+            Status.FAIL, 2, "published consistency proof does not verify"
+        )
+        assert proof_reads == [1, 2]
 
 
 # ------------------------------------------------------------------ records

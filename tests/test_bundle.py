@@ -34,7 +34,7 @@ from trienotary.audit import (
     verify_audit_proof,
 )
 from trienotary.cli import main
-from trienotary.crypto import SHA256, algorithm_by_wire_id
+from trienotary.crypto import SHA256, SHA512, algorithm_by_wire_id
 from trienotary.trie import TrieParams
 
 ALG = SHA256
@@ -297,6 +297,32 @@ def framed_bytes(draw):
 @given(blob=st.one_of(st.binary(max_size=200), framed_bytes()))
 def test_decoder_agrees_with_reference_on_arbitrary_bytes(blob):
     assert_decodes_like_reference(blob)
+
+
+@st.composite
+def audit_proofs(draw):
+    """Bundles of empty, short and long nodes, and proofs at distinct rounds
+    up to 2**64 - 1."""
+    alg = draw(st.sampled_from([SHA256, SHA512]))
+    params = TrieParams(draw(st.sampled_from([2, 4, 16, 256])), draw(st.integers(1, 256)), alg)
+    long = st.integers(256, 70_000).map(lambda n: bytes([n % 251]) * n)
+    blob = st.one_of(st.just(b""), st.binary(min_size=1, max_size=40), long)
+    rounds = draw(st.lists(st.integers(0, 2**64 - 1), unique=True, max_size=5))
+    return AuditProof(
+        ledger_key=draw(st.binary(min_size=alg.output_len, max_size=alg.output_len)),
+        up_to_round=draw(st.integers(0, 2**64 - 1)),
+        params=params,
+        nodes=tuple(draw(st.lists(blob, max_size=6))),
+        proofs=tuple((round_seq, draw(blob)) for round_seq in rounds),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(proof=audit_proofs())
+def test_encoder_and_decoder_agree_with_reference(proof):
+    blob = encode_audit_proof(proof)
+    assert ref_decode(blob) == proof
+    assert decode_audit_proof(blob) == proof
 
 
 def test_honest_bundles_round_trip():
